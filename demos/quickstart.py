@@ -4,9 +4,7 @@
 # penalizes vertical misses (classic least squares), gamma=0 only horizontal
 # ones, and anything in between blends the two.
 
-import numpy as np
-
-from dualfit import Dataset, FitConfig, fit, inverse_predict, predict
+from dualfit import Dataset, FitConfig, compute_stats, fit, inverse_predict, predict, slope_bounds
 
 # four points, deliberately tiny so every number is easy to eyeball
 data = Dataset.from_points([(0, 0), (0, 0), (1, 0), (1, 1)])
@@ -25,7 +23,9 @@ print()
 print("at x=0.5 the line predicts y =", predict(line, 0.5))
 print("y=0.25 is reached at      x =", inverse_predict(line, 0.25))
 
-# candidate_roots holds every real root the slope equation produced;
-# the selected one minimizes the weighted error sum
+# the slope is the one root of the slope equation between the two endpoint
+# slopes; the residual says how close to zero the equation is at that slope
+lower, upper = slope_bounds(compute_stats(data))
 print()
-print("slope candidates considered:", np.round(line.candidate_roots, 6))
+print(f"slope {line.beta1:.6f} lies in [{lower:.6f}, {upper:.6f}]")
+print("slope equation residual:", line.selected_root_residual)

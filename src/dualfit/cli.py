@@ -28,6 +28,7 @@ from .core import (
     fit_stats,
     inverse_predict,
     predict,
+    reflected,
     slope_bounds,
 )
 from .errors import DualFitError, InvalidInput, ParseError
@@ -296,8 +297,7 @@ def _bounds_for(stats: SufficientStats) -> tuple[float, float]:
     if stats.rho > 0.0:
         return slope_bounds(stats)
     # mirrored bounds mapped back to the negative-slope problem
-    mirrored = replace(stats, y_bar=-stats.y_bar, s_xy=-stats.s_xy, rho=-stats.rho)
-    lower, upper = slope_bounds(mirrored)
+    lower, upper = slope_bounds(reflected(stats))
     return -upper, -lower
 
 
@@ -317,7 +317,6 @@ def _fit_report(stats: SufficientStats, line: FittedLine) -> list[tuple[str, obj
         ("sse", line.sse),
         ("bound_lower", lower),
         ("bound_upper", upper),
-        ("candidate_roots", list(line.candidate_roots)),
         ("root_residual", line.selected_root_residual),
     ]
 

@@ -3,10 +3,13 @@
 The objective weighs squared vertical residuals by ``gamma`` and squared
 horizontal residuals by ``1 - gamma``, with ``gamma`` in [0, 1].  For any
 weight the optimal intercept keeps the line through the centroid of the data;
-the optimal slope is the admissible real root of a quartic polynomial built
-from the sufficient statistics.  The two endpoint weights reduce to the
-classical closed forms: regression of y on x at ``gamma = 1`` and inverse
-regression (x on y, re-expressed as a slope in y over x) at ``gamma = 0``.
+the optimal slope is the one root of a quartic polynomial, built from the
+sufficient statistics, that lies between the two closed-form endpoint slopes.
+On that interval the quartic is increasing and convex, so Newton's method
+started at the upper end falls monotonically onto the root.  The two endpoint
+weights are the classical closed forms: regression of y on x at ``gamma = 1``
+and inverse regression (x on y, re-expressed as a slope in y over x) at
+``gamma = 0``.
 
 Only positively correlated data has a well-defined fit here.  Negatively
 correlated data can be handled by reflecting y, fitting, and negating the
@@ -24,7 +27,6 @@ import numpy as np
 from .errors import (
     DegenerateData,
     InvalidInput,
-    NoAdmissibleRoot,
     NonPositiveCorrelation,
     SingularSlope,
     SolverFailure,
@@ -36,12 +38,9 @@ NegativeCorrelationPolicy = Literal["error", "reflect"]
 # |rho| below this is indistinguishable from zero correlation.
 ZERO_RHO_TOL = 1e-12
 
-# Companion-matrix eigenvalues with a relative imaginary part above this are
-# treated as genuinely complex and discarded.
-_IMAG_TOL = 1e-6
-
-# Two polished roots closer than this collapse to one representative.
-_ROOT_MERGE_TOL = 1e-9
+# Newton from the upper slope bound needs about log(1/rho^2) / log(4/3) steps
+# when the root sits near the lower bound: some 200 at rho = ZERO_RHO_TOL.
+_MAX_NEWTON_STEPS = 400
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +131,14 @@ class FitConfig:
     """Residual weight and numerical policy for a single fit."""
 
     gamma: float
-    root_residual_tol: float = 1e-10
     oracle_tol: float = 1e-9
-    bound_slack: float = 1e-8
     negative_correlation_policy: NegativeCorrelationPolicy = "error"
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise InvalidInput(f"gamma must lie in [0, 1], got {self.gamma}")
-        for name in ("root_residual_tol", "oracle_tol", "bound_slack"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise InvalidInput(f"{name} must be positive and finite, got {value}")
+        if not (math.isfinite(self.oracle_tol) and self.oracle_tol > 0.0):
+            raise InvalidInput(f"oracle_tol must be positive and finite, got {self.oracle_tol}")
         if self.negative_correlation_policy not in ("error", "reflect"):
             raise InvalidInput(
                 f"unknown negative_correlation_policy {self.negative_correlation_policy!r}"
@@ -170,31 +165,20 @@ class Quartic:
             value = value * b + c
         return value
 
-    def derivative(self, b: float) -> float:
-        c4, c3, c2, c1, _ = self.coeffs
-        return ((4.0 * c4 * b + 3.0 * c3) * b + 2.0 * c2) * b + c1
-
-    @property
-    def scale(self) -> float:
-        """Magnitude reference for residual tests: max(1, largest |coefficient|)."""
-        return max(1.0, max(abs(c) for c in self.coeffs))
-
 
 @dataclass(frozen=True)
 class FittedLine:
-    """A fitted line plus the diagnostics of how its slope was chosen.
+    """A fitted line plus the diagnostics of how its slope was found.
 
-    ``candidate_roots`` holds every real root of the slope quartic (empty for
-    the closed-form endpoint weights) and ``selected_root_residual`` the
-    absolute polynomial value at the chosen slope.  ``notes`` carries
-    human-readable flags such as reflection or a bound violation.
+    ``selected_root_residual`` is the absolute value of the slope quartic at
+    the fitted slope (zero for the closed-form endpoint weights).  ``notes``
+    carries human-readable flags such as reflection.
     """
 
     beta0: float
     beta1: float
     gamma: float
     sse: float
-    candidate_roots: tuple[float, ...] = ()
     selected_root_residual: float = 0.0
     notes: tuple[str, ...] = ()
 
@@ -309,7 +293,7 @@ def intercept(stats: SufficientStats, beta1: float) -> float:
 
 
 def build_quartic(stats: SufficientStats, gamma: float) -> Quartic:
-    """Quartic in the slope whose admissible root minimizes the objective.
+    """Quartic in the slope whose root inside the slope bounds minimizes the objective.
 
     Coefficients, highest degree first:
     ``(gamma*sqrt(s_xx/s_yy), -gamma*rho, 0, (1-gamma)*rho,
@@ -335,74 +319,8 @@ def build_quartic(stats: SufficientStats, gamma: float) -> Quartic:
     )
 
 
-def _polish(q: Quartic, start: float, max_iter: int = 60) -> float:
-    # Newton refinement that keeps the best iterate seen; stops once the
-    # residual has not improved for a few steps or the update stalls.
-    r = start
-    fr = q(r)
-    best_r, best_f = r, abs(fr)
-    stale = 0
-    for _ in range(max_iter):
-        if fr == 0.0:
-            return r
-        d = q.derivative(r)
-        if d == 0.0:
-            break
-        step = fr / d
-        r_next = r - step
-        if not math.isfinite(r_next) or r_next == r:
-            break
-        r = r_next
-        fr = q(r)
-        if abs(fr) < best_f:
-            best_r, best_f = r, abs(fr)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= 3:
-                break
-    return best_r
-
-
-def real_roots(q: Quartic, residual_tol: float = 1e-10) -> tuple[float, ...]:
-    """All real roots of ``q``, polished and sorted ascending.
-
-    Candidates come from the companion-matrix eigenvalues.  Each near-real
-    candidate is Newton-polished and must satisfy
-    ``|q(r)| <= residual_tol * max(1, max |coefficient|)``; coincident roots
-    collapse to a single representative.
-
-    Raises
-    ------
-    SolverFailure
-        If polishing cannot reach the residual tolerance for some candidate.
-    """
-    if q.coeffs[0] == 0.0:
-        raise InvalidInput("leading coefficient must be nonzero")
-    target = residual_tol * q.scale
-    polished = []
-    for z in np.roots(q.coeffs):
-        if abs(z.imag) > _IMAG_TOL * max(1.0, abs(z)):
-            continue
-        r = _polish(q, float(z.real))
-        residual = abs(q(r))
-        if residual > target:
-            raise SolverFailure(
-                f"residual {residual:.3e} at root candidate {r!r} "
-                f"exceeds tolerance {target:.3e}"
-            )
-        polished.append(r)
-    polished.sort()
-    merged: list[float] = []
-    for r in polished:
-        if merged and abs(r - merged[-1]) <= _ROOT_MERGE_TOL * (1.0 + abs(r)):
-            continue
-        merged.append(r)
-    return tuple(merged)
-
-
 # ---------------------------------------------------------------------------
-# slope selection and the fit
+# slope bounds and the fit
 # ---------------------------------------------------------------------------
 
 
@@ -425,46 +343,8 @@ def slope_bounds(stats: SufficientStats) -> tuple[float, float]:
     return stats.rho * ratio, ratio / stats.rho
 
 
-def select_slope(
-    roots: tuple[float, ...],
-    stats: SufficientStats,
-    gamma: float,
-    config: FitConfig,
-) -> float:
-    """Pick the admissible slope among the quartic roots.
-
-    Admissible means inside the slope bounds widened by ``bound_slack`` on
-    each side.  With several admissible roots the one with the lowest
-    objective wins, ties going to the smaller slope.  A positive root within
-    ten slacks of the interval is still accepted, leaving the bound check to
-    the caller's diagnostics.
-
-    Raises
-    ------
-    NoAdmissibleRoot
-        If no root is inside or near the interval.
-    """
-    lower, upper = slope_bounds(stats)
-    slack = config.bound_slack
-
-    def _within(factor: float) -> list[float]:
-        lo = lower * (1.0 - factor)
-        hi = upper * (1.0 + factor)
-        return [r for r in roots if lo <= r <= hi]
-
-    admissible = _within(slack)
-    if not admissible:
-        admissible = [r for r in _within(10.0 * slack) if r > 0.0]
-    if not admissible:
-        raise NoAdmissibleRoot(
-            f"no positive root in or near [{lower:.6g}, {upper:.6g}]; "
-            f"candidates: {sorted(roots)}"
-        )
-    return min(admissible, key=lambda r: (sse(stats, intercept(stats, r), r, gamma), r))
-
-
-def _reflected(stats: SufficientStats) -> SufficientStats:
-    # statistics of (x, -y); negation is exact in floating point
+def reflected(stats: SufficientStats) -> SufficientStats:
+    """Statistics of the data ``(x, -y)``; negation is exact in floating point."""
     return SufficientStats(
         n=stats.n,
         x_bar=stats.x_bar,
@@ -483,8 +363,6 @@ def _closed_form(stats: SufficientStats, beta1: float, gamma: float) -> FittedLi
         beta1=beta1,
         gamma=gamma,
         sse=sse(stats, beta0, beta1, gamma),
-        candidate_roots=(),
-        selected_root_residual=0.0,
     )
 
 
@@ -497,16 +375,15 @@ def fit_stats(stats: SufficientStats, config: FitConfig) -> FittedLine:
             raise NonPositiveCorrelation(
                 f"rho = {stats.rho:.6g} < 0; pass the reflect policy to fit anyway"
             )
-        mirrored = _fit_positive(_reflected(stats), config)
+        mirrored = _fit_positive(reflected(stats), config)
         beta1 = -mirrored.beta1
         return FittedLine(
             beta0=stats.y_bar - beta1 * stats.x_bar,
             beta1=beta1,
             gamma=config.gamma,
             sse=mirrored.sse,
-            candidate_roots=tuple(sorted(-r for r in mirrored.candidate_roots)),
             selected_root_residual=mirrored.selected_root_residual,
-            notes=mirrored.notes + ("fitted on (x, -y) and negated the slope",),
+            notes=("fitted on (x, -y) and negated the slope",),
         )
     return _fit_positive(stats, config)
 
@@ -519,32 +396,35 @@ def _fit_positive(stats: SufficientStats, config: FitConfig) -> FittedLine:
         return _closed_form(stats, stats.s_yy / stats.s_xy, gamma)
 
     quartic = build_quartic(stats, gamma)
-    roots = real_roots(quartic, config.root_residual_tol)
-    beta1 = select_slope(roots, stats, gamma, config)
-    lower, upper = slope_bounds(stats)
-
-    notes: tuple[str, ...] = ()
-    if not lower * (1.0 - config.bound_slack) <= beta1 <= upper * (1.0 + config.bound_slack):
-        notes = (f"slope {beta1:.12g} sits just outside [{lower:.12g}, {upper:.12g}]",)
-
+    beta1 = _newton_root(quartic, *slope_bounds(stats))
     beta0 = intercept(stats, beta1)
-    value = sse(stats, beta0, beta1, gamma)
-    # the stationary point must beat both interval endpoints, equality allowed
-    for endpoint in (lower, upper):
-        endpoint_value = sse(stats, intercept(stats, endpoint), endpoint, gamma)
-        if value > endpoint_value * (1.0 + 1e-9) + 1e-12:
-            raise NoAdmissibleRoot(
-                f"root {beta1:.12g} has objective {value:.12g}, worse than "
-                f"{endpoint_value:.12g} at bound {endpoint:.12g}"
-            )
     return FittedLine(
         beta0=beta0,
         beta1=beta1,
         gamma=gamma,
-        sse=value,
-        candidate_roots=roots,
+        sse=sse(stats, beta0, beta1, gamma),
         selected_root_residual=abs(quartic(beta1)),
-        notes=notes,
+    )
+
+
+def _newton_root(q: Quartic, lower: float, upper: float) -> float:
+    # q(lower) <= 0 <= q(upper), and q is increasing and convex in between, so
+    # Newton from the upper end descends onto the root without overshooting
+    c4, c3, c2, c1, _ = q.coeffs
+    b = upper
+    for _ in range(_MAX_NEWTON_STEPS):
+        value = q(b)
+        if not math.isfinite(value):
+            raise SolverFailure(f"slope quartic overflows at {b!r}")
+        if value <= 0.0:
+            return b
+        dq = ((4.0 * c4 * b + 3.0 * c3) * b + 2.0 * c2) * b + c1
+        step_to = max(lower, b - value / dq)
+        if not step_to < b:
+            return b
+        b = step_to
+    raise SolverFailure(
+        f"Newton did not settle in [{lower!r}, {upper!r}] within {_MAX_NEWTON_STEPS} steps"
     )
 
 
@@ -562,8 +442,11 @@ def fit(data: Dataset, config: FitConfig) -> FittedLine:
     Returns
     -------
     FittedLine
-        Slope, intercept, achieved objective, and root diagnostics.  The
-        intercept always equals ``y_bar - beta1 * x_bar``.
+        Slope, intercept, achieved objective, and the quartic's residual at
+        the slope.  The intercept always equals ``y_bar - beta1 * x_bar``.
+        For ``0 < gamma < 1`` the slope is the root of :func:`build_quartic`
+        inside :func:`slope_bounds`, found by Newton's method from the upper
+        bound; the endpoint weights use their closed forms.
 
     Raises
     ------
@@ -573,8 +456,9 @@ def fit(data: Dataset, config: FitConfig) -> FittedLine:
         If the correlation is numerically zero.
     NonPositiveCorrelation
         If the correlation is negative and the policy is ``"error"``.
-    NoAdmissibleRoot
-        If no quartic root is admissible (not expected for valid data).
+    SolverFailure
+        If the quartic overflows at the upper bound or Newton's method does
+        not settle within its step cap (not expected for valid data).
     """
     return fit_stats(compute_stats(data), config)
 

@@ -33,11 +33,15 @@ class SingularSlope(DualFitError):
 
 
 class SolverFailure(DualFitError):
-    """Root polishing could not reach the requested residual tolerance."""
+    """The slope quartic overflowed, or Newton's method hit its step cap."""
 
 
 class NoAdmissibleRoot(DualFitError):
-    """No positive root of the slope equation lies in or near the slope bounds."""
+    """No root of the slope equation lies in the slope bounds.
+
+    The fit does not raise this, because the quartic always has exactly one
+    root there; callers that catch it keep working.
+    """
 
 
 class BracketFailure(DualFitError):

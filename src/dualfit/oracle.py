@@ -11,7 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import FitConfig, FittedLine, SufficientStats, intercept, slope_bounds, sse, sse_gradient
+from .core import (
+    FitConfig,
+    FittedLine,
+    SufficientStats,
+    intercept,
+    reflected,
+    slope_bounds,
+    sse,
+    sse_gradient,
+)
 from .errors import BracketFailure, InvalidInput, SingularSlope
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
@@ -171,15 +180,25 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
     weights compare against their closed forms.  The gradient is checked at
     the fitted point and at nearby off-optimum probes, each with a step
     scaled as ``1e-6 * (1 + |beta1|)``.
+
+    A negatively correlated fit made with the reflect policy is re-derived
+    on the statistics of ``(x, -y)``; the oracle slope and bracket are then
+    negated back, and the gradient is checked on the original statistics.
     """
     gamma = line.gamma
-    lower, upper = slope_bounds(stats)
+    reflect = stats.rho < 0.0 and config.negative_correlation_policy == "reflect"
+    positive = reflected(stats) if reflect else stats
+    lower, upper = slope_bounds(positive)
     if 0.0 < gamma < 1.0:
-        oracle_slope, evals, bracket = _minimize_traced(stats, gamma, config.oracle_tol)
+        oracle_slope, evals, bracket = _minimize_traced(positive, gamma, config.oracle_tol)
     else:
-        oracle_slope = stats.s_xy / stats.s_xx if gamma == 1.0 else stats.s_yy / stats.s_xy
+        oracle_slope = (
+            positive.s_xy / positive.s_xx if gamma == 1.0 else positive.s_yy / positive.s_xy
+        )
         evals = 0
         bracket = (lower * (1.0 - _BRACKET_PAD), upper * (1.0 + _BRACKET_PAD))
+    if reflect:
+        oracle_slope, bracket = -oracle_slope, (-bracket[1], -bracket[0])
 
     grad_err = 0.0
     for factor in (1.0, 0.9, 1.1):

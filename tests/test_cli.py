@@ -131,7 +131,7 @@ def test_run_fit_reference(capsys):
     assert report["beta0"] == pytest.approx(-0.0806, abs=5e-4)
     assert report["bound_lower"] == pytest.approx(0.5, abs=1e-9)
     assert report["bound_upper"] == pytest.approx(1.5, abs=1e-9)
-    assert len(report["candidate_roots"]) == 2
+    assert "candidate_roots" not in report
     assert report["rho"] == pytest.approx(0.5773502692, abs=1e-9)
 
 
@@ -301,6 +301,17 @@ def test_run_verify_random_csv(tmp_path, capsys):
     code, report = _run_json(run_verify, config, capsys)
     assert code == EXIT_OK
     assert report["status"] == "ok"
+
+
+def test_run_verify_reflect_negative(tmp_path, capsys):
+    path = _write(tmp_path, "x,y\n0,4.1\n1,2.9\n2,2.2\n3,0.8\n4,0.1\n")
+    code = main(["verify", "--input", path, "--reflect-negative", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK, captured.err
+    report = json.loads(captured.out)
+    assert report["status"] == "ok"
+    assert report["quartic_slope"] < 0.0
+    assert report["bracket_lower"] < report["quartic_slope"] < report["bracket_upper"]
 
 
 def test_run_verify_failure_exits_4(monkeypatch, capsys):

@@ -17,13 +17,10 @@ from dualfit import (
     inverse_predict,
     minimize_profile,
     predict,
-    real_roots,
-    select_slope,
     slope_bounds,
 )
 from dualfit.errors import (
     InvalidInput,
-    NoAdmissibleRoot,
     NonPositiveCorrelation,
     SingularSlope,
     ZeroCorrelation,
@@ -38,41 +35,24 @@ def _symmetric_unit_stats():
     return SufficientStats(n=2, x_bar=0.0, y_bar=0.0, s_xx=1.0, s_yy=1.0, s_xy=1.0, rho=1.0)
 
 
-# ---- select_slope ----------------------------------------------------------
+# ---- slope selection -------------------------------------------------------
 
 
 def test_select_positive_reference_root(reference_stats):
-    config = FitConfig(gamma=0.9)
-    roots = real_roots(build_quartic(reference_stats, 0.9), config.root_residual_tol)
-    chosen = select_slope(roots, reference_stats, 0.9, config)
+    # the quartic's other real root, near -0.482, lies outside the slope bounds
+    chosen = fit_stats(reference_stats, FitConfig(gamma=0.9)).beta1
     assert chosen == pytest.approx(0.6612, abs=5e-4)
 
 
 def test_select_single_collapsed_candidate():
+    # rho = 1 collapses the slope bounds onto the single slope 1
     stats = _symmetric_unit_stats()
-    assert select_slope((1.0,), stats, 0.5, FitConfig(gamma=0.5)) == 1.0
+    assert fit_stats(stats, FitConfig(gamma=0.5)).beta1 == 1.0
 
 
 def test_select_matches_search_minimizer(reference_stats):
-    config = FitConfig(gamma=0.5)
-    roots = real_roots(build_quartic(reference_stats, 0.5), config.root_residual_tol)
-    chosen = select_slope(roots, reference_stats, 0.5, config)
+    chosen = fit_stats(reference_stats, FitConfig(gamma=0.5)).beta1
     assert abs(chosen - minimize_profile(reference_stats, 0.5)) <= 1e-6
-
-
-def test_select_rejects_far_roots(reference_stats):
-    config = FitConfig(gamma=0.5)
-    with pytest.raises(NoAdmissibleRoot):
-        select_slope((5.0,), reference_stats, 0.5, config)
-    with pytest.raises(NoAdmissibleRoot):
-        select_slope((-0.48,), reference_stats, 0.5, config)
-
-
-def test_select_clamp_accepts_near_miss(reference_stats):
-    config = FitConfig(gamma=0.5)
-    _, upper = slope_bounds(reference_stats)
-    near = upper * (1.0 + 3.0 * config.bound_slack)
-    assert select_slope((near,), reference_stats, 0.5, config) == near
 
 
 # ---- fit -------------------------------------------------------------------
@@ -82,7 +62,6 @@ def test_fit_reference(reference_data):
     line = fit(reference_data, FitConfig(gamma=0.9))
     assert line.beta1 == pytest.approx(0.6612, abs=5e-4)
     assert line.beta0 == pytest.approx(-0.0806, abs=5e-4)
-    assert len(line.candidate_roots) == 2
     assert line.selected_root_residual <= 1e-10
     assert line.notes == ()
 
@@ -90,10 +69,10 @@ def test_fit_reference(reference_data):
 def test_fit_endpoints_closed_form(reference_data):
     ols = fit(reference_data, FitConfig(gamma=1.0))
     assert ols.beta1 == pytest.approx(0.5, abs=1e-12)
-    assert ols.candidate_roots == ()
+    assert ols.selected_root_residual == 0.0
     inv = fit(reference_data, FitConfig(gamma=0.0))
     assert inv.beta1 == pytest.approx(1.5, abs=1e-12)
-    assert inv.candidate_roots == ()
+    assert inv.selected_root_residual == 0.0
 
 
 def test_fit_exact_line_any_gamma():
@@ -127,9 +106,7 @@ def test_fit_reflects_when_asked(reference_data, reference_stats):
         assert reflected.beta1 == -straight.beta1
         assert reflected.beta0 == -reference_stats.y_bar - reflected.beta1 * 0.5
         assert any("negated" in note for note in reflected.notes)
-        assert reflected.candidate_roots == tuple(
-            sorted(-r for r in straight.candidate_roots)
-        )
+        assert reflected.selected_root_residual == straight.selected_root_residual
 
 
 def test_fit_config_validation():
@@ -140,9 +117,7 @@ def test_fit_config_validation():
     with pytest.raises(InvalidInput):
         FitConfig(gamma=float("nan"))
     with pytest.raises(InvalidInput):
-        FitConfig(gamma=0.5, root_residual_tol=0.0)
-    with pytest.raises(InvalidInput):
-        FitConfig(gamma=0.5, bound_slack=-1e-9)
+        FitConfig(gamma=0.5, oracle_tol=0.0)
     with pytest.raises(InvalidInput):
         FitConfig(gamma=0.5, negative_correlation_policy="mirror")
 
@@ -153,8 +128,11 @@ def test_fit_random_records_diagnostics():
     config = FitConfig(gamma=0.37)
     line = fit_stats(stats, config)
     quartic = build_quartic(stats, 0.37)
-    assert line.selected_root_residual <= config.root_residual_tol * quartic.scale
-    assert line.beta1 in line.candidate_roots
+    assert line.selected_root_residual == abs(quartic(line.beta1))
+    terms = sum(abs(c) * line.beta1 ** (4 - i) for i, c in enumerate(quartic.coeffs))
+    assert line.selected_root_residual <= 1e-15 * terms
+    lower, upper = slope_bounds(stats)
+    assert lower <= line.beta1 <= upper
     assert line.beta0 == intercept(stats, line.beta1)
 
 

@@ -160,6 +160,33 @@ def test_verify_eval_budget_random():
             assert report.abs_gap <= 1e-6 * (1.0 + abs(line.beta1))
 
 
+def test_verify_reflect_policy_fit(reference_data):
+    mirrored = Dataset(reference_data.x, -reference_data.y)
+    stats = compute_stats(mirrored)
+    straight_stats = compute_stats(reference_data)
+    for gamma in (0.0, 0.3, 0.9, 1.0):
+        config = FitConfig(gamma=gamma, negative_correlation_policy="reflect")
+        line = fit_stats(stats, config)
+        report = verify_fit(stats, line, config)
+        assert line.beta1 < 0.0
+        assert report.abs_gap <= 1e-6 * (1.0 + abs(line.beta1))
+        assert report.gradient_max_rel_err <= 1e-6
+        assert report.bracket[0] < line.beta1 < report.bracket[1]
+        # the search runs on (x, -y) and maps back exactly
+        straight = FitConfig(gamma=gamma)
+        expected = verify_fit(straight_stats, fit_stats(straight_stats, straight), straight)
+        assert report.oracle_slope == -expected.oracle_slope
+        assert report.bracket == (-expected.bracket[1], -expected.bracket[0])
+        assert report.profile_evals == expected.profile_evals
+
+
+def test_verify_negative_data_needs_reflect_policy(reference_data):
+    stats = compute_stats(Dataset(reference_data.x, -reference_data.y))
+    line = fit_stats(stats, FitConfig(gamma=0.5, negative_correlation_policy="reflect"))
+    with pytest.raises(NonPositiveCorrelation):
+        verify_fit(stats, line, FitConfig(gamma=0.5))
+
+
 def test_oracle_report_validation():
     with pytest.raises(InvalidInput):
         OracleReport(

@@ -112,7 +112,8 @@ def test_fitted_slope_is_stationary(base_seed):
         config = FitConfig(gamma=gamma)
         line = fit_stats(stats, config)
         quartic = build_quartic(stats, gamma)
-        assert abs(quartic(line.beta1)) <= config.root_residual_tol * quartic.scale
+        terms = sum(abs(c) * abs(line.beta1) ** (4 - i) for i, c in enumerate(quartic.coeffs))
+        assert abs(quartic(line.beta1)) <= 1e-15 * terms
         g0, g1 = sse_gradient(stats, line.beta0, line.beta1, gamma)
         scale = 1.0 + abs(line.sse)
         assert abs(g0) <= 1e-6 * scale

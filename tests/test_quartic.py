@@ -1,4 +1,4 @@
-"""Quartic construction, root finding, and the slope interval."""
+"""Quartic construction, the fitted root, and the slope interval."""
 
 from __future__ import annotations
 
@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from dualfit import (
+    FitConfig,
     Quartic,
     SufficientStats,
     build_quartic,
     compute_stats,
+    fit_stats,
     minimize_profile,
-    real_roots,
     slope_bounds,
 )
 from dualfit.errors import (
@@ -100,53 +101,47 @@ def test_quartic_type_validation():
         Quartic((1.0, 0.0, float("nan"), 0.0, -1.0))
 
 
-# ---- real_roots ------------------------------------------------------------
+# ---- the fitted root -------------------------------------------------------
 
 
 def test_fourth_roots_of_unity():
-    roots = real_roots(Quartic((1.0, 0.0, 0.0, 0.0, -1.0)))
-    assert len(roots) == 2
-    assert roots[0] == pytest.approx(-1.0, abs=1e-12)
-    assert roots[1] == pytest.approx(1.0, abs=1e-12)
+    q = Quartic((1.0, 0.0, 0.0, 0.0, -1.0))
+    assert q(1.0) == 0.0
+    assert q(-1.0) == 0.0
+    assert q(0.0) == -1.0
+    assert q(2.0) == 15.0
 
 
 def test_reference_roots_gamma_09(reference_stats):
     q = build_quartic(reference_stats, 0.9)
-    roots = real_roots(q, 1e-10)
-    assert len(roots) == 2
-    assert -0.5 < roots[0] < -0.4
-    assert roots[1] == pytest.approx(0.6612, abs=5e-4)
-
-    # cross-check against the sign-change scan oracle
     scanned = sorted(_scan_roots(q.coeffs))
     assert len(scanned) == 2
-    for ours, theirs in zip(roots, scanned):
-        assert abs(ours - theirs) <= 1e-8
+    assert -0.5 < scanned[0] < -0.4
+    # the fit picks the positive root, cross-checked against the scan oracle
+    slope = fit_stats(reference_stats, FitConfig(gamma=0.9)).beta1
+    assert slope == pytest.approx(0.6612, abs=5e-4)
+    assert abs(slope - scanned[1]) <= 1e-8
 
 
 def test_root_residuals_meet_contract(reference_stats):
     for gamma in (0.1, 0.5, 0.9):
         q = build_quartic(reference_stats, gamma)
-        for r in real_roots(q, 1e-10):
-            assert abs(q(r)) <= 1e-10 * q.scale
+        b = fit_stats(reference_stats, FitConfig(gamma=gamma)).beta1
+        terms = sum(abs(c) * b ** (4 - i) for i, c in enumerate(q.coeffs))
+        assert abs(q(b)) <= 1e-15 * terms
 
 
-def test_double_root_collapsed():
-    # (b - 1)^2 (b^2 + 1): one real root of multiplicity two
-    roots = real_roots(Quartic((1.0, -2.0, 2.0, -2.0, 1.0)))
-    assert len(roots) == 1
-    assert roots[0] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_unreachable_tolerance_raises():
-    # irrational roots: the polished residual is tiny but provably nonzero here
+def test_step_cap_raises_solver_failure(reference_stats, monkeypatch):
+    monkeypatch.setattr("dualfit.core._MAX_NEWTON_STEPS", 1)
     with pytest.raises(SolverFailure):
-        real_roots(Quartic((1.0, 0.0, 0.0, 0.0, -2.0)), residual_tol=1e-300)
+        fit_stats(reference_stats, FitConfig(gamma=0.5))
 
 
-def test_zero_leading_coefficient_rejected():
-    with pytest.raises(InvalidInput):
-        real_roots(Quartic((0.0, 1.0, 0.0, 0.0, -1.0)))
+def test_overflowing_quartic_raises_solver_failure():
+    # y in units 1e125 x: b^4 at the upper bound is past the float range
+    huge = SufficientStats(n=3, x_bar=0.0, y_bar=0.0, s_xx=1.0, s_yy=1e250, s_xy=5e124, rho=0.5)
+    with pytest.raises(SolverFailure):
+        fit_stats(huge, FitConfig(gamma=0.5))
 
 
 # ---- slope_bounds ----------------------------------------------------------
