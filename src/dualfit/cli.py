@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -75,8 +75,6 @@ class CliConfig:
 
 
 def _as_text(source) -> str:
-    if hasattr(source, "read"):
-        source = source.read()
     if isinstance(source, str):
         return source
     if isinstance(source, (bytes, bytearray)):
@@ -126,39 +124,95 @@ def _resolve_column(
         ) from None
 
 
-def parse_csv(source, x_column: str | None = None, y_column: str | None = None) -> Dataset:
-    """Parse UTF-8 comma-separated text into a Dataset.
+def _columns(
+    first_cells: list[str], x_column: str | None, y_column: str | None
+) -> tuple[bool, int, int]:
+    """Whether the first row is a header, and the x and y column indices.
 
-    An optional single header row is auto-detected: it is a header iff the
-    cells selected for x and y in the first row fail to parse as numbers.
-    Columns may be picked by header name or zero-based index, defaulting to
-    "x"/0 and "y"/1.  Blank lines are skipped.
-
-    Raises
-    ------
-    ParseError
-        For a malformed row, naming its 1-based line number.
-    InvalidInput
-        For missing columns or fewer than 2 data rows.
+    The row is a header iff the cells it holds at the x and y probe indices
+    fail to parse as numbers.
     """
-    reader = csv.reader(io.StringIO(_as_text(source)))
-    rows: list[tuple[int, list[str]]] = []
-    for cells in reader:
-        if not cells or all(c.strip() == "" for c in cells):
-            continue
-        rows.append((reader.line_num, [c.strip() for c in cells]))
-    if not rows:
-        raise InvalidInput("need at least 2 data rows, got 0")
-
-    first_cells = rows[0][1]
     probes = {_probe_index(x_column, 0), _probe_index(y_column, 1)}
     present = [first_cells[i] for i in sorted(probes) if 0 <= i < len(first_cells)]
     has_header = bool(present) and not all(_is_number(c) for c in present)
     header = first_cells if has_header else None
-    data_rows = rows[1:] if has_header else rows
-
     x_idx = _resolve_column(x_column, header, "x", 0)
     y_idx = _resolve_column(y_column, header, "y", 1)
+    return has_header, x_idx, y_idx
+
+
+def _csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield the 1-based line number and stripped cells of each non-blank row.
+
+    A row is blank when it has no cells or only whitespace cells.
+
+    Raises
+    ------
+    ParseError
+        When the csv module rejects the text, naming the line it stopped on.
+    """
+    reader = csv.reader(lines)
+    try:
+        for cells in reader:
+            if cells and not all(c.strip() == "" for c in cells):
+                yield reader.line_num, [c.strip() for c in cells]
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
+
+
+def _parse_bulk(source, x_column: str | None, y_column: str | None) -> Dataset | None:
+    """Parse the data rows in one ``np.loadtxt`` call, or return None.
+
+    The first row, and the first data row after a header, are read with the
+    csv module as in :func:`_parse_rows`, and the data rows from there on go
+    to ``np.loadtxt`` in one call.  None means the row loop must decide: the
+    text is not UTF-8, a head row is malformed, the columns do not resolve,
+    fewer than 2 data rows were read, or ``np.loadtxt`` rejected a row.
+    Raising is left to that loop, so every error keeps the line number and
+    the precedence of the row-by-row parse.
+    """
+    if isinstance(source, str):
+        try:
+            source = source.encode("utf-8")
+        except UnicodeEncodeError:
+            return None
+    elif not isinstance(source, (bytes, bytearray)):
+        return None
+    lines = io.BytesIO(source)
+    rows = _csv_rows(line.decode("utf-8") for line in lines)
+    try:
+        _, first = next(rows)
+        has_header, x_idx, y_idx = _columns(first, x_column, y_column)
+        start = lines.tell() if has_header else 0
+        # the first data row must exist, so that np.loadtxt never sees empty
+        # input, and it sets the column count as in _parse_rows
+        cells = next(rows)[1] if has_header else first
+        if not (0 <= x_idx < len(cells) and 0 <= y_idx < len(cells)):
+            return None
+        lines.seek(start)
+        xy = np.loadtxt(
+            lines,
+            delimiter=",",
+            usecols=(x_idx, y_idx),
+            comments=None,
+            quotechar='"',
+            ndmin=2,
+            encoding="utf-8",
+        )
+    except (StopIteration, ValueError, ParseError):
+        return None
+    if len(xy) < 2:
+        return None
+    return Dataset(xy[:, 0], xy[:, 1])
+
+
+def _parse_rows(text: str, x_column: str | None, y_column: str | None) -> Dataset:
+    """Parse row by row; the path that names the line of a malformed row."""
+    rows = list(_csv_rows(io.StringIO(text)))
+    if not rows:
+        raise InvalidInput("need at least 2 data rows, got 0")
+    has_header, x_idx, y_idx = _columns(rows[0][1], x_column, y_column)
+    data_rows = rows[1:] if has_header else rows
     if not data_rows:
         raise InvalidInput("need at least 2 data rows, got 0")
     width = len(data_rows[0][1])
@@ -177,17 +231,59 @@ def parse_csv(source, x_column: str | None = None, y_column: str | None = None) 
                 f"line {line_num}: expected at least {needed} columns, got {len(cells)}",
                 line=line_num,
             )
-        for idx in (x_idx, y_idx):
-            if not _is_number(cells[idx]):
+        for idx, values in ((x_idx, xs), (y_idx, ys)):
+            try:
+                values.append(float(cells[idx]))
+            except ValueError:
                 raise ParseError(
                     f"line {line_num}: could not parse {cells[idx]!r} as a number",
                     line=line_num,
-                )
-        xs.append(float(cells[x_idx]))
-        ys.append(float(cells[y_idx]))
+                ) from None
     if len(xs) < 2:
         raise InvalidInput(f"need at least 2 data rows, got {len(xs)}")
     return Dataset(np.asarray(xs), np.asarray(ys))
+
+
+def parse_csv(source, x_column: str | None = None, y_column: str | None = None) -> Dataset:
+    """Parse UTF-8 comma-separated text into a Dataset.
+
+    ``source`` is a str, UTF-8 bytes, or a file object whose ``read()``
+    returns either.  An optional single header row is auto-detected: it is a
+    header iff the cells selected for x and y in the first row fail to parse
+    as numbers.  Columns may be picked by header name or zero-based index,
+    defaulting to "x"/0 and "y"/1.
+
+    Rows are split by the csv module's default dialect: comma-separated,
+    ``"``-quoted (a doubled ``""`` is a literal quote, and a quoted cell may
+    span lines), with ``\\n`` or ``\\r\\n`` line ends.  A ``\\r`` alone in the
+    middle of a row is a malformed row.  Cells are stripped of whitespace and
+    read by Python's ``float``, so ``inf``/``nan`` spellings, ``1_0`` and
+    non-ASCII digits parse, and non-finite values are then refused by
+    :class:`Dataset`.  Rows that are empty or hold only whitespace cells are
+    skipped, and cells past the selected columns are ignored.
+
+    Well-formed input is read in one ``np.loadtxt`` call.  Only text that
+    call rejects goes through a row-by-row loop, which either parses it (the
+    rare forms ``np.loadtxt`` does not take: whitespace-only or ``,,`` rows,
+    ``1_0``, non-ASCII digits, a ``\\r`` before ``\\r\\n``) or raises the
+    error below with the line number.  ``csv.field_size_limit()`` applies
+    only to rows the csv module reads: the first row, the first data row
+    after a header, and every row of that loop.
+
+    Raises
+    ------
+    ParseError
+        For a malformed row, naming its 1-based line number.
+    InvalidInput
+        For text that is not UTF-8, missing columns, non-finite values, or
+        fewer than 2 data rows.
+    """
+    if hasattr(source, "read"):
+        source = source.read()
+    data = _parse_bulk(source, x_column, y_column)
+    if data is None:
+        data = _parse_rows(_as_text(source), x_column, y_column)
+    return data
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ slope; see ``FitConfig.negative_correlation_policy``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -28,6 +29,7 @@ from .errors import (
     DegenerateData,
     InvalidInput,
     NonPositiveCorrelation,
+    OutOfRange,
     SingularSlope,
     SolverFailure,
     ZeroCorrelation,
@@ -199,21 +201,38 @@ def compute_stats(data: Dataset) -> SufficientStats:
     ------
     DegenerateData
         If all x values or all y values coincide.
+    OutOfRange
+        If a sum overflows, if the spread of x or y underflows to a zero
+        sum of squares, or if ``s_xx * s_yy`` leaves the normal float64 range.
     """
     x, y = data.x, data.y
     n = int(x.size)
-    x_bar = float(x.mean())
-    y_bar = float(y.mean())
-    dx = x - x_bar
-    dy = y - y_bar
-    s_xx = float(dx @ dx)
-    s_yy = float(dy @ dy)
-    s_xy = float(dx @ dy)
-    if s_xx == 0.0:
-        raise DegenerateData("all x values are identical")
-    if s_yy == 0.0:
-        raise DegenerateData("all y values are identical")
-    rho = s_xy / math.sqrt(s_xx * s_yy)
+    # the results are checked below, so numpy's overflow warnings are muted;
+    # sum / n is x.mean() to the bit, at a fraction of its call overhead
+    with np.errstate(all="ignore"):
+        x_bar = float(x.sum()) / n
+        y_bar = float(y.sum()) / n
+        dx = x - x_bar
+        dy = y - y_bar
+        s_xx = float(dx @ dx)
+        s_yy = float(dy @ dy)
+        s_xy = float(dx @ dy)
+    if not all(math.isfinite(v) for v in (x_bar, y_bar, s_xx, s_yy, s_xy)):
+        raise OutOfRange("sums of squares overflow float64; rescale the data")
+    for s, values, name in ((s_xx, x, "x"), (s_yy, y, "y")):
+        if s == 0.0:
+            if values.min() != values.max():
+                raise OutOfRange(
+                    f"the spread of {name} underflows float64; rescale the data"
+                )
+            raise DegenerateData(f"all {name} values are identical")
+    product = s_xx * s_yy
+    if not sys.float_info.min <= product < math.inf:
+        raise OutOfRange(
+            f"s_xx * s_yy = {s_xx:.3g} * {s_yy:.3g} is out of float64 range; "
+            "rescale the data"
+        )
+    rho = s_xy / math.sqrt(product)
     rho = max(-1.0, min(1.0, rho))
     return SufficientStats(
         n=n, x_bar=x_bar, y_bar=y_bar, s_xx=s_xx, s_yy=s_yy, s_xy=s_xy, rho=rho

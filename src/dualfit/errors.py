@@ -16,6 +16,14 @@ class InvalidInput(DualFitError, ValueError):
     """Input violates a contract: wrong shape, non-finite values, bad ranges."""
 
 
+class OutOfRange(InvalidInput):
+    """The data's sums of squares overflow or underflow float64.
+
+    The data may still define a line; rescaling x and y brings its
+    statistics back into range.
+    """
+
+
 class DegenerateData(DualFitError):
     """All x values or all y values coincide, so no line is identifiable."""
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +112,48 @@ def test_parse_swapped_default_names():
 def test_parse_rejects_non_utf8_bytes():
     with pytest.raises(InvalidInput):
         parse_csv(b"\xff\xfe\x00bad")
+
+
+def test_parse_header_only_and_empty_raise_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for source in ("x,y\n", "x,y\n\n\n", "x,y", b"x,y\r\n", "", "\n", b""):
+            with pytest.raises(InvalidInput, match="got 0"):
+                parse_csv(source)
+
+
+def test_parse_bare_carriage_return_reports_line():
+    with pytest.raises(ParseError) as excinfo:
+        parse_csv("x,y\n0,0\n1,1\r2,2\n")
+    assert excinfo.value.line == 3
+    assert str(excinfo.value).startswith("line 3: new-line character seen")
+
+
+def test_parse_overlong_field_reports_line():
+    long_cell = "4" * (csv.field_size_limit() + 1)
+    with pytest.raises(ParseError) as excinfo:
+        parse_csv(f"x,{long_cell}\n1,2\n3,4\n")
+    assert excinfo.value.line == 1
+    # the whitespace-only row sends the text to the row loop
+    with pytest.raises(ParseError) as excinfo:
+        parse_csv(f"x,y\n1,2\n \n3,{long_cell}\n5,6\n")
+    assert excinfo.value.line == 4
+    assert "field larger than field limit" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("extra_row", ["", " \n"])
+def test_cli_overlong_field_exits_2_without_traceback(extra_row):
+    text = "x,y\n1,2\n" + extra_row + "3," + "4" * 200_000 + "\n5,6\n"
+    result = subprocess.run(
+        [sys.executable, "-m", "dualfit", "fit"],
+        input=text.encode(),
+        capture_output=True,
+        timeout=60,
+    )
+    assert result.returncode == EXIT_INPUT
+    err = result.stderr.decode()
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 # ---- fit / stats -------------------------------------------------------------

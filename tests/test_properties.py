@@ -18,7 +18,7 @@ from dualfit import (
     sse,
     sse_gradient,
 )
-from dualfit.errors import DegenerateData, DualFitError
+from dualfit.errors import DegenerateData, DualFitError, OutOfRange
 
 from conftest import random_dataset, rel_err, sse_per_point
 
@@ -161,7 +161,7 @@ def test_fuzzed_fits_stay_bounded(pairs, slope, gamma):
     data = _build(pairs, slope)
     try:
         stats = compute_stats(data)
-    except DegenerateData:
+    except (DegenerateData, OutOfRange):
         assume(False)
     assume(stats.rho > 0.05)
     assume(stats.s_xx > 1e-6 and stats.s_yy > 1e-6)
@@ -182,7 +182,7 @@ def test_fuzzed_sse_consistency(pairs, slope, gamma):
     data = _build(pairs, slope)
     try:
         stats = compute_stats(data)
-    except DegenerateData:
+    except (DegenerateData, OutOfRange):
         assume(False)
     assume(stats.s_xx > 1e-6 and stats.s_yy > 1e-6)
     beta0, beta1 = 0.3, 1.1
