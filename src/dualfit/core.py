@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Callable, Iterable, Literal
 
 import numpy as np
 
@@ -121,7 +121,7 @@ class SufficientStats:
         if self.s_xy * self.s_xy > self.s_xx * self.s_yy * (1.0 + 1e-12):
             raise InvalidInput("s_xy^2 exceeds s_xx * s_yy")
         if self.s_xx > 0.0 and self.s_yy > 0.0:
-            implied = self.s_xy / math.sqrt(self.s_xx * self.s_yy)
+            implied = self.s_xy / math.sqrt(_normal_product(self.s_xx, self.s_yy))
             if abs(self.rho - max(-1.0, min(1.0, implied))) > 1e-9:
                 raise InvalidInput(
                     f"rho {self.rho} disagrees with s_xy/sqrt(s_xx*s_yy) = {implied}"
@@ -190,6 +190,23 @@ class FittedLine:
 # ---------------------------------------------------------------------------
 
 
+def _normal_product(s_xx: float, s_yy: float) -> float:
+    """``s_xx * s_yy``, whose square root the correlation divides by.
+
+    Raises
+    ------
+    OutOfRange
+        If the product leaves the normal float64 range.
+    """
+    product = s_xx * s_yy
+    if not sys.float_info.min <= product < math.inf:
+        raise OutOfRange(
+            f"s_xx * s_yy = {s_xx:.3g} * {s_yy:.3g} is out of float64 range; "
+            "rescale the data"
+        )
+    return product
+
+
 def compute_stats(data: Dataset) -> SufficientStats:
     """Two-pass sufficient statistics of a dataset.
 
@@ -226,13 +243,7 @@ def compute_stats(data: Dataset) -> SufficientStats:
                     f"the spread of {name} underflows float64; rescale the data"
                 )
             raise DegenerateData(f"all {name} values are identical")
-    product = s_xx * s_yy
-    if not sys.float_info.min <= product < math.inf:
-        raise OutOfRange(
-            f"s_xx * s_yy = {s_xx:.3g} * {s_yy:.3g} is out of float64 range; "
-            "rescale the data"
-        )
-    rho = s_xy / math.sqrt(product)
+    rho = s_xy / math.sqrt(_normal_product(s_xx, s_yy))
     rho = max(-1.0, min(1.0, rho))
     return SufficientStats(
         n=n, x_bar=x_bar, y_bar=y_bar, s_xx=s_xx, s_yy=s_yy, s_xy=s_xy, rho=rho
@@ -245,26 +256,40 @@ def sse(stats: SufficientStats, beta0: float, beta1: float, gamma: float) -> flo
     Vertical squared residuals carry weight ``gamma``, horizontal squared
     residuals ``1 - gamma``.  The horizontal term divides by ``beta1`` and is
     only evaluated when ``gamma < 1``; at ``gamma = 1`` any slope is allowed.
+    This is one call of the objective that ``_objective`` binds; code that
+    evaluates many points of one dataset binds it once instead.
 
     Raises
     ------
     SingularSlope
         If ``beta1 == 0`` while ``gamma < 1``.
     """
+    return _objective(stats, gamma)(beta0, beta1)
+
+
+def _objective(stats: SufficientStats, gamma: float) -> Callable[[float, float], float]:
+    """:func:`sse` as ``f(beta0, beta1)``, with the statistics and weights bound."""
     n = stats.n
     x_bar, y_bar = stats.x_bar, stats.y_bar
     s_xx, s_yy, s_xy = stats.s_xx, stats.s_yy, stats.s_xy
-    misfit = y_bar - beta0 - beta1 * x_bar
-    vertical = s_yy - 2.0 * beta1 * s_xy + beta1 * beta1 * s_xx + n * misfit * misfit
-    total = gamma * vertical
-    if gamma < 1.0:
-        if beta1 == 0.0:
-            raise SingularSlope("horizontal residuals are undefined at beta1 = 0")
-        horizontal = (
-            beta1 * beta1 * s_xx - 2.0 * beta1 * s_xy + s_yy + n * misfit * misfit
-        ) / (beta1 * beta1)
-        total += (1.0 - gamma) * horizontal
-    return float(total)
+    horizontal_weight = 1.0 - gamma
+    with_horizontal = gamma < 1.0
+
+    def objective(beta0: float, beta1: float) -> float:
+        # the vertical and horizontal sums share these products
+        misfit = y_bar - beta0 - beta1 * x_bar
+        offset = n * misfit * misfit
+        cross = 2.0 * beta1 * s_xy
+        beta1_sq = beta1 * beta1
+        spread = beta1_sq * s_xx
+        total = gamma * (s_yy - cross + spread + offset)
+        if with_horizontal:
+            if beta1 == 0.0:
+                raise SingularSlope("horizontal residuals are undefined at beta1 = 0")
+            total += horizontal_weight * ((spread - cross + s_yy + offset) / beta1_sq)
+        return float(total)
+
+    return objective
 
 
 def sse_gradient(
@@ -429,10 +454,10 @@ def _fit_positive(stats: SufficientStats, config: FitConfig) -> FittedLine:
 def _newton_root(q: Quartic, lower: float, upper: float) -> float:
     # q(lower) <= 0 <= q(upper), and q is increasing and convex in between, so
     # Newton from the upper end descends onto the root without overshooting
-    c4, c3, c2, c1, _ = q.coeffs
+    c4, c3, c2, c1, c0 = q.coeffs
     b = upper
     for _ in range(_MAX_NEWTON_STEPS):
-        value = q(b)
+        value = (((c4 * b + c3) * b + c2) * b + c1) * b + c0  # q(b), without the call
         if not math.isfinite(value):
             raise SolverFailure(f"slope quartic overflows at {b!r}")
         if value <= 0.0:

@@ -4,17 +4,24 @@ Nothing here touches the quartic.  The slope is re-found by golden-section
 search on the profile objective (intercept pinned to the centroid line), and
 the analytic gradient is re-checked against central finite differences.  A
 fit is trusted only when both independent routes agree.
+
+Each search and each ``verify_fit`` binds the objective to its statistics
+once, through ``core._objective``, and every evaluation after that calls the
+bound function: the same arithmetic as :func:`dualfit.core.sse`, without
+re-reading the statistics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import (
     FitConfig,
     FittedLine,
     SufficientStats,
+    _objective,
     intercept,
     reflected,
     slope_bounds,
@@ -61,7 +68,11 @@ class OracleReport:
 
 
 def profile_sse(stats: SufficientStats, beta1: float, gamma: float) -> float:
-    """Objective as a function of the slope alone, intercept on the centroid line."""
+    """Objective as a function of the slope alone, intercept on the centroid line.
+
+    One evaluation; the golden-section search evaluates the same profile
+    through an objective it binds once per search.
+    """
     return sse(stats, intercept(stats, beta1), beta1, gamma)
 
 
@@ -77,49 +88,46 @@ def _minimize_traced(
     b = upper * (1.0 + _BRACKET_PAD)
     bracket = (a, b)
 
-    evals = 0
-    interior_best = math.inf
-
-    def f(beta1: float) -> float:
-        nonlocal evals, interior_best
-        evals += 1
-        value = profile_sse(stats, beta1, gamma)
-        interior_best = min(interior_best, value)
-        return value
-
     h = b - a
     if h <= tol:
-        return (a + b) / 2.0, evals, bracket
+        return (a + b) / 2.0, 0, bracket
 
+    # the profile objective: intercept on the centroid line
+    f = _objective(stats, gamma)
+    x_bar, y_bar = stats.x_bar, stats.y_bar
     steps = math.ceil(math.log(tol / h) / math.log(INV_PHI))
     c = a + INV_PHI2 * h
     d = a + INV_PHI * h
-    yc = f(c)
-    yd = f(d)
+    yc = f(y_bar - c * x_bar, c)
+    yd = f(y_bar - d * x_bar, d)
+    interior_best = min(math.inf, yc, yd)  # a NaN probe is never the best
     for _ in range(steps - 1):
         if yc < yd:
             b, d, yd = d, c, yc
             h *= INV_PHI
             c = a + INV_PHI2 * h
-            yc = f(c)
+            yc = f(y_bar - c * x_bar, c)
+            if yc < interior_best:
+                interior_best = yc
         else:
             a, c, yc = c, d, yd
             h *= INV_PHI
             d = a + INV_PHI * h
-            yd = f(d)
+            yd = f(y_bar - d * x_bar, d)
+            if yd < interior_best:
+                interior_best = yd
     x_star = (a + d) / 2.0 if yc < yd else (c + b) / 2.0
 
     # a true interior minimum beats both widened endpoints; an endpoint that
     # undercuts every interior probe means the minimum escaped the bracket
-    evals += 2
+    low, high = bracket
     if (
-        profile_sse(stats, bracket[0], gamma) < interior_best
-        or profile_sse(stats, bracket[1], gamma) < interior_best
+        f(y_bar - low * x_bar, low) < interior_best
+        or f(y_bar - high * x_bar, high) < interior_best
     ):
-        raise BracketFailure(
-            f"no interior minimum in [{bracket[0]:.6g}, {bracket[1]:.6g}]"
-        )
-    return x_star, evals, bracket
+        raise BracketFailure(f"no interior minimum in [{low:.6g}, {high:.6g}]")
+    # evaluations: two first probes, one per narrowing, two endpoints
+    return x_star, steps + 3, bracket
 
 
 def minimize_profile(stats: SufficientStats, gamma: float, tol: float = 1e-9) -> float:
@@ -148,24 +156,35 @@ def check_gradient(
     """Max relative disagreement between the analytic gradient and central differences.
 
     The relative error of a component pair (a, f) is
-    ``|a - f| / max(1, |a|, |f|)``.
+    ``|a - f| / max(1, |a|, |f|)``.  The four differences are evaluations of
+    one objective bound to ``stats`` and ``gamma``.
 
     Raises
     ------
     SingularSlope
-        If ``beta1`` or ``beta1 +- step`` is zero.
+        If ``|beta1| <= step``, so that the differences straddle or touch
+        ``beta1 = 0``.
     """
+    return _gradient_error(_objective(stats, gamma), stats, beta0, beta1, gamma, step)
+
+
+def _gradient_error(
+    objective: Callable[[float, float], float],
+    stats: SufficientStats,
+    beta0: float,
+    beta1: float,
+    gamma: float,
+    step: float,
+) -> float:
+    # check_gradient with its objective already bound, so that verify_fit
+    # binds one for all of its probes
     if not (math.isfinite(step) and step > 0.0):
         raise InvalidInput(f"step must be positive and finite, got {step}")
-    if beta1 == 0.0 or beta1 - step == 0.0 or beta1 + step == 0.0:
+    if abs(beta1) <= step:
         raise SingularSlope("finite differences straddle beta1 = 0")
     a0, a1 = sse_gradient(stats, beta0, beta1, gamma)
-    fd0 = (sse(stats, beta0 + step, beta1, gamma) - sse(stats, beta0 - step, beta1, gamma)) / (
-        2.0 * step
-    )
-    fd1 = (sse(stats, beta0, beta1 + step, gamma) - sse(stats, beta0, beta1 - step, gamma)) / (
-        2.0 * step
-    )
+    fd0 = (objective(beta0 + step, beta1) - objective(beta0 - step, beta1)) / (2.0 * step)
+    fd1 = (objective(beta0, beta1 + step) - objective(beta0, beta1 - step)) / (2.0 * step)
     return max(_rel_err(a0, fd0), _rel_err(a1, fd1))
 
 
@@ -200,6 +219,7 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
     if reflect:
         oracle_slope, bracket = -oracle_slope, (-bracket[1], -bracket[0])
 
+    objective = _objective(stats, gamma)
     grad_err = 0.0
     for factor in (1.0, 0.9, 1.1):
         b1 = line.beta1 * factor
@@ -207,7 +227,7 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
         if abs(b1) <= 2.0 * step:
             continue  # differences would straddle the beta1 = 0 singularity
         for b0 in (intercept(stats, b1), line.beta0 + 0.25 * (1.0 + abs(line.beta0))):
-            grad_err = max(grad_err, check_gradient(stats, b0, b1, gamma, step))
+            grad_err = max(grad_err, _gradient_error(objective, stats, b0, b1, gamma, step))
 
     return OracleReport(
         oracle_slope=oracle_slope,

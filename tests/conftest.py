@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dualfit import Dataset, compute_stats
 from dualfit.errors import DegenerateData
+
+SRC = Path(__file__).parent.parent / "src"
+
+
+def src_env() -> dict[str, str]:
+    """Environment for a subprocess that must import dualfit from ``src``."""
+    return {**os.environ, "PYTHONPATH": str(SRC)}
+
 
 # four points with known statistics: means (1/2, 1/4), s_xx = 1, s_yy = 3/4
 REFERENCE_POINTS = ((0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (1.0, 1.0))

@@ -29,7 +29,7 @@ from dualfit import (
 from dualfit.cli import EXIT_VERIFY, CliConfig, run_verify
 from dualfit.errors import NoAdmissibleRoot
 
-from conftest import random_dataset, rel_err, sse_per_point
+from conftest import random_dataset, rel_err, sse_per_point, src_env
 
 HERE = Path(__file__).parent
 REFERENCE_CSV = HERE / "data" / "reference.csv"
@@ -185,6 +185,7 @@ def _cli(*args, stdin: bytes | None = None) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "dualfit", *args],
         input=stdin,
         capture_output=True,
+        env=src_env(),
         timeout=120,
     )
 

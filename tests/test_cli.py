@@ -30,7 +30,7 @@ from dualfit.cli import (
 )
 from dualfit.errors import InvalidInput, ParseError
 
-from conftest import random_dataset
+from conftest import random_dataset, src_env
 
 REFERENCE_CSV = Path(__file__).parent / "data" / "reference.csv"
 
@@ -148,6 +148,7 @@ def test_cli_overlong_field_exits_2_without_traceback(extra_row):
         [sys.executable, "-m", "dualfit", "fit"],
         input=text.encode(),
         capture_output=True,
+        env=src_env(),
         timeout=60,
     )
     assert result.returncode == EXIT_INPUT
@@ -421,6 +422,7 @@ def test_module_entry_point_reads_stdin():
         [sys.executable, "-m", "dualfit", "stats", "--format", "csv"],
         input=REFERENCE_CSV.read_bytes(),
         capture_output=True,
+        env=src_env(),
         timeout=60,
     )
     assert result.returncode == 0

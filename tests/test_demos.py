@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import src_env
 
 ROOT = Path(__file__).parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -22,7 +23,7 @@ def test_demo_runs(script, tmp_path):
     result = subprocess.run(
         [sys.executable, str(script)],
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        env=src_env(),
         capture_output=True,
         timeout=120,
     )

@@ -13,7 +13,6 @@ or ``ZeroCorrelation``.
 from __future__ import annotations
 
 import math
-import os
 import subprocess
 import sys
 import warnings
@@ -22,12 +21,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualfit import Dataset, FitConfig, OutOfRange, compute_stats, fit, fit_stats
+from dualfit import (
+    Dataset,
+    FitConfig,
+    OutOfRange,
+    SufficientStats,
+    compute_stats,
+    fit,
+    fit_stats,
+)
 
-from conftest import REFERENCE_POINTS
+from conftest import REFERENCE_POINTS, src_env
 
 HERE = Path(__file__).parent
-SRC = HERE.parent / "src"
 
 REL_TOL = 1e-15
 
@@ -82,7 +88,7 @@ def test_cli_fit_at_smallest_gamma():
         [sys.executable, "-m", "dualfit", "fit", "--gamma", "5e-324",
          "--input", str(HERE / "data" / "reference.csv")],
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
+        env=src_env(),
         timeout=120,
     )
     assert result.returncode == 0
@@ -128,6 +134,16 @@ def test_out_of_range_product_raises_out_of_range(scale):
         _stats_without_warnings(_scaled_line(scale))
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_direct_statistics_out_of_product_range_raise_out_of_range(scale):
+    # built directly, so compute_stats's own range check never ran; the
+    # product underflows at 1e-200 and overflows at 1e200
+    with pytest.raises(OutOfRange, match="out of float64 range"):
+        SufficientStats(
+            n=3, x_bar=0.0, y_bar=0.0, s_xx=scale, s_yy=scale, s_xy=scale, rho=1.0
+        )
+
+
 @pytest.mark.parametrize("scale", [1e75, 1e-78])
 def test_largest_and_smallest_scales_in_range_still_fit(scale):
     expected = fit(_scaled_line(1.0), FitConfig(gamma=0.5)).beta1
@@ -143,7 +159,7 @@ def test_cli_fit_on_overflowing_data_prints_one_typed_line(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "dualfit", "fit", "--input", str(path)],
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
+        env=src_env(),
         timeout=120,
     )
     assert result.returncode == 3

@@ -89,9 +89,11 @@ def test_minimize_needs_positive_correlation():
 
 
 def test_bracket_failure_on_hostile_objective(reference_stats, monkeypatch):
-    # Concave stand-in pushes the minimum to the bracket edge.
+    # Concave stand-in for the bound objective pushes the minimum to the
+    # bracket edge.
     monkeypatch.setattr(
-        "dualfit.oracle.profile_sse", lambda stats, beta1, gamma: -((beta1 - 1.0) ** 2)
+        "dualfit.oracle._objective",
+        lambda stats, gamma: lambda beta0, beta1: -((beta1 - 1.0) ** 2),
     )
     with pytest.raises(BracketFailure):
         minimize_profile(reference_stats, 0.9)
@@ -124,6 +126,16 @@ def test_gradient_rejects_singular_slope(reference_stats):
         check_gradient(reference_stats, 0.0, 0.0, 0.5)
     with pytest.raises(SingularSlope):
         check_gradient(reference_stats, 0.0, 1e-6, 0.5, step=1e-6)
+
+
+@pytest.mark.parametrize("beta1", [5e-7, -5e-7, 1e-6, -1e-6])
+def test_gradient_rejects_stencil_straddling_zero(beta1):
+    # beta1 - step < 0 < beta1 + step: neither end is exactly zero, yet the
+    # differences cross the pole of the horizontal term
+    stats = compute_stats(Dataset.from_points([(0, 0.1), (1, 1.2), (2, 1.9), (3, 3.2)]))
+    with pytest.raises(SingularSlope, match="straddle"):
+        check_gradient(stats, 0.0, beta1, 0.5, step=1e-6)
+    assert check_gradient(stats, 0.0, 3.0 * beta1, 0.5, step=1e-6) >= 0.0
 
 
 # ---- verify_fit --------------------------------------------------------------
