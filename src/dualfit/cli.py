@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
@@ -24,12 +25,12 @@ from .core import (
     FitConfig,
     FittedLine,
     SufficientStats,
+    _RunningStats,
+    _slope_interval,
     compute_stats,
     fit_stats,
     inverse_predict,
     predict,
-    reflected,
-    slope_bounds,
 )
 from .errors import DualFitError, InvalidInput, ParseError
 from .oracle import GRADIENT_TOL, verify_fit
@@ -160,50 +161,111 @@ def _csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
         raise ParseError(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
 
 
-def _parse_bulk(source, x_column: str | None, y_column: str | None) -> Dataset | None:
-    """Parse the data rows in one ``np.loadtxt`` call, or return None.
+class _Fallback(Exception):
+    """The block reader cannot take this input; the row loop decides."""
+
+
+# data rows per np.loadtxt call: memory per block is a few hundred kB, and
+# the call overhead is spread thin
+_BLOCK_ROWS = 8192
+
+# lines np.loadtxt skips as empty, so a block holding only these has no data
+_BLANK_LINES = (b"\n", b"\r\n", b"\r")
+
+
+def _skip_blank_lines(fh) -> bool:
+    """Move ``fh`` past lines np.loadtxt skips; False at the end of the input."""
+    while True:
+        begin = fh.tell()
+        line = fh.readline()
+        if line not in _BLANK_LINES:
+            fh.seek(begin)
+            return bool(line)
+
+
+def _cells_within_limit(fh, begin: int, end: int) -> bool:
+    """Whether no cell of the rows in bytes ``[begin, end)`` of ``fh`` can be
+    longer than ``csv.field_size_limit()``; leaves ``fh`` at ``end``.
+
+    Without a quote, a cell holds no comma, so a cell over the limit leaves a
+    longer run of bytes between commas, which covers a whole stretch of half
+    the limit; a stretch without a comma sends the text to the row loop.
+    With a quote, the csv module, which enforces the limit, reads the rows.
+    """
+    limit = csv.field_size_limit()
+    if end - begin <= limit:
+        return True
+    fh.seek(begin)
+    raw = fh.read(end - begin)
+    if b'"' in raw:
+        try:
+            for _ in _csv_rows(io.StringIO(raw.decode("utf-8"))):
+                pass
+        except ParseError:
+            return False
+        return True
+    half = limit // 2
+    return all(raw.find(b",", i, i + half) >= 0 for i in range(0, len(raw) - half + 1, half))
+
+
+def _data_blocks(fh, x_column: str | None, y_column: str | None) -> Iterator[np.ndarray]:
+    """Yield the ``(x, y)`` data rows of a seekable binary CSV stream in blocks.
 
     The first row, and the first data row after a header, are read with the
-    csv module as in :func:`_parse_rows`, and the data rows from there on go
-    to ``np.loadtxt`` in one call.  None means the row loop must decide: the
-    text is not UTF-8, a head row is malformed, the columns do not resolve,
-    fewer than 2 data rows were read, or ``np.loadtxt`` rejected a row.
-    Raising is left to that loop, so every error keeps the line number and
-    the precedence of the row-by-row parse.
+    csv module as in :func:`_parse_rows`; from there ``np.loadtxt`` reads up
+    to ``_BLOCK_ROWS`` rows per call.  Each block is an ``(m, 2)`` array.
+
+    Raises
+    ------
+    _Fallback
+        When the row loop must decide: the text is not UTF-8, a head row is
+        malformed, the columns do not resolve, ``np.loadtxt`` rejects a row,
+        a cell may be longer than ``csv.field_size_limit()``, or fewer than 2
+        data rows were read.  Raising is left to that loop, so every error
+        keeps the line number and the precedence of the row-by-row parse.
     """
-    if isinstance(source, str):
-        try:
-            source = source.encode("utf-8")
-        except UnicodeEncodeError:
-            return None
-    elif not isinstance(source, (bytes, bytearray)):
-        return None
-    lines = io.BytesIO(source)
-    rows = _csv_rows(line.decode("utf-8") for line in lines)
+    rows = _csv_rows(line.decode("utf-8") for line in fh)
     try:
         _, first = next(rows)
         has_header, x_idx, y_idx = _columns(first, x_column, y_column)
-        start = lines.tell() if has_header else 0
-        # the first data row must exist, so that np.loadtxt never sees empty
-        # input, and it sets the column count as in _parse_rows
+        start = fh.tell() if has_header else 0
+        # the first data row sets the column count, as in _parse_rows
         cells = next(rows)[1] if has_header else first
-        if not (0 <= x_idx < len(cells) and 0 <= y_idx < len(cells)):
-            return None
-        lines.seek(start)
-        xy = np.loadtxt(
-            lines,
-            delimiter=",",
-            usecols=(x_idx, y_idx),
-            comments=None,
-            quotechar='"',
-            ndmin=2,
-            encoding="utf-8",
-        )
     except (StopIteration, ValueError, ParseError):
-        return None
-    if len(xy) < 2:
-        return None
-    return Dataset(xy[:, 0], xy[:, 1])
+        raise _Fallback from None
+    if not (0 <= x_idx < len(cells) and 0 <= y_idx < len(cells)):
+        raise _Fallback
+    fh.seek(start)
+    count = 0
+    # np.loadtxt warns when it reads no data, so it is called only before a
+    # line it does not skip
+    while _skip_blank_lines(fh):
+        begin = fh.tell()
+        try:
+            with warnings.catch_warnings():
+                # that a blank line is not counted towards max_rows is what
+                # blocks of rows need, not news for the user
+                warnings.filterwarnings(
+                    "ignore", r"Input line \d+ contained no data", UserWarning
+                )
+                xy = np.loadtxt(
+                    fh,
+                    delimiter=",",
+                    usecols=(x_idx, y_idx),
+                    comments=None,
+                    quotechar='"',
+                    ndmin=2,
+                    encoding="utf-8",
+                    max_rows=_BLOCK_ROWS,
+                )
+        except ValueError:
+            raise _Fallback from None
+        if not _cells_within_limit(fh, begin, fh.tell()):
+            raise _Fallback
+        count += len(xy)
+        yield xy
+    if count < 2:
+        raise _Fallback
 
 
 def _parse_rows(text: str, x_column: str | None, y_column: str | None) -> Dataset:
@@ -260,15 +322,23 @@ def parse_csv(source, x_column: str | None = None, y_column: str | None = None) 
     read by Python's ``float``, so ``inf``/``nan`` spellings, ``1_0`` and
     non-ASCII digits parse, and non-finite values are then refused by
     :class:`Dataset`.  Rows that are empty or hold only whitespace cells are
-    skipped, and cells past the selected columns are ignored.
+    skipped, and cells past the selected columns are ignored.  A cell longer
+    than ``csv.field_size_limit()``, in any column, is a malformed row.
 
-    Well-formed input is read in one ``np.loadtxt`` call.  Only text that
-    call rejects goes through a row-by-row loop, which either parses it (the
-    rare forms ``np.loadtxt`` does not take: whitespace-only or ``,,`` rows,
-    ``1_0``, non-ASCII digits, a ``\\r`` before ``\\r\\n``) or raises the
-    error below with the line number.  ``csv.field_size_limit()`` applies
-    only to rows the csv module reads: the first row, the first data row
-    after a header, and every row of that loop.
+    Well-formed input is read in blocks of rows, one ``np.loadtxt`` call
+    each, and the blocks are joined.  Only text those calls reject goes
+    through a row-by-row loop, which either parses it (the rare forms
+    ``np.loadtxt`` does not take: whitespace-only or ``,,`` rows, ``1_0``,
+    non-ASCII digits, a ``\\r`` before ``\\r\\n``) or raises the error below
+    with the line number.
+
+    The ``dualfit`` command does not build a Dataset: it reads a file in the
+    same blocks and folds each into running statistics, so its memory does
+    not grow with the number of rows.  Standard input, or a pipe, is still
+    read whole first, because text the blocks reject is read again from the
+    start.
+    With more than one block, its statistics can differ from
+    ``compute_stats(parse_csv(...))`` in the last bits.
 
     Raises
     ------
@@ -280,10 +350,15 @@ def parse_csv(source, x_column: str | None = None, y_column: str | None = None) 
     """
     if hasattr(source, "read"):
         source = source.read()
-    data = _parse_bulk(source, x_column, y_column)
-    if data is None:
-        data = _parse_rows(_as_text(source), x_column, y_column)
-    return data
+    if isinstance(source, (str, bytes, bytearray)):
+        try:
+            raw = source.encode("utf-8") if isinstance(source, str) else bytes(source)
+            xy = np.concatenate(list(_data_blocks(io.BytesIO(raw), x_column, y_column)))
+        except (UnicodeEncodeError, _Fallback):
+            pass
+        else:
+            return Dataset(xy[:, 0], xy[:, 1])
+    return _parse_rows(_as_text(source), x_column, y_column)
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +439,39 @@ def _emit_scalar(value: float, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _load_dataset(config: CliConfig) -> Dataset:
+def _read_stats(
+    fh, x_column: str | None, y_column: str | None
+) -> Callable[[], SufficientStats]:
+    """Fold a seekable binary CSV stream into running statistics, block by block.
+
+    Returns the step that checks them and builds the record, so that a
+    statistics error (exit 3) stays apart from an input error (exit 2).
+    Input the block reader rejects, or a non-finite value, goes back to the
+    start for :func:`parse_csv`, whose verdict stands: a malformed row after
+    an ``inf`` is still reported by its line.
+    """
+    running = _RunningStats()
+    try:
+        for xy in _data_blocks(fh, x_column, y_column):
+            if not np.isfinite(xy).all():
+                raise _Fallback
+            x, y = xy.T.copy()  # contiguous columns, as a Dataset holds them
+            running.add(x, y)
+    except _Fallback:
+        fh.seek(0)
+        data = parse_csv(fh, x_column, y_column)
+        return lambda: compute_stats(data)
+    return running.stats
+
+
+def _load_stats(config: CliConfig) -> Callable[[], SufficientStats]:
+    columns = config.x_column, config.y_column
+    # standard input, or a pipe named by --input, is read whole first: a
+    # rejected input is read again from the start
     if config.input_path == STDIN_MARKER:
-        return parse_csv(sys.stdin.buffer.read(), config.x_column, config.y_column)
+        return _read_stats(io.BytesIO(sys.stdin.buffer.read()), *columns)
     with open(config.input_path, "rb") as fh:
-        return parse_csv(fh.read(), config.x_column, config.y_column)
+        return _read_stats(fh if fh.seekable() else io.BytesIO(fh.read()), *columns)
 
 
 def _fit_config(config: CliConfig) -> FitConfig:
@@ -376,29 +479,22 @@ def _fit_config(config: CliConfig) -> FitConfig:
     return FitConfig(gamma=config.gamma, negative_correlation_policy=policy)
 
 
-def _guarded(config: CliConfig, body: Callable[[CliConfig, Dataset], int]) -> int:
+def _guarded(config: CliConfig, body: Callable[[CliConfig, SufficientStats], int]) -> int:
     try:
-        data = _load_dataset(config)
+        summarise = _load_stats(config)
     except (OSError, ParseError, InvalidInput) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return body(config, data)
+        return body(config, summarise())
     except DualFitError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FIT
 
 
-def _bounds_for(stats: SufficientStats) -> tuple[float, float]:
-    if stats.rho > 0.0:
-        return slope_bounds(stats)
-    # mirrored bounds mapped back to the negative-slope problem
-    lower, upper = slope_bounds(reflected(stats))
-    return -upper, -lower
-
-
 def _fit_report(stats: SufficientStats, line: FittedLine) -> list[tuple[str, object]]:
-    lower, upper = _bounds_for(stats)
+    # a fit of negatively correlated data succeeds only under the reflect policy
+    lower, upper = _slope_interval(stats, stats.rho < 0.0)
     return [
         ("n", stats.n),
         ("x_bar", stats.x_bar),
@@ -420,8 +516,7 @@ def _fit_report(stats: SufficientStats, line: FittedLine) -> list[tuple[str, obj
 def run_fit(config: CliConfig) -> int:
     """Fit once and print the full report."""
 
-    def body(cfg: CliConfig, data: Dataset) -> int:
-        stats = compute_stats(data)
+    def body(cfg: CliConfig, stats: SufficientStats) -> int:
         line = fit_stats(stats, _fit_config(cfg))
         _emit_record(_fit_report(stats, line), cfg.output_format)
         return EXIT_OK
@@ -432,8 +527,7 @@ def run_fit(config: CliConfig) -> int:
 def run_stats(config: CliConfig) -> int:
     """Print sufficient statistics without fitting."""
 
-    def body(cfg: CliConfig, data: Dataset) -> int:
-        stats = compute_stats(data)
+    def body(cfg: CliConfig, stats: SufficientStats) -> int:
         pairs = [
             ("n", stats.n),
             ("x_bar", stats.x_bar),
@@ -452,8 +546,7 @@ def run_stats(config: CliConfig) -> int:
 def run_sweep(config: CliConfig) -> int:
     """Fit on a uniform gamma grid over [0, 1] and print one row per weight."""
 
-    def body(cfg: CliConfig, data: Dataset) -> int:
-        stats = compute_stats(data)
+    def body(cfg: CliConfig, stats: SufficientStats) -> int:
         base = _fit_config(cfg)
         rows = []
         for gamma in np.linspace(0.0, 1.0, cfg.gamma_steps):
@@ -468,8 +561,8 @@ def run_sweep(config: CliConfig) -> int:
 
 
 def _point_command(config: CliConfig, value: float, inverse: bool) -> int:
-    def body(cfg: CliConfig, data: Dataset) -> int:
-        line = fit_stats(compute_stats(data), _fit_config(cfg))
+    def body(cfg: CliConfig, stats: SufficientStats) -> int:
+        line = fit_stats(stats, _fit_config(cfg))
         result = inverse_predict(line, value) if inverse else predict(line, value)
         _emit_scalar(result, cfg.output_format)
         return EXIT_OK
@@ -495,8 +588,7 @@ def run_verify(config: CliConfig) -> int:
     exits 4 otherwise, with both slopes on the diagnostic line.
     """
 
-    def body(cfg: CliConfig, data: Dataset) -> int:
-        stats = compute_stats(data)
+    def body(cfg: CliConfig, stats: SufficientStats) -> int:
         fit_cfg = _fit_config(cfg)
         line = fit_stats(stats, fit_cfg)
         report = verify_fit(stats, line, fit_cfg)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal
+from typing import Callable, Iterable, Literal, NamedTuple
 
 import numpy as np
 
@@ -43,6 +43,8 @@ ZERO_RHO_TOL = 1e-12
 # Newton from the upper slope bound needs about log(1/rho^2) / log(4/3) steps
 # when the root sits near the lower bound: some 200 at rho = ZERO_RHO_TOL.
 _MAX_NEWTON_STEPS = 400
+
+_EPS = sys.float_info.epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +209,99 @@ def _normal_product(s_xx: float, s_yy: float) -> float:
     return product
 
 
+class _Moments(NamedTuple):
+    """Count, means, and centred sums of squares and products of some rows."""
+
+    n: int
+    x_bar: float
+    y_bar: float
+    s_xx: float
+    s_yy: float
+    s_xy: float
+
+
+def _moments(x: np.ndarray, y: np.ndarray) -> _Moments:
+    """Two-pass moments: means first, then centred sums of squares and products.
+
+    Nothing is checked here; :func:`_checked_stats` checks the figures.
+    """
+    n = int(x.size)
+    # numpy's overflow warnings are muted because the figures are checked
+    # later; sum / n is x.mean() to the bit, at a fraction of its call overhead
+    with np.errstate(all="ignore"):
+        x_bar = float(x.sum()) / n
+        y_bar = float(y.sum()) / n
+        dx = x - x_bar
+        dy = y - y_bar
+        return _Moments(n, x_bar, y_bar, float(dx @ dx), float(dy @ dy), float(dx @ dy))
+
+
+def _merge(a: _Moments, b: _Moments) -> _Moments:
+    """Moments of the rows of ``a`` and ``b`` together.
+
+    The update of Chan, Golub & LeVeque (1979), "Updating formulae and a
+    pairwise algorithm for computing sample variances".
+    """
+    n = a.n + b.n
+    dx = b.x_bar - a.x_bar
+    dy = b.y_bar - a.y_bar
+    share = b.n / n
+    weight = a.n * b.n / n
+    return _Moments(
+        n,
+        a.x_bar + dx * share,
+        a.y_bar + dy * share,
+        a.s_xx + b.s_xx + dx * dx * weight,
+        a.s_yy + b.s_yy + dy * dy * weight,
+        a.s_xy + b.s_xy + dx * dy * weight,
+    )
+
+
+def _checked_stats(
+    m: _Moments, ranges: Callable[[], tuple[float, float, float, float]]
+) -> SufficientStats:
+    """Check moments and build their record; the checks of :func:`compute_stats`.
+
+    ``ranges()`` returns the least and greatest x, then y.  It is called only
+    when a column's figures could be those of identical values, so that a
+    caller holding the data scans it only then.
+
+    Raises
+    ------
+    DegenerateData
+        If all x values or all y values coincide.
+    OutOfRange
+        If a sum overflows, if the spread of x or y underflows to a zero
+        sum of squares, or if ``s_xx * s_yy`` leaves the normal float64 range.
+    """
+    n, x_bar, y_bar, s_xx, s_yy, s_xy = m
+    # n identical values v leave round-off of at most (n * eps * v)^2 per row
+    # in the centred sum, so only a sum at or below that (or not finite) can
+    # be a constant column's; float ** would raise on overflow, * gives inf
+    round_off_x = n * _EPS * x_bar
+    round_off_y = n * _EPS * y_bar
+    suspect_x = not s_xx > n * round_off_x * round_off_x
+    suspect_y = not s_yy > n * round_off_y * round_off_y
+    if suspect_x or suspect_y:
+        x_min, x_max, y_min, y_max = ranges()
+        for suspect, low, high, name in (
+            (suspect_x, x_min, x_max, "x"),
+            (suspect_y, y_min, y_max, "y"),
+        ):
+            if suspect and low == high:
+                raise DegenerateData(f"all {name} values are identical")
+    if not all(math.isfinite(v) for v in (x_bar, y_bar, s_xx, s_yy, s_xy)):
+        raise OutOfRange("sums of squares overflow float64; rescale the data")
+    for s, name in ((s_xx, "x"), (s_yy, "y")):
+        if s == 0.0:
+            raise OutOfRange(f"the spread of {name} underflows float64; rescale the data")
+    rho = s_xy / math.sqrt(_normal_product(s_xx, s_yy))
+    rho = max(-1.0, min(1.0, rho))
+    return SufficientStats(
+        n=n, x_bar=x_bar, y_bar=y_bar, s_xx=s_xx, s_yy=s_yy, s_xy=s_xy, rho=rho
+    )
+
+
 def compute_stats(data: Dataset) -> SufficientStats:
     """Two-pass sufficient statistics of a dataset.
 
@@ -223,31 +318,60 @@ def compute_stats(data: Dataset) -> SufficientStats:
         sum of squares, or if ``s_xx * s_yy`` leaves the normal float64 range.
     """
     x, y = data.x, data.y
-    n = int(x.size)
-    # the results are checked below, so numpy's overflow warnings are muted;
-    # sum / n is x.mean() to the bit, at a fraction of its call overhead
-    with np.errstate(all="ignore"):
-        x_bar = float(x.sum()) / n
-        y_bar = float(y.sum()) / n
-        dx = x - x_bar
-        dy = y - y_bar
-        s_xx = float(dx @ dx)
-        s_yy = float(dy @ dy)
-        s_xy = float(dx @ dy)
-    if not all(math.isfinite(v) for v in (x_bar, y_bar, s_xx, s_yy, s_xy)):
-        raise OutOfRange("sums of squares overflow float64; rescale the data")
-    for s, values, name in ((s_xx, x, "x"), (s_yy, y, "y")):
-        if s == 0.0:
-            if values.min() != values.max():
-                raise OutOfRange(
-                    f"the spread of {name} underflows float64; rescale the data"
-                )
-            raise DegenerateData(f"all {name} values are identical")
-    rho = s_xy / math.sqrt(_normal_product(s_xx, s_yy))
-    rho = max(-1.0, min(1.0, rho))
-    return SufficientStats(
-        n=n, x_bar=x_bar, y_bar=y_bar, s_xx=s_xx, s_yy=s_yy, s_xy=s_xy, rho=rho
-    )
+    return _checked_stats(_moments(x, y), lambda: (x.min(), x.max(), y.min(), y.max()))
+
+
+class _RunningStats:
+    """Sufficient statistics of rows that arrive a block at a time.
+
+    Memory stays flat in the number of rows.  Every block is centred on one
+    shift, the means of the first block, so that the merged means stay small
+    and the update loses no accuracy to an offset in the data; its moments
+    come from :func:`_moments`, and blocks merge pairwise by :func:`_merge`,
+    as a binary counter would carry.  One block alone gives the figures of
+    :func:`compute_stats` to the bit; more can differ from them in the last
+    bits.
+    """
+
+    def __init__(self) -> None:
+        self._whole: _Moments | None = None  # the first block, unshifted
+        self._shift = (0.0, 0.0)
+        # (blocks merged, moments), the block counts decreasing down the list
+        self._partial: list[tuple[int, _Moments]] = []
+        self._ranges = (math.inf, -math.inf, math.inf, -math.inf)
+
+    def add(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Fold in one block of finite values."""
+        if self._whole is None:
+            self._whole = _moments(x, y)
+            self._shift = (self._whole.x_bar, self._whole.y_bar)
+        shift_x, shift_y = self._shift
+        with np.errstate(all="ignore"):  # an overflow is caught by the checks
+            blocks, moments = 1, _moments(x - shift_x, y - shift_y)
+        while self._partial and self._partial[-1][0] == blocks:
+            count, earlier = self._partial.pop()
+            blocks, moments = blocks + count, _merge(earlier, moments)
+        self._partial.append((blocks, moments))
+        x_min, x_max, y_min, y_max = self._ranges
+        self._ranges = (
+            min(x_min, x.min()),
+            max(x_max, x.max()),
+            min(y_min, y.min()),
+            max(y_max, y.max()),
+        )
+
+    def stats(self) -> SufficientStats:
+        """Check the merged figures and build the record; see :func:`compute_stats`."""
+        if len(self._partial) == 1 and self._partial[0][0] == 1:
+            merged = self._whole
+        else:
+            merged = self._partial[-1][1]
+            for _, earlier in reversed(self._partial[:-1]):
+                merged = _merge(earlier, merged)
+            merged = merged._replace(
+                x_bar=self._shift[0] + merged.x_bar, y_bar=self._shift[1] + merged.y_bar
+            )
+        return _checked_stats(merged, lambda: self._ranges)
 
 
 def sse(stats: SufficientStats, beta0: float, beta1: float, gamma: float) -> float:
@@ -398,6 +522,19 @@ def reflected(stats: SufficientStats) -> SufficientStats:
         s_xy=-stats.s_xy,
         rho=-stats.rho,
     )
+
+
+def _slope_interval(
+    stats: SufficientStats, reflect: bool, pad: float = 0.0
+) -> tuple[float, float]:
+    """:func:`slope_bounds` with each end moved out by ``pad`` times itself.
+
+    With ``reflect``, the bounds of :func:`reflected` statistics, where a
+    reflect-policy fit solves, negated back onto the data's negative slopes.
+    """
+    lower, upper = slope_bounds(reflected(stats) if reflect else stats)
+    lower, upper = lower * (1.0 - pad), upper * (1.0 + pad)
+    return (-upper, -lower) if reflect else (lower, upper)
 
 
 def _closed_form(stats: SufficientStats, beta1: float, gamma: float) -> FittedLine:

@@ -44,14 +44,6 @@ class SolverFailure(DualFitError):
     """The slope quartic overflowed, or Newton's method hit its step cap."""
 
 
-class NoAdmissibleRoot(DualFitError):
-    """No root of the slope equation lies in the slope bounds.
-
-    The fit does not raise this, because the quartic always has exactly one
-    root there; callers that catch it keep working.
-    """
-
-
 class BracketFailure(DualFitError):
     """The widened slope interval does not bracket an interior minimum."""
 

@@ -22,9 +22,9 @@ from .core import (
     FittedLine,
     SufficientStats,
     _objective,
+    _slope_interval,
     intercept,
     reflected,
-    slope_bounds,
     sse,
     sse_gradient,
 )
@@ -83,10 +83,7 @@ def _minimize_traced(
         raise InvalidInput(f"profile search is defined for 0 < gamma < 1, got {gamma}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidInput(f"tolerance must be positive and finite, got {tol}")
-    lower, upper = slope_bounds(stats)
-    a = lower * (1.0 - _BRACKET_PAD)
-    b = upper * (1.0 + _BRACKET_PAD)
-    bracket = (a, b)
+    a, b = bracket = _slope_interval(stats, False, _BRACKET_PAD)
 
     h = b - a
     if h <= tol:
@@ -206,18 +203,16 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
     """
     gamma = line.gamma
     reflect = stats.rho < 0.0 and config.negative_correlation_policy == "reflect"
-    positive = reflected(stats) if reflect else stats
-    lower, upper = slope_bounds(positive)
+    bracket = _slope_interval(stats, reflect, _BRACKET_PAD)
     if 0.0 < gamma < 1.0:
-        oracle_slope, evals, bracket = _minimize_traced(positive, gamma, config.oracle_tol)
+        positive = reflected(stats) if reflect else stats
+        oracle_slope, evals, _ = _minimize_traced(positive, gamma, config.oracle_tol)
+        if reflect:
+            oracle_slope = -oracle_slope
     else:
-        oracle_slope = (
-            positive.s_xy / positive.s_xx if gamma == 1.0 else positive.s_yy / positive.s_xy
-        )
+        # both closed forms are odd in y, so the reflected fit gives them back
+        oracle_slope = stats.s_xy / stats.s_xx if gamma == 1.0 else stats.s_yy / stats.s_xy
         evals = 0
-        bracket = (lower * (1.0 - _BRACKET_PAD), upper * (1.0 + _BRACKET_PAD))
-    if reflect:
-        oracle_slope, bracket = -oracle_slope, (-bracket[1], -bracket[0])
 
     objective = _objective(stats, gamma)
     grad_err = 0.0

@@ -27,7 +27,6 @@ from dualfit import (
     sse,
 )
 from dualfit.cli import EXIT_VERIFY, CliConfig, run_verify
-from dualfit.errors import NoAdmissibleRoot
 
 from conftest import random_dataset, rel_err, sse_per_point, src_env
 
@@ -91,25 +90,19 @@ def test_criterion_5_oracle_equivalence():
     gammas = [round(0.1 * k, 1) for k in range(1, 10)]
     start = time.perf_counter()
     max_gap = 0.0
-    no_root_failures = 0
     for _ in range(500):
         stats = compute_stats(random_dataset(rng))
         for gamma in gammas:
             config = FitConfig(gamma=gamma)
-            try:
-                line = fit_stats(stats, config)
-            except NoAdmissibleRoot:
-                no_root_failures += 1
-                continue
+            line = fit_stats(stats, config)
             gap = abs(line.beta1 - minimize_profile(stats, gamma, config.oracle_tol))
             assert gap <= 1e-6 * (1.0 + abs(line.beta1))
             max_gap = max(max_gap, gap)
     elapsed = time.perf_counter() - start
-    assert no_root_failures == 0
     assert elapsed <= 30.0
     print(
         f"PASS criterion 5: 500 datasets x 9 weights, max slope gap {max_gap:.3e}, "
-        f"0 admissibility failures, {elapsed:.1f} s"
+        f"{elapsed:.1f} s"
     )
 
 

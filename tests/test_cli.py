@@ -157,6 +157,19 @@ def test_cli_overlong_field_exits_2_without_traceback(extra_row):
     assert len(err.splitlines()) == 1
 
 
+def test_cli_reads_a_pipe_named_by_input():
+    # a pipe cannot seek, so it is read whole, as standard input is
+    result = subprocess.run(
+        [sys.executable, "-m", "dualfit", "stats", "--input", "/dev/stdin"],
+        input=PERFECT_CSV.encode(),
+        capture_output=True,
+        env=src_env(),
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (EXIT_OK, b"")
+    assert result.stdout.splitlines()[0].split() == [b"n", b"3"]
+
+
 # ---- fit / stats -------------------------------------------------------------
 
 

@@ -68,6 +68,22 @@ def test_all_y_equal_degenerate():
         compute_stats(Dataset.from_points([(1.0, 4.0), (2.0, 4.0), (3.0, 4.0)]))
 
 
+@pytest.mark.parametrize("value", [0.1, 1e308])
+def test_constant_column_is_degenerate_despite_round_off(value):
+    # the mean of three copies is not the value itself, so the centred sum is
+    # round-off rather than 0; at 1e308 the sum overflows
+    points = [(value, 1.0), (value, 2.0), (value, 4.0)]
+    with pytest.raises(DegenerateData, match="all x values"):
+        compute_stats(Dataset.from_points(points))
+    with pytest.raises(DegenerateData, match="all y values"):
+        compute_stats(Dataset.from_points([(y, x) for x, y in points]))
+
+
+def test_nearly_constant_column_is_not_degenerate():
+    s = compute_stats(Dataset.from_points([(1.0, 1.0), (1.0, 2.0), (1.0 + 2.0**-52, 4.0)]))
+    assert 0.0 < s.s_xx < 1e-30
+
+
 def test_nan_coordinates_rejected():
     with pytest.raises(InvalidInput):
         Dataset(np.array([0.0, float("nan")]), np.array([0.0, 1.0]))
