@@ -3,7 +3,8 @@
 Subcommands: fit, sweep, predict, inverse, stats, verify.  All numeric output
 is printed with 10 significant digits so json and csv output is byte-stable
 for identical inputs.  Exit codes: 0 ok, 2 input error, 3 fit error,
-4 verification failure.
+4 verification failure; a reader that closes the output pipe early ends the
+command quietly with 0.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -27,6 +30,7 @@ from .core import (
     SufficientStats,
     _RunningStats,
     _slope_interval,
+    _solver,
     compute_stats,
     fit_stats,
     inverse_predict,
@@ -404,24 +408,66 @@ def _emit_record(pairs: list[tuple[str, object]], fmt: str) -> None:
         print(f"{key:<{width}}  {cell(value)}")
 
 
-def _emit_rows(columns: list[str], rows: list[list[float]], fmt: str) -> None:
-    if fmt == "json":
-        obj = {"rows": [dict(zip(columns, (_jnum(v) for v in row))) for row in rows]}
-        print(json.dumps(obj, indent=2))
-        return
+def _json_number(value: float) -> str:
+    # json.dumps's text for _jnum(value): a finite float is written as its repr
+    value = _jnum(value)
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+_SWEEP_COLUMNS = ("gamma", "beta1", "beta0", "sse", "root_residual")
+_SWEEP_JSON_KEYS = tuple(f"      {json.dumps(name)}: " for name in _SWEEP_COLUMNS)
+
+# sweep rows per write: a write per line costs a system call each when
+# standard output is unbuffered
+_SWEEP_CHUNK = 256
+
+
+def _gamma_grid(steps: int) -> Iterator[float]:
+    """``np.linspace(0.0, 1.0, steps)`` to the bit, one value at a time."""
+    # linspace's own arithmetic: i times the step, then exactly 1.0 at the
+    # end; the integer division rounds as linspace's float one does
+    # wherever steps - 1 < 2**53, and never overflows
+    step = 1 / (steps - 1)
+    for i in range(steps - 1):
+        yield i * step
+    yield 1.0
+
+
+def _sweep_cells(
+    solve: Callable[[float], FittedLine], steps: int, cell: Callable[[float], str]
+) -> Iterator[list[str]]:
+    """Each weight of the grid, solved, as its row's cells."""
+    for gamma in _gamma_grid(steps):
+        line = solve(gamma)
+        values = (gamma, line.beta1, line.beta0, line.sse, line.selected_root_residual)
+        yield [cell(v) for v in values]
+
+
+def _sweep_text(solve: Callable[[float], FittedLine], steps: int, fmt: str) -> Iterator[str]:
+    """The sweep's output in pieces, a row each, solving a row per piece.
+
+    json is the text of ``json.dumps({"rows": [...]}, indent=2)``.  The
+    table pads every column to its widest cell, so it solves the grid twice:
+    first only to measure the widths, then to print.
+    """
     if fmt == "csv":
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
-        return
-    cells = [[_fmt(v) for v in row] for row in rows]
-    widths = [
-        max(len(name), max((len(r[i]) for r in cells), default=0))
-        for i, name in enumerate(columns)
-    ]
-    print("  ".join(name.ljust(w) for name, w in zip(columns, widths)))
-    for row in cells:
-        print("  ".join(value.ljust(w) for value, w in zip(row, widths)))
+        yield ",".join(_SWEEP_COLUMNS) + "\n"
+        for cells in _sweep_cells(solve, steps, _fmt):
+            yield ",".join(cells) + "\n"
+    elif fmt == "json":
+        yield '{\n  "rows": ['
+        separator = "\n"
+        for cells in _sweep_cells(solve, steps, _json_number):
+            pairs = ",\n".join(map(str.__add__, _SWEEP_JSON_KEYS, cells))
+            yield f"{separator}    {{\n{pairs}\n    }}"
+            separator = ",\n"
+        yield "\n  ]\n}\n"
+    else:
+        widths = [len(name) for name in _SWEEP_COLUMNS]
+        for cells in _sweep_cells(solve, steps, _fmt):
+            widths = list(map(max, widths, map(len, cells)))
+        for cells in chain([_SWEEP_COLUMNS], _sweep_cells(solve, steps, _fmt)):
+            yield "  ".join(map(str.ljust, cells, widths)) + "\n"
 
 
 def _emit_scalar(value: float, fmt: str) -> None:
@@ -474,9 +520,12 @@ def _load_stats(config: CliConfig) -> Callable[[], SufficientStats]:
         return _read_stats(fh if fh.seekable() else io.BytesIO(fh.read()), *columns)
 
 
+def _policy(config: CliConfig) -> str:
+    return "reflect" if config.reflect_negative else "error"
+
+
 def _fit_config(config: CliConfig) -> FitConfig:
-    policy = "reflect" if config.reflect_negative else "error"
-    return FitConfig(gamma=config.gamma, negative_correlation_policy=policy)
+    return FitConfig(gamma=config.gamma, negative_correlation_policy=_policy(config))
 
 
 def _guarded(config: CliConfig, body: Callable[[CliConfig, SufficientStats], int]) -> int:
@@ -544,17 +593,18 @@ def run_stats(config: CliConfig) -> int:
 
 
 def run_sweep(config: CliConfig) -> int:
-    """Fit on a uniform gamma grid over [0, 1] and print one row per weight."""
+    """Fit on a uniform gamma grid over [0, 1] and print one row per weight.
+
+    Rows are written as they are solved, so memory stays flat in the number
+    of steps.  A fit error part-way through leaves the rows before it on
+    standard output.
+    """
 
     def body(cfg: CliConfig, stats: SufficientStats) -> int:
-        base = _fit_config(cfg)
-        rows = []
-        for gamma in np.linspace(0.0, 1.0, cfg.gamma_steps):
-            line = fit_stats(stats, replace(base, gamma=float(gamma)))
-            rows.append(
-                [float(gamma), line.beta1, line.beta0, line.sse, line.selected_root_residual]
-            )
-        _emit_rows(["gamma", "beta1", "beta0", "sse", "root_residual"], rows, cfg.output_format)
+        solve = _solver(stats, _policy(cfg))
+        pieces = _sweep_text(solve, cfg.gamma_steps, cfg.output_format)
+        while chunk := "".join(islice(pieces, _SWEEP_CHUNK)):
+            sys.stdout.write(chunk)
         return EXIT_OK
 
     return _guarded(config, body)
@@ -692,6 +742,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped reading, which is its choice, not an error.
+        # Python flushes standard output again at exit; pointed at devnull,
+        # that flush cannot raise (the recipe of the signal module's docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_OK
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command in ("predict", "inverse") and args.value is None:

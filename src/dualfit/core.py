@@ -11,6 +11,14 @@ weights are the classical closed forms: regression of y on x at ``gamma = 1``
 and inverse regression (x on y, re-expressed as a slope in y over x) at
 ``gamma = 0``.
 
+The slope depends on the data only through the sufficient statistics, so
+the per-dataset part of a fit (the correlation checks, the reflection, the
+square-root ratios and the slope bounds) is done once by ``_solver``, which
+returns a function that solves any weight.  :func:`fit_stats` is one call
+of it; ``dualfit sweep`` solves its whole grid with one.  :func:`build_quartic`
+and :class:`Quartic` state the paper's equation; the solve evaluates the same
+coefficients inline.
+
 Only positively correlated data has a well-defined fit here.  Negatively
 correlated data can be handled by reflecting y, fitting, and negating the
 slope; see ``FitConfig.negative_correlation_policy``.
@@ -271,8 +279,9 @@ def _checked_stats(
     DegenerateData
         If all x values or all y values coincide.
     OutOfRange
-        If a sum overflows, if the spread of x or y underflows to a zero
-        sum of squares, or if ``s_xx * s_yy`` leaves the normal float64 range.
+        If a sum overflows, if the spread of x or y underflows to a zero or
+        subnormal sum of squares, or if ``s_xx * s_yy`` leaves the normal
+        float64 range.
     """
     n, x_bar, y_bar, s_xx, s_yy, s_xy = m
     # n identical values v leave round-off of at most (n * eps * v)^2 per row
@@ -292,11 +301,17 @@ def _checked_stats(
                 raise DegenerateData(f"all {name} values are identical")
     if not all(math.isfinite(v) for v in (x_bar, y_bar, s_xx, s_yy, s_xy)):
         raise OutOfRange("sums of squares overflow float64; rescale the data")
-    for s, name in ((s_xx, "x"), (s_yy, "y")):
+    spreads = ((s_xx, "x"), (s_yy, "y"))
+    for s, name in spreads:
         if s == 0.0:
             raise OutOfRange(f"the spread of {name} underflows float64; rescale the data")
-    rho = s_xy / math.sqrt(_normal_product(s_xx, s_yy))
-    rho = max(-1.0, min(1.0, rho))
+    product = _normal_product(s_xx, s_yy)
+    # a subnormal sum keeps too few bits for a correlation to 10 digits; it
+    # is checked after the product, whose error names both sums
+    for s, name in spreads:
+        if s < sys.float_info.min:
+            raise OutOfRange(f"the spread of {name} underflows float64; rescale the data")
+    rho = max(-1.0, min(1.0, s_xy / math.sqrt(product)))
     return SufficientStats(
         n=n, x_bar=x_bar, y_bar=y_bar, s_xx=s_xx, s_yy=s_yy, s_xy=s_xy, rho=rho
     )
@@ -314,8 +329,9 @@ def compute_stats(data: Dataset) -> SufficientStats:
     DegenerateData
         If all x values or all y values coincide.
     OutOfRange
-        If a sum overflows, if the spread of x or y underflows to a zero
-        sum of squares, or if ``s_xx * s_yy`` leaves the normal float64 range.
+        If a sum overflows, if the spread of x or y underflows to a zero or
+        subnormal sum of squares, or if ``s_xx * s_yy`` leaves the normal
+        float64 range.
     """
     x, y = data.x, data.y
     return _checked_stats(_moments(x, y), lambda: (x.min(), x.max(), y.min(), y.max()))
@@ -537,72 +553,116 @@ def _slope_interval(
     return (-upper, -lower) if reflect else (lower, upper)
 
 
-def _closed_form(stats: SufficientStats, beta1: float, gamma: float) -> FittedLine:
-    beta0 = intercept(stats, beta1)
-    return FittedLine(
-        beta0=beta0,
-        beta1=beta1,
-        gamma=gamma,
-        sse=sse(stats, beta0, beta1, gamma),
-    )
-
-
 def fit_stats(stats: SufficientStats, config: FitConfig) -> FittedLine:
-    """Fit from sufficient statistics; see :func:`fit` for the full contract."""
+    """Fit from sufficient statistics; see :func:`fit` for the full contract.
+
+    One call of the solver that ``_solver`` binds to the statistics; code
+    that fits one dataset at many weights binds it once instead.
+    """
+    return _solver(stats, config.negative_correlation_policy)(config.gamma)
+
+
+def _solver(
+    stats: SufficientStats, policy: NegativeCorrelationPolicy
+) -> Callable[[float], FittedLine]:
+    """:func:`fit_stats` as ``solve(gamma)``, with the per-dataset work done once.
+
+    The correlation checks and the reflection happen here, so their errors
+    are raised before any weight is solved.  The square-root ratios and the
+    slope bounds are made on the first interior weight, so that a fit at an
+    endpoint weight never pays for them; their errors are raised by every
+    interior ``solve``.
+    """
     if abs(stats.rho) < ZERO_RHO_TOL:
         raise ZeroCorrelation(f"correlation {stats.rho:.3g} is numerically zero")
-    if stats.rho < 0.0:
-        if config.negative_correlation_policy != "reflect":
-            raise NonPositiveCorrelation(
-                f"rho = {stats.rho:.6g} < 0; pass the reflect policy to fit anyway"
+    reflect = stats.rho < 0.0
+    if reflect and policy != "reflect":
+        raise NonPositiveCorrelation(
+            f"rho = {stats.rho:.6g} < 0; pass the reflect policy to fit anyway"
+        )
+    # the statistics the slope is solved on; a reflected slope is negated back
+    positive = reflected(stats) if reflect else stats
+    interior: tuple[float, float, float, float] | None = None
+
+    def solve(gamma: float) -> FittedLine:
+        nonlocal interior
+        residual = 0.0
+        if gamma == 1.0:
+            beta1 = positive.s_xy / positive.s_xx
+        elif gamma == 0.0:
+            beta1 = positive.s_yy / positive.s_xy
+        else:
+            if interior is None:
+                interior = _quartic_scales(positive)
+            ratio_xy, ratio_yx, lower, upper = interior
+            rho = positive.rho
+            # build_quartic's coefficients, in Python floats whatever gamma's type
+            vertical = float(gamma)
+            horizontal = 1.0 - vertical
+            coeffs = (
+                vertical * ratio_xy,
+                -vertical * rho,
+                0.0,
+                horizontal * rho,
+                -horizontal * ratio_yx,
             )
-        mirrored = _fit_positive(reflected(stats), config)
-        beta1 = -mirrored.beta1
+            beta1, value = _newton_root(coeffs, lower, upper)
+            residual = abs(value)
+        beta0 = intercept(positive, beta1)
+        objective = _objective(positive, gamma)(beta0, beta1)
+        if not reflect:
+            return FittedLine(beta0, beta1, gamma, objective, residual)
+        beta1 = -beta1
         return FittedLine(
             beta0=stats.y_bar - beta1 * stats.x_bar,
             beta1=beta1,
-            gamma=config.gamma,
-            sse=mirrored.sse,
-            selected_root_residual=mirrored.selected_root_residual,
+            gamma=gamma,
+            sse=objective,
+            selected_root_residual=residual,
             notes=("fitted on (x, -y) and negated the slope",),
         )
-    return _fit_positive(stats, config)
+
+    return solve
 
 
-def _fit_positive(stats: SufficientStats, config: FitConfig) -> FittedLine:
-    gamma = config.gamma
-    if gamma == 1.0:
-        return _closed_form(stats, stats.s_xy / stats.s_xx, gamma)
-    if gamma == 0.0:
-        return _closed_form(stats, stats.s_yy / stats.s_xy, gamma)
+def _quartic_scales(stats: SufficientStats) -> tuple[float, float, float, float]:
+    """``sqrt(s_xx/s_yy)``, ``sqrt(s_yy/s_xx)`` and the :func:`slope_bounds`.
 
-    quartic = build_quartic(stats, gamma)
-    beta1 = _newton_root(quartic, *slope_bounds(stats))
-    beta0 = intercept(stats, beta1)
-    return FittedLine(
-        beta0=beta0,
-        beta1=beta1,
-        gamma=gamma,
-        sse=sse(stats, beta0, beta1, gamma),
-        selected_root_residual=abs(quartic(beta1)),
-    )
+    The two ratios scale :func:`build_quartic`'s outer coefficients, and
+    raise its errors: a ratio that overflows makes a coefficient infinite
+    for every interior weight.
+    """
+    if stats.s_xx <= 0.0 or stats.s_yy <= 0.0:
+        raise DegenerateData("slope quartic needs positive spread in x and y")
+    ratio_xy = math.sqrt(stats.s_xx / stats.s_yy)
+    ratio_yx = math.sqrt(stats.s_yy / stats.s_xx)
+    if not (math.isfinite(ratio_xy) and math.isfinite(ratio_yx)):
+        raise InvalidInput("coefficients must be finite")
+    return (ratio_xy, ratio_yx, *slope_bounds(stats))
 
 
-def _newton_root(q: Quartic, lower: float, upper: float) -> float:
+def _newton_root(
+    coeffs: tuple[float, float, float, float, float], lower: float, upper: float
+) -> tuple[float, float]:
+    """The quartic's root in ``[lower, upper]``, and the quartic's value there.
+
+    ``coeffs`` run highest degree first, as in :class:`Quartic`, and the value
+    is its Horner sum to the bit.
+    """
     # q(lower) <= 0 <= q(upper), and q is increasing and convex in between, so
     # Newton from the upper end descends onto the root without overshooting
-    c4, c3, c2, c1, c0 = q.coeffs
+    c4, c3, c2, c1, c0 = coeffs
     b = upper
     for _ in range(_MAX_NEWTON_STEPS):
-        value = (((c4 * b + c3) * b + c2) * b + c1) * b + c0  # q(b), without the call
+        value = (((c4 * b + c3) * b + c2) * b + c1) * b + c0
         if not math.isfinite(value):
             raise SolverFailure(f"slope quartic overflows at {b!r}")
         if value <= 0.0:
-            return b
+            return b, value
         dq = ((4.0 * c4 * b + 3.0 * c3) * b + 2.0 * c2) * b + c1
         step_to = max(lower, b - value / dq)
         if not step_to < b:
-            return b
+            return b, value
         b = step_to
     raise SolverFailure(
         f"Newton did not settle in [{lower!r}, {upper!r}] within {_MAX_NEWTON_STEPS} steps"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,34 @@ SRC = Path(__file__).parent.parent / "src"
 def src_env() -> dict[str, str]:
     """Environment for a subprocess that must import dualfit from ``src``."""
     return {**os.environ, "PYTHONPATH": str(SRC)}
+
+
+# started first and small, so that each dualfit process's ru_maxrss is its
+# own: Linux folds the high-water mark of a process that vfork-and-execs a
+# child into the child's ru_maxrss, and the test process holds numpy
+_MEASURE = r"""
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def dualfit_peak_mb(*args: str) -> tuple[int, float]:
+    """Exit code and peak resident memory in MB of one ``dualfit`` process.
+
+    Needs ``os.wait4``; its output goes to /dev/null.
+    """
+    result = subprocess.run(
+        [sys.executable, "-c", _MEASURE, sys.executable, "-m", "dualfit", *args],
+        capture_output=True,
+        env=src_env(),
+        timeout=120,
+        check=True,
+    )
+    code, peak_kb = map(int, result.stdout.split())
+    return code, peak_kb / 1024.0
 
 
 # four points with known statistics: means (1/2, 1/4), s_xx = 1, s_yy = 3/4

@@ -12,15 +12,19 @@ or ``ZeroCorrelation``.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from dualfit import cli
 from dualfit import (
     Dataset,
     FitConfig,
@@ -165,3 +169,31 @@ def test_cli_fit_on_overflowing_data_prints_one_typed_line(tmp_path):
     assert result.returncode == 3
     lines = result.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("OutOfRange: sums of squares overflow")
+
+
+# a centred sum in the subnormal range keeps a few bits: with these x, s_xx
+# was 9.999888672e-320 and rho 0.8485328607, against 0.8485281374 exactly
+_SUBNORMAL_X = (0.0, 1e-160, 3e-160, 4e-160)
+_SUBNORMAL_Y = (0.0, 1e10, 3e10, 2e10)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_subnormal_spread_raises_out_of_range(swap):
+    x, y = (_SUBNORMAL_Y, _SUBNORMAL_X) if swap else (_SUBNORMAL_X, _SUBNORMAL_Y)
+    with pytest.raises(OutOfRange, match=f"spread of {'y' if swap else 'x'} underflows"):
+        _stats_without_warnings(Dataset(np.array(x), np.array(y)))
+
+
+# one block, or one row per block through the merged statistics
+@pytest.mark.parametrize("block_rows", [cli._BLOCK_ROWS, 1])
+def test_cli_stats_on_subnormal_spread_prints_one_typed_line(tmp_path, block_rows):
+    path = tmp_path / "tiny.csv"
+    path.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(_SUBNORMAL_X, _SUBNORMAL_Y)))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["stats", "--input", str(path)])
+    assert (code, out.getvalue()) == (3, "")
+    assert err.getvalue() == (
+        "OutOfRange: the spread of x underflows float64; rescale the data\n"
+    )

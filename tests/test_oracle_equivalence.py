@@ -6,6 +6,8 @@ The ``_ref_*`` functions are ``sse``, ``sse_gradient``, ``profile_sse``,
 objective was bound once per search and per verify.  One deliberate change:
 ``_ref_check_gradient`` raises ``SingularSlope`` when ``|beta1| <= step``,
 where the old code only refused a difference that hit ``beta1 = 0`` exactly.
+``_newton_root`` now takes a quartic's coefficients and returns its value at
+the root too; ``_ref_newton_pair`` puts the frozen root finder in that form.
 
 On every input the two must agree exactly: ``==`` and the same ``repr`` on
 every field of ``FittedLine`` and ``OracleReport`` (so signed zeros and
@@ -26,6 +28,7 @@ from dualfit import (
     FitConfig,
     FittedLine,
     OracleReport,
+    Quartic,
     SufficientStats,
     build_quartic,
     check_gradient,
@@ -227,6 +230,13 @@ def _ref_newton_root(q, lower, upper):
     )
 
 
+def _ref_newton_pair(coeffs, lower, upper):
+    # _newton_root takes the coefficients and returns the quartic's value too
+    quartic = Quartic(coeffs)
+    root = _ref_newton_root(quartic, lower, upper)
+    return root, quartic(root)
+
+
 def _ref_closed_form(stats, beta1, gamma):
     beta0 = stats.y_bar - beta1 * stats.x_bar
     return FittedLine(
@@ -307,7 +317,7 @@ def _assert_case(stats: SufficientStats, gamma: float, policy: str) -> None:
     positive = reflected(stats) if stats.rho < 0.0 else stats
     if 0.0 < gamma < 1.0 and positive.rho > 0.0:
         quartic = build_quartic(positive, gamma)
-        _assert_same(_newton_root, _ref_newton_root, quartic, *slope_bounds(positive))
+        _assert_same(_newton_root, _ref_newton_pair, quartic.coeffs, *slope_bounds(positive))
 
 
 # ---- inputs ----------------------------------------------------------------------
@@ -358,6 +368,17 @@ def test_edge_statistics_match_reference(stats, gamma):
     for policy in ("error", "reflect"):
         _assert_case(stats, gamma, policy)
         _assert_case(reflected(stats), gamma, policy)
+
+
+@pytest.mark.parametrize("gamma", [5e-324, 0.3, 1.0 - 1e-16])
+def test_overflowing_ratio_matches_reference(gamma):
+    # sqrt(s_yy/s_xx) overflows, so the quartic's constant term is infinite
+    stats = SufficientStats(n=3, x_bar=1.0, y_bar=2.0, s_xx=1e-300, s_yy=1e300, s_xy=0.5, rho=0.5)
+    for policy in ("error", "reflect"):
+        config = FitConfig(gamma=gamma, negative_correlation_policy=policy)
+        for case in (stats, reflected(stats)):
+            kind, _ = _assert_same(fit_stats, _ref_fit_stats, case, config)
+            assert kind in (InvalidInput, NonPositiveCorrelation)
 
 
 @st.composite

@@ -21,7 +21,6 @@ import csv
 import io
 import math
 import os
-import subprocess
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -37,7 +36,7 @@ from dualfit.cli import EXIT_INPUT, EXIT_OK, parse_csv
 from dualfit.core import _RunningStats
 from dualfit.errors import InvalidInput, ParseError
 
-from conftest import src_env
+from conftest import dualfit_peak_mb
 from test_parse_equivalence import _ALPHABET, _WEIGHTED, CASES, COLUMN_CASES, _cells
 
 EPS = sys.float_info.epsilon
@@ -315,17 +314,6 @@ def test_single_block_is_compute_stats_to_the_bit(n):
 
 # ---- peak memory flat in the number of rows -------------------------------------
 
-# started first and small, so that each dualfit process's ru_maxrss is its
-# own: Linux folds the high-water mark of a process that vfork-and-execs a
-# child into the child's ru_maxrss, and this test process holds numpy
-_MEASURE = r"""
-import os, subprocess, sys
-proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-_, status, usage = os.wait4(proc.pid, 0)
-proc.returncode = os.waitstatus_to_exitcode(status)
-print(proc.returncode, usage.ru_maxrss)
-"""
-
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_peak_memory_does_not_grow_with_rows(tmp_path):
@@ -336,14 +324,6 @@ def test_peak_memory_does_not_grow_with_rows(tmp_path):
         y = 2.0 * x + rng.standard_normal(n)
         path = tmp_path / f"rows-{n}.csv"
         path.write_text("x,y\n" + "".join(map("{!r},{!r}\n".format, x.tolist(), y.tolist())))
-        result = subprocess.run(
-            [sys.executable, "-c", _MEASURE, sys.executable, "-m", "dualfit", "stats", "--input", str(path)],
-            capture_output=True,
-            env=src_env(),
-            timeout=120,
-            check=True,
-        )
-        code, peak_kb = map(int, result.stdout.split())
+        code, peaks[n] = dualfit_peak_mb("stats", "--input", str(path))
         assert code == EXIT_OK
-        peaks[n] = peak_kb / 1024.0
     assert peaks[200_000] - peaks[20_000] <= 2.0, peaks

@@ -1,0 +1,310 @@
+"""``dualfit sweep`` against a frozen copy of the sweep that kept every row.
+
+``_ref_run_sweep`` and ``_ref_emit_rows`` are ``run_sweep`` and
+``_emit_rows`` as they were before the sweep bound one solver to the
+statistics and wrote its rows as they were solved: a ``FitConfig`` and a fit
+per weight of ``np.linspace(0, 1, steps)``, every row kept as floats, then
+printed whole.  The fit they call is the frozen ``_ref_fit_stats`` of
+``test_oracle_equivalence``.  On every input the two must print the same
+bytes, exit with the same code and write the same error line.
+
+The streamed sweep departs from the reference in one place, checked on its
+own below: a fit error part-way through leaves the rows solved before it on
+standard output, where the reference printed nothing.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dualfit import Dataset, FitConfig, compute_stats
+from dualfit import cli
+from dualfit.cli import EXIT_FIT, EXIT_OK, CliConfig, _gamma_grid
+from dualfit.core import _solver
+from dualfit.errors import DualFitError, SolverFailure
+
+from conftest import dualfit_peak_mb, src_env
+from test_oracle_equivalence import _ref_fit_stats
+
+HERE = Path(__file__).parent
+REFERENCE_CSV = HERE / "data" / "reference.csv"
+FORMATS = ("csv", "json", "table")
+
+# ---- the frozen reference ----------------------------------------------------
+
+
+def _ref_fmt(value):
+    return format(float(value), ".10g")
+
+
+def _ref_jnum(value):
+    return float(_ref_fmt(value))
+
+
+def _ref_emit_rows(columns, rows, fmt):
+    if fmt == "json":
+        obj = {"rows": [dict(zip(columns, (_ref_jnum(v) for v in row))) for row in rows]}
+        print(json.dumps(obj, indent=2))
+        return
+    if fmt == "csv":
+        print(",".join(columns))
+        for row in rows:
+            print(",".join(_ref_fmt(v) for v in row))
+        return
+    cells = [[_ref_fmt(v) for v in row] for row in rows]
+    widths = [
+        max(len(name), max((len(r[i]) for r in cells), default=0))
+        for i, name in enumerate(columns)
+    ]
+    print("  ".join(name.ljust(w) for name, w in zip(columns, widths)))
+    for row in cells:
+        print("  ".join(value.ljust(w) for value, w in zip(row, widths)))
+
+
+def _ref_run_sweep(config):
+    def body(cfg, stats):
+        policy = "reflect" if cfg.reflect_negative else "error"
+        base = FitConfig(gamma=cfg.gamma, negative_correlation_policy=policy)
+        rows = []
+        for gamma in np.linspace(0.0, 1.0, cfg.gamma_steps):
+            line = _ref_fit_stats(stats, replace(base, gamma=float(gamma)))
+            rows.append(
+                [float(gamma), line.beta1, line.beta0, line.sse, line.selected_root_residual]
+            )
+        _ref_emit_rows(["gamma", "beta1", "beta0", "sse", "root_residual"], rows, cfg.output_format)
+        return EXIT_OK
+
+    return cli._guarded(config, body)
+
+
+# ---- runs ----------------------------------------------------------------------
+
+
+def _captured(run, *args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(*args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _streamed(path, steps: int, fmt: str, reflect: bool):
+    args = ["sweep", "--input", str(path), "--steps", str(steps), "--format", fmt]
+    return _captured(cli.main, args + ["--reflect-negative"] * reflect)
+
+
+def _reference(path, steps: int, fmt: str, reflect: bool):
+    config = CliConfig(
+        command="sweep",
+        input_path=str(path),
+        gamma_steps=steps,
+        output_format=fmt,
+        reflect_negative=reflect,
+    )
+    return _captured(_ref_run_sweep, config)
+
+
+def _csv_text(x: np.ndarray, y: np.ndarray) -> str:
+    return "x,y\n" + "".join(map("{!r},{!r}\n".format, x.tolist(), y.tolist()))
+
+
+def _seeded(seed: int, slope: float, y_unit: float = 1.0) -> str:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 400))
+    x = rng.normal(rng.uniform(-5.0, 5.0), rng.uniform(0.2, 3.0), n)
+    y = rng.uniform(-5.0, 5.0) + slope * x + rng.normal(0.0, rng.uniform(0.05, 2.0), n)
+    return _csv_text(x, y * y_unit)
+
+
+DATASETS = {
+    "golden": REFERENCE_CSV.read_text(),
+    "perfect line": "x,y\n0,1\n1,3\n2,5\n3,7\n",
+    "seeded": _seeded(1, 0.8),
+    "seeded steep": _seeded(2, 7.0),
+    "seeded y units 1e6": _seeded(3, 1.3, 1e6),
+    "seeded negative": _seeded(4, -1.7),
+    "seeded negative y units 1e-4": _seeded(5, -0.4, 1e-4),
+}
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sweep")
+    written = {}
+    for i, (name, text) in enumerate(DATASETS.items()):
+        written[name] = root / f"data-{i}.csv"
+        written[name].write_text(text)
+    return written
+
+
+def _assert_same(path, steps: int, fmt: str, reflect: bool) -> None:
+    got = _streamed(path, steps, fmt, reflect)
+    want = _reference(path, steps, fmt, reflect)
+    assert got == want, (path, steps, fmt, reflect)
+
+
+# ---- byte-identical output -------------------------------------------------------
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("steps", [2, 3, 11, 101])
+@pytest.mark.parametrize("dataset", sorted(DATASETS))
+def test_sweep_matches_reference(paths, dataset, steps, fmt):
+    # the negative datasets exit 3 with the error policy, and fit reflected
+    for reflect in (False, True):
+        _assert_same(paths[dataset], steps, fmt, reflect)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("dataset, reflect", [("golden", False), ("seeded negative", True)])
+def test_long_sweep_matches_reference(paths, dataset, reflect, fmt):
+    _assert_same(paths[dataset], 10001, fmt, reflect)
+
+
+@pytest.mark.parametrize("dataset", ["seeded", "seeded negative"])
+@pytest.mark.parametrize("policy", ["error", "reflect"])
+def test_one_solver_matches_reference_at_every_weight(dataset, policy):
+    # weights in any order, endpoints and extreme weights among them, solved
+    # by one solver bound to the statistics
+    raw = np.loadtxt(io.StringIO(DATASETS[dataset]), delimiter=",", skiprows=1)
+    stats = compute_stats(Dataset(raw[:, 0], raw[:, 1]))
+    gammas = [0.3, 0.0, 0.7, 1.0, 5e-324, 1.0 - 1e-16, 0.3, 0.5]
+    try:
+        solve = _solver(stats, policy)
+    except DualFitError as exc:
+        with pytest.raises(type(exc), match=str(exc)):
+            _ref_fit_stats(stats, FitConfig(gamma=0.5, negative_correlation_policy=policy))
+        return
+    for gamma in gammas:
+        want = _ref_fit_stats(stats, FitConfig(gamma=gamma, negative_correlation_policy=policy))
+        got = solve(gamma)
+        assert got == want and repr(got) == repr(want), gamma
+
+
+# ---- the grid ------------------------------------------------------------------------
+
+
+def _grid_bytes(steps: int) -> bytes:
+    return np.fromiter(_gamma_grid(steps), dtype=float, count=steps).tobytes()
+
+
+def test_grid_is_linspace_to_the_bit_for_small_steps():
+    for steps in range(2, 3000):
+        assert _grid_bytes(steps) == np.linspace(0.0, 1.0, steps).tobytes(), steps
+
+
+@pytest.mark.parametrize("steps", [10001, 99991, 100001, 10**6, 1234567])
+def test_grid_is_linspace_to_the_bit_for_large_steps(steps):
+    assert _grid_bytes(steps) == np.linspace(0.0, 1.0, steps).tobytes()
+
+
+# ---- a fit error part-way through ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def overflow_data(tmp_path_factory):
+    # y in 3e102 units of x: the quartic overflows at its upper bound for
+    # weights from about 0.79, so the sweep fails after some hundred rows
+    rng = np.random.default_rng(41)
+    x = rng.uniform(-5.0, 5.0, 100)
+    y = (x + rng.normal(0.0, 3.0, 100)) * 3e102
+    path = tmp_path_factory.mktemp("overflow") / "data.csv"
+    path.write_text(_csv_text(x, y))
+    return path, compute_stats(Dataset(x, y))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_fit_error_midway_keeps_the_rows_before_it(overflow_data, fmt):
+    path, stats = overflow_data
+    code, out, err = _streamed(path, 1001, fmt, False)
+    assert (code, err) == _reference(path, 1001, fmt, False)[::2]
+    assert code == EXIT_FIT
+    assert err.startswith("SolverFailure: slope quartic overflows") and err.count("\n") == 1
+    if fmt == "table":
+        # the first pass, which only measures widths, meets the error
+        assert out == ""
+        return
+    if fmt == "json":
+        assert out.startswith('{\n  "rows": [\n    {\n      "gamma": 0.0,\n')
+        return
+    header, *rows = out.splitlines()
+    assert header == "gamma,beta1,beta0,sse,root_residual" and out.endswith("\n")
+    grid = np.linspace(0.0, 1.0, 1001).tolist()
+    for gamma, row in zip(grid, rows):
+        line = _ref_fit_stats(stats, FitConfig(gamma=gamma))
+        values = [gamma, line.beta1, line.beta0, line.sse, line.selected_root_residual]
+        assert row == ",".join(map(_ref_fmt, values))
+    # rows go out a chunk at a time, so the first weight that fails lies in
+    # the chunk after the last one written
+    first_failure = len(rows)
+    while True:
+        try:
+            _ref_fit_stats(stats, FitConfig(gamma=grid[first_failure]))
+        except SolverFailure:
+            break
+        first_failure += 1
+    assert len(rows) > 0 and first_failure < len(rows) + cli._SWEEP_CHUNK
+
+
+# ---- memory, closed pipes and huge grids --------------------------------------------
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_peak_memory_does_not_grow_with_steps(fmt):
+    peaks = {}
+    for steps in (100, 100_000):
+        args = ["sweep", "--input", str(REFERENCE_CSV), "--steps", str(steps), "--format", fmt]
+        code, peaks[steps] = dualfit_peak_mb(*args)
+        assert code == EXIT_OK
+    assert peaks[100_000] - peaks[100] <= 2.0, peaks
+
+
+def _read_then_close(args: list[str], lines: int, env: dict[str, str]):
+    """Read ``lines`` lines of a dualfit process's output, then close the pipe."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dualfit", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        head = [proc.stdout.readline() for _ in range(lines)]
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+    return head, code, err
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_pipe_ends_quietly(unbuffered):
+    args = ["sweep", "--input", str(REFERENCE_CSV), "--steps", "100000", "--format", "csv"]
+    env = {**src_env(), "PYTHONUNBUFFERED": unbuffered}
+    head, code, err = _read_then_close(args, 1, env)
+    assert head == [b"gamma,beta1,beta0,sse,root_residual\n"]
+    assert (code, err) == (EXIT_OK, b"")
+
+
+def test_largest_step_count_streams():
+    # too large a grid for np.linspace; csv streams it, while the table's
+    # width pass would never end
+    args = ["sweep", "--input", str(REFERENCE_CSV), "--steps", str(2**63 - 1), "--format", "csv"]
+    head, code, err = _read_then_close(args, 4, src_env())
+    assert head[0] == b"gamma,beta1,beta0,sse,root_residual\n"
+    gammas = [float(line.split(b",")[0]) for line in head[1:]]
+    assert gammas == [0.0, float(_ref_fmt(1 / (2**63 - 2))), float(_ref_fmt(2 / (2**63 - 2)))]
+    assert (code, err) == (EXIT_OK, b"")
