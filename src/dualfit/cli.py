@@ -1,8 +1,11 @@
 """Command-line front end: CSV in, fits and verification reports out.
 
-Subcommands: fit, sweep, predict, inverse, stats, verify.  All numeric output
-is printed with 10 significant digits so json and csv output is byte-stable
-for identical inputs.  Exit codes: 0 ok, 2 input error, 3 fit error,
+Subcommands: fit, sweep, predict, inverse, stats, verify.  Each is a function
+of argparse's namespace and the input's sufficient statistics, looked up in
+``_RUNNERS``; argparse checks the arguments, and :class:`FitConfig` the
+weight and the policy the library is given.  All numeric output is printed
+with 10 significant digits so json and csv output is byte-stable for
+identical inputs.  Exit codes: 0 ok, 2 input error, 3 fit error,
 4 verification failure; a reader that closes the output pipe early ends the
 command quietly with 0.
 """
@@ -15,9 +18,10 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import fields
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
@@ -36,7 +40,7 @@ from .core import (
     inverse_predict,
     predict,
 )
-from .errors import DualFitError, InvalidInput, ParseError
+from .errors import DualFitError, InvalidInput, OutOfRange, ParseError
 from .oracle import GRADIENT_TOL, verify_fit
 
 EXIT_OK = 0
@@ -44,34 +48,12 @@ EXIT_INPUT = 2
 EXIT_FIT = 3
 EXIT_VERIFY = 4
 
-_COMMANDS = ("fit", "sweep", "predict", "inverse", "stats", "verify")
 _FORMATS = ("table", "json", "csv")
 
+# a float literal with a minus sign, exponent forms included
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
 STDIN_MARKER = "-"
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """One parsed invocation."""
-
-    command: str
-    input_path: str = STDIN_MARKER
-    gamma: float = 0.5
-    gamma_steps: int = 101
-    x_column: str | None = None
-    y_column: str | None = None
-    output_format: str = "table"
-    reflect_negative: bool = False
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise InvalidInput(f"unknown command {self.command!r}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise InvalidInput(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.gamma_steps < 2:
-            raise InvalidInput(f"sweep needs at least 2 steps, got {self.gamma_steps}")
-        if self.output_format not in _FORMATS:
-            raise InvalidInput(f"unknown output format {self.output_format!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +453,10 @@ def _sweep_text(solve: Callable[[float], FittedLine], steps: int, fmt: str) -> I
 
 
 def _emit_scalar(value: float, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps({"value": _jnum(value)}, indent=2))
-    elif fmt == "csv":
-        print("value")
+    if fmt == "table":
         print(_fmt(value))
     else:
-        print(_fmt(value))
+        _emit_record([("value", value)], fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -510,48 +489,26 @@ def _read_stats(
     return running.stats
 
 
-def _load_stats(config: CliConfig) -> Callable[[], SufficientStats]:
-    columns = config.x_column, config.y_column
+def _load_stats(args: argparse.Namespace) -> Callable[[], SufficientStats]:
+    columns = args.x_col, args.y_col
     # standard input, or a pipe named by --input, is read whole first: a
     # rejected input is read again from the start
-    if config.input_path == STDIN_MARKER:
+    if args.input == STDIN_MARKER:
         return _read_stats(io.BytesIO(sys.stdin.buffer.read()), *columns)
-    with open(config.input_path, "rb") as fh:
+    with open(args.input, "rb") as fh:
         return _read_stats(fh if fh.seekable() else io.BytesIO(fh.read()), *columns)
 
 
-def _policy(config: CliConfig) -> str:
-    return "reflect" if config.reflect_negative else "error"
+def _stats_pairs(stats: SufficientStats) -> list[tuple[str, object]]:
+    return [(field.name, getattr(stats, field.name)) for field in fields(stats)]
 
 
-def _fit_config(config: CliConfig) -> FitConfig:
-    return FitConfig(gamma=config.gamma, negative_correlation_policy=_policy(config))
-
-
-def _guarded(config: CliConfig, body: Callable[[CliConfig, SufficientStats], int]) -> int:
-    try:
-        summarise = _load_stats(config)
-    except (OSError, ParseError, InvalidInput) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        return body(config, summarise())
-    except DualFitError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_FIT
-
-
-def _fit_report(stats: SufficientStats, line: FittedLine) -> list[tuple[str, object]]:
+def _fit(args: argparse.Namespace, stats: SufficientStats) -> int:
+    """Fit once and print the statistics, the line and the slope bounds."""
+    line = fit_stats(stats, FitConfig(args.gamma, args.policy))
     # a fit of negatively correlated data succeeds only under the reflect policy
     lower, upper = _slope_interval(stats, stats.rho < 0.0)
-    return [
-        ("n", stats.n),
-        ("x_bar", stats.x_bar),
-        ("y_bar", stats.y_bar),
-        ("s_xx", stats.s_xx),
-        ("s_yy", stats.s_yy),
-        ("s_xy", stats.s_xy),
-        ("rho", stats.rho),
+    report = _stats_pairs(stats) + [
         ("gamma", line.gamma),
         ("beta0", line.beta0),
         ("beta1", line.beta1),
@@ -560,113 +517,86 @@ def _fit_report(stats: SufficientStats, line: FittedLine) -> list[tuple[str, obj
         ("bound_upper", upper),
         ("root_residual", line.selected_root_residual),
     ]
+    _emit_record(report, args.format)
+    return EXIT_OK
 
 
-def run_fit(config: CliConfig) -> int:
-    """Fit once and print the full report."""
-
-    def body(cfg: CliConfig, stats: SufficientStats) -> int:
-        line = fit_stats(stats, _fit_config(cfg))
-        _emit_record(_fit_report(stats, line), cfg.output_format)
-        return EXIT_OK
-
-    return _guarded(config, body)
-
-
-def run_stats(config: CliConfig) -> int:
+def _stats(args: argparse.Namespace, stats: SufficientStats) -> int:
     """Print sufficient statistics without fitting."""
-
-    def body(cfg: CliConfig, stats: SufficientStats) -> int:
-        pairs = [
-            ("n", stats.n),
-            ("x_bar", stats.x_bar),
-            ("y_bar", stats.y_bar),
-            ("s_xx", stats.s_xx),
-            ("s_yy", stats.s_yy),
-            ("s_xy", stats.s_xy),
-            ("rho", stats.rho),
-        ]
-        _emit_record(pairs, cfg.output_format)
-        return EXIT_OK
-
-    return _guarded(config, body)
+    _emit_record(_stats_pairs(stats), args.format)
+    return EXIT_OK
 
 
-def run_sweep(config: CliConfig) -> int:
+def _sweep(args: argparse.Namespace, stats: SufficientStats) -> int:
     """Fit on a uniform gamma grid over [0, 1] and print one row per weight.
 
     Rows are written as they are solved, so memory stays flat in the number
     of steps.  A fit error part-way through leaves the rows before it on
     standard output.
     """
-
-    def body(cfg: CliConfig, stats: SufficientStats) -> int:
-        solve = _solver(stats, _policy(cfg))
-        pieces = _sweep_text(solve, cfg.gamma_steps, cfg.output_format)
-        while chunk := "".join(islice(pieces, _SWEEP_CHUNK)):
-            sys.stdout.write(chunk)
-        return EXIT_OK
-
-    return _guarded(config, body)
+    pieces = _sweep_text(_solver(stats, args.policy), args.steps, args.format)
+    while chunk := "".join(islice(pieces, _SWEEP_CHUNK)):
+        sys.stdout.write(chunk)
+    return EXIT_OK
 
 
-def _point_command(config: CliConfig, value: float, inverse: bool) -> int:
-    def body(cfg: CliConfig, stats: SufficientStats) -> int:
-        line = fit_stats(stats, _fit_config(cfg))
-        result = inverse_predict(line, value) if inverse else predict(line, value)
-        _emit_scalar(result, cfg.output_format)
-        return EXIT_OK
+def _point(args: argparse.Namespace, stats: SufficientStats) -> int:
+    """Fit, then print the line's y at x = value, or for inverse its x at y = value.
 
-    return _guarded(config, body)
-
-
-def run_predict(config: CliConfig, value: float) -> int:
-    """Fit, then print the line's value at x = value."""
-    return _point_command(config, value, inverse=False)
-
-
-def run_inverse(config: CliConfig, value: float) -> int:
-    """Fit, then print the x at which the line reaches y = value."""
-    return _point_command(config, value, inverse=True)
+    A result that overflows float64 raises :class:`OutOfRange` (exit 3).
+    """
+    line = fit_stats(stats, FitConfig(args.gamma, args.policy))
+    at = inverse_predict if args.command == "inverse" else predict
+    result = at(line, args.value)
+    if not math.isfinite(result):
+        raise OutOfRange(f"{args.command} at {_fmt(args.value)} overflows float64")
+    _emit_scalar(result, args.format)
+    return EXIT_OK
 
 
-def run_verify(config: CliConfig) -> int:
+def _verify(args: argparse.Namespace, stats: SufficientStats) -> int:
     """Fit, re-derive the slope without the quartic, and cross-check gradients.
 
     Exits 0 when the two slopes agree within the oracle agreement tolerance
     of 1e-6 * (1 + |slope|) and the gradient check stays at or below 1e-6;
     exits 4 otherwise, with both slopes on the diagnostic line.
     """
+    config = FitConfig(args.gamma, args.policy)
+    report = verify_fit(stats, fit_stats(stats, config), config)
+    gap_tol = 1e-6 * (1.0 + abs(report.quartic_slope))
+    ok = report.abs_gap <= gap_tol and report.gradient_max_rel_err <= GRADIENT_TOL
+    pairs = [
+        ("oracle_slope", report.oracle_slope),
+        ("quartic_slope", report.quartic_slope),
+        ("abs_gap", report.abs_gap),
+        ("profile_evals", report.profile_evals),
+        ("bracket_lower", report.bracket[0]),
+        ("bracket_upper", report.bracket[1]),
+        ("gradient_max_rel_err", report.gradient_max_rel_err),
+        ("status", "ok" if ok else "fail"),
+    ]
+    _emit_record(pairs, args.format)
+    if not ok:
+        print(
+            "VerificationFailure: quartic slope "
+            f"{_fmt(report.quartic_slope)} vs oracle slope "
+            f"{_fmt(report.oracle_slope)}, gap {_fmt(report.abs_gap)}, "
+            f"gradient error {_fmt(report.gradient_max_rel_err)}",
+            file=sys.stderr,
+        )
+        return EXIT_VERIFY
+    return EXIT_OK
 
-    def body(cfg: CliConfig, stats: SufficientStats) -> int:
-        fit_cfg = _fit_config(cfg)
-        line = fit_stats(stats, fit_cfg)
-        report = verify_fit(stats, line, fit_cfg)
-        gap_tol = 1e-6 * (1.0 + abs(report.quartic_slope))
-        ok = report.abs_gap <= gap_tol and report.gradient_max_rel_err <= GRADIENT_TOL
-        pairs = [
-            ("oracle_slope", report.oracle_slope),
-            ("quartic_slope", report.quartic_slope),
-            ("abs_gap", report.abs_gap),
-            ("profile_evals", report.profile_evals),
-            ("bracket_lower", report.bracket[0]),
-            ("bracket_upper", report.bracket[1]),
-            ("gradient_max_rel_err", report.gradient_max_rel_err),
-            ("status", "ok" if ok else "fail"),
-        ]
-        _emit_record(pairs, cfg.output_format)
-        if not ok:
-            print(
-                "VerificationFailure: quartic slope "
-                f"{_fmt(report.quartic_slope)} vs oracle slope "
-                f"{_fmt(report.oracle_slope)}, gap {_fmt(report.abs_gap)}, "
-                f"gradient error {_fmt(report.gradient_max_rel_err)}",
-                file=sys.stderr,
-            )
-            return EXIT_VERIFY
-        return EXIT_OK
 
-    return _guarded(config, body)
+# in the order --help lists
+_RUNNERS: dict[str, Callable[[argparse.Namespace, SufficientStats], int]] = {
+    "fit": _fit,
+    "sweep": _sweep,
+    "predict": _point,
+    "inverse": _point,
+    "stats": _stats,
+    "verify": _verify,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +632,11 @@ def build_parser() -> argparse.ArgumentParser:
             "squared horizontal errors."
         ),
     )
-    parser.add_argument("command", choices=_COMMANDS)
+    # argparse takes an argument that starts with "-" for an option unless it
+    # looks like a negative number; its own pattern misses exponent forms,
+    # so "--value -1e3" would lack its argument
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
+    parser.add_argument("command", choices=_RUNNERS)
     parser.add_argument(
         "--input",
         default=STDIN_MARKER,
@@ -728,7 +662,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=_FORMATS, default="table", dest="format")
     parser.add_argument(
         "--reflect-negative",
-        action="store_true",
+        action="store_const",
+        const="reflect",
+        default="error",
+        dest="policy",
         help="fit negatively correlated data by reflecting y and negating the slope",
     )
     parser.add_argument(
@@ -762,27 +699,16 @@ def _run(argv: list[str] | None) -> int:
         parser.error(f"{args.command} requires --value")
     if args.value is not None and not math.isfinite(args.value):
         parser.error("--value must be finite")
-    config = CliConfig(
-        command=args.command,
-        input_path=args.input,
-        gamma=args.gamma,
-        gamma_steps=args.steps,
-        x_column=args.x_col,
-        y_column=args.y_col,
-        output_format=args.format,
-        reflect_negative=args.reflect_negative,
-    )
-    if config.command == "fit":
-        return run_fit(config)
-    if config.command == "stats":
-        return run_stats(config)
-    if config.command == "sweep":
-        return run_sweep(config)
-    if config.command == "predict":
-        return run_predict(config, args.value)
-    if config.command == "inverse":
-        return run_inverse(config, args.value)
-    return run_verify(config)
+    try:
+        summarise = _load_stats(args)
+    except (OSError, ParseError, InvalidInput) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
+        return _RUNNERS[args.command](args, summarise())
+    except DualFitError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FIT
 
 
 if __name__ == "__main__":

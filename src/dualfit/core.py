@@ -136,21 +136,25 @@ class SufficientStats:
                 raise InvalidInput(
                     f"rho {self.rho} disagrees with s_xy/sqrt(s_xx*s_yy) = {implied}"
                 )
+        elif self.rho != 0.0:
+            raise InvalidInput(f"rho must be 0 when s_xx or s_yy is 0, got {self.rho}")
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Residual weight and numerical policy for a single fit."""
+    """The residual weight of a fit and what to do with negative correlation.
+
+    ``negative_correlation_policy`` is ``"error"`` (the default: raise
+    :class:`NonPositiveCorrelation`) or ``"reflect"`` (fit ``(x, -y)`` and
+    negate the slope).
+    """
 
     gamma: float
-    oracle_tol: float = 1e-9
     negative_correlation_policy: NegativeCorrelationPolicy = "error"
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise InvalidInput(f"gamma must lie in [0, 1], got {self.gamma}")
-        if not (math.isfinite(self.oracle_tol) and self.oracle_tol > 0.0):
-            raise InvalidInput(f"oracle_tol must be positive and finite, got {self.oracle_tol}")
         if self.negative_correlation_policy not in ("error", "reflect"):
             raise InvalidInput(
                 f"unknown negative_correlation_policy {self.negative_correlation_policy!r}"
@@ -518,12 +522,20 @@ def slope_bounds(stats: SufficientStats) -> tuple[float, float]:
     ------
     NonPositiveCorrelation
         If ``rho <= 0``.
+    OutOfRange
+        If ``s_yy / s_xx`` overflows or underflows float64, so that the ends
+        would be infinite or zero.
     """
     if stats.s_xx <= 0.0 or stats.s_yy <= 0.0:
         raise DegenerateData("slope bounds need positive spread in x and y")
     if stats.rho <= 0.0:
         raise NonPositiveCorrelation(f"slope bounds need rho > 0, got {stats.rho:.6g}")
     ratio = math.sqrt(stats.s_yy / stats.s_xx)
+    if not 0.0 < ratio < math.inf:
+        raise OutOfRange(
+            f"s_yy / s_xx = {stats.s_yy:.3g} / {stats.s_xx:.3g} is out of float64 range; "
+            "rescale the data"
+        )
     return stats.rho * ratio, ratio / stats.rho
 
 
@@ -677,8 +689,8 @@ def fit(data: Dataset, config: FitConfig) -> FittedLine:
     data : Dataset
         Paired observations, at least two points, finite coordinates.
     config : FitConfig
-        Residual weight ``gamma`` plus numerical tolerances and the policy
-        for negatively correlated data.
+        Residual weight ``gamma`` and the policy for negatively correlated
+        data.
 
     Returns
     -------

@@ -17,10 +17,10 @@ class InvalidInput(DualFitError, ValueError):
 
 
 class OutOfRange(InvalidInput):
-    """The data's sums of squares overflow or underflow float64.
+    """A figure made from the data, or from a query on its line, leaves float64.
 
-    The data may still define a line; rescaling x and y brings its
-    statistics back into range.
+    The data may still define a line; rescaling x and y, or the query,
+    brings the figure back into range.
     """
 
 

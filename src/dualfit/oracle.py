@@ -39,6 +39,9 @@ _BRACKET_PAD = 0.01
 # threshold on the max relative gradient error for a fit to pass verification
 GRADIENT_TOL = 1e-6
 
+# the golden-section search stops once its bracket is narrower than this
+_SEARCH_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -127,7 +130,7 @@ def _minimize_traced(
     return x_star, steps + 3, bracket
 
 
-def minimize_profile(stats: SufficientStats, gamma: float, tol: float = 1e-9) -> float:
+def minimize_profile(stats: SufficientStats, gamma: float, tol: float = _SEARCH_TOL) -> float:
     """Golden-section minimizer of the profile objective.
 
     Searches the slope bounds widened by 1% on each side, shrinking until the
@@ -192,10 +195,12 @@ def _rel_err(a: float, b: float) -> float:
 def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> OracleReport:
     """Re-derive a fitted slope without the quartic and re-check the gradient.
 
-    Interior weights are re-minimized by golden-section search; the endpoint
-    weights compare against their closed forms.  The gradient is checked at
-    the fitted point and at nearby off-optimum probes, each with a step
-    scaled as ``1e-6 * (1 + |beta1|)``.
+    Interior weights are re-minimized by golden-section search down to a
+    bracket of width 1e-9, as :func:`minimize_profile` does by default; the
+    endpoint weights compare against their closed forms.  Of ``config`` only
+    the negative-correlation policy is read; the weight is the line's.  The
+    gradient is checked at the fitted point and at nearby off-optimum
+    probes, each with a step scaled as ``1e-6 * (1 + |beta1|)``.
 
     A negatively correlated fit made with the reflect policy is re-derived
     on the statistics of ``(x, -y)``; the oracle slope and bracket are then
@@ -206,7 +211,7 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
     bracket = _slope_interval(stats, reflect, _BRACKET_PAD)
     if 0.0 < gamma < 1.0:
         positive = reflected(stats) if reflect else stats
-        oracle_slope, evals, _ = _minimize_traced(positive, gamma, config.oracle_tol)
+        oracle_slope, evals, _ = _minimize_traced(positive, gamma, _SEARCH_TOL)
         if reflect:
             oracle_slope = -oracle_slope
     else:

@@ -26,7 +26,7 @@ from dualfit import (
     slope_bounds,
     sse,
 )
-from dualfit.cli import EXIT_VERIFY, CliConfig, run_verify
+from dualfit.cli import EXIT_VERIFY, main
 
 from conftest import random_dataset, rel_err, sse_per_point, src_env
 
@@ -93,9 +93,8 @@ def test_criterion_5_oracle_equivalence():
     for _ in range(500):
         stats = compute_stats(random_dataset(rng))
         for gamma in gammas:
-            config = FitConfig(gamma=gamma)
-            line = fit_stats(stats, config)
-            gap = abs(line.beta1 - minimize_profile(stats, gamma, config.oracle_tol))
+            line = fit_stats(stats, FitConfig(gamma=gamma))
+            gap = abs(line.beta1 - minimize_profile(stats, gamma))
             assert gap <= 1e-6 * (1.0 + abs(line.beta1))
             max_gap = max(max_gap, gap)
     elapsed = time.perf_counter() - start
@@ -211,9 +210,7 @@ def test_criterion_8_cli_golden_files(monkeypatch, capsys):
         gradient_max_rel_err=0.5,
     )
     monkeypatch.setattr("dualfit.cli.verify_fit", lambda stats, line, cfg: doctored)
-    code = run_verify(
-        CliConfig(command="verify", input_path=ref, gamma=0.9, output_format="json")
-    )
+    code = main(["verify", "--input", ref, "--gamma", "0.9", "--format", "json"])
     capsys.readouterr()
     assert code == EXIT_VERIFY
 

@@ -13,21 +13,8 @@ import numpy as np
 import pytest
 
 from dualfit import Dataset, FitConfig, OracleReport, fit
-from dualfit.cli import (
-    EXIT_FIT,
-    EXIT_INPUT,
-    EXIT_OK,
-    EXIT_VERIFY,
-    CliConfig,
-    main,
-    parse_csv,
-    run_fit,
-    run_inverse,
-    run_predict,
-    run_stats,
-    run_sweep,
-    run_verify,
-)
+from dualfit import cli
+from dualfit.cli import EXIT_FIT, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main, parse_csv
 from dualfit.errors import InvalidInput, ParseError
 
 from conftest import random_dataset, src_env
@@ -173,17 +160,15 @@ def test_cli_reads_a_pipe_named_by_input():
 # ---- fit / stats -------------------------------------------------------------
 
 
-def _run_json(runner, config, capsys):
-    code = runner(config)
+def _run_json(argv, capsys):
+    code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
 
 
 def test_run_fit_reference(capsys):
-    config = CliConfig(
-        command="fit", input_path=str(REFERENCE_CSV), gamma=0.9, output_format="json"
-    )
-    code, report = _run_json(run_fit, config, capsys)
+    argv = ["fit", "--input", str(REFERENCE_CSV), "--gamma", "0.9", "--format", "json"]
+    code, report = _run_json(argv, capsys)
     assert code == EXIT_OK
     assert report["beta1"] == pytest.approx(0.6612, abs=5e-4)
     assert report["beta0"] == pytest.approx(-0.0806, abs=5e-4)
@@ -194,13 +179,8 @@ def test_run_fit_reference(capsys):
 
 
 def test_run_fit_perfect_line(tmp_path, capsys):
-    config = CliConfig(
-        command="fit",
-        input_path=_write(tmp_path, PERFECT_CSV),
-        gamma=0.3,
-        output_format="json",
-    )
-    code, report = _run_json(run_fit, config, capsys)
+    argv = ["fit", "--input", _write(tmp_path, PERFECT_CSV), "--gamma", "0.3", "--format", "json"]
+    code, report = _run_json(argv, capsys)
     assert code == EXIT_OK
     assert report["beta1"] == pytest.approx(2.0, abs=1e-9)
     assert report["beta0"] == pytest.approx(1.0, abs=1e-9)
@@ -208,10 +188,7 @@ def test_run_fit_perfect_line(tmp_path, capsys):
 
 
 def test_run_stats_csv_shape(capsys):
-    config = CliConfig(
-        command="stats", input_path=str(REFERENCE_CSV), output_format="csv"
-    )
-    code = run_stats(config)
+    code = main(["stats", "--input", str(REFERENCE_CSV), "--format", "csv"])
     assert code == EXIT_OK
     header, values = capsys.readouterr().out.splitlines()
     assert header == "n,x_bar,y_bar,s_xx,s_yy,s_xy,rho"
@@ -221,34 +198,25 @@ def test_run_stats_csv_shape(capsys):
 
 
 def test_run_fit_degenerate_exits_3(tmp_path, capsys):
-    config = CliConfig(
-        command="fit", input_path=_write(tmp_path, "x,y\n1,0\n1,1\n1,2\n")
-    )
-    assert run_fit(config) == EXIT_FIT
+    assert main(["fit", "--input", _write(tmp_path, "x,y\n1,0\n1,1\n1,2\n")]) == EXIT_FIT
     assert "DegenerateData" in capsys.readouterr().err
 
 
 def test_run_fit_missing_file_exits_2(tmp_path, capsys):
-    config = CliConfig(command="fit", input_path=str(tmp_path / "nope.csv"))
-    assert run_fit(config) == EXIT_INPUT
+    assert main(["fit", "--input", str(tmp_path / "nope.csv")]) == EXIT_INPUT
     assert "FileNotFoundError" in capsys.readouterr().err
 
 
 def test_run_fit_malformed_exits_2(tmp_path, capsys):
-    config = CliConfig(
-        command="fit", input_path=_write(tmp_path, "x,y\n0,0\n1,abc\n")
-    )
-    assert run_fit(config) == EXIT_INPUT
+    assert main(["fit", "--input", _write(tmp_path, "x,y\n0,0\n1,abc\n")]) == EXIT_INPUT
     assert "ParseError" in capsys.readouterr().err
 
 
 def test_output_is_deterministic(capsys):
-    config = CliConfig(
-        command="fit", input_path=str(REFERENCE_CSV), gamma=0.37, output_format="json"
-    )
-    assert run_fit(config) == EXIT_OK
+    argv = ["fit", "--input", str(REFERENCE_CSV), "--gamma", "0.37", "--format", "json"]
+    assert main(argv) == EXIT_OK
     first = capsys.readouterr().out
-    assert run_fit(config) == EXIT_OK
+    assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == first
 
 
@@ -256,13 +224,8 @@ def test_output_is_deterministic(capsys):
 
 
 def test_run_sweep_three_steps(capsys):
-    config = CliConfig(
-        command="sweep",
-        input_path=str(REFERENCE_CSV),
-        gamma_steps=3,
-        output_format="json",
-    )
-    code, payload = _run_json(run_sweep, config, capsys)
+    argv = ["sweep", "--input", str(REFERENCE_CSV), "--steps", "3", "--format", "json"]
+    code, payload = _run_json(argv, capsys)
     assert code == EXIT_OK
     rows = payload["rows"]
     assert [row["gamma"] for row in rows] == [0.0, 0.5, 1.0]
@@ -272,26 +235,16 @@ def test_run_sweep_three_steps(capsys):
 
 
 def test_run_sweep_perfect_line_constant(tmp_path, capsys):
-    config = CliConfig(
-        command="sweep",
-        input_path=_write(tmp_path, PERFECT_CSV),
-        gamma_steps=5,
-        output_format="json",
-    )
-    code, payload = _run_json(run_sweep, config, capsys)
+    argv = ["sweep", "--input", _write(tmp_path, PERFECT_CSV), "--steps", "5", "--format", "json"]
+    code, payload = _run_json(argv, capsys)
     assert code == EXIT_OK
     for row in payload["rows"]:
         assert row["beta1"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_run_sweep_stays_inside_bounds(capsys):
-    config = CliConfig(
-        command="sweep",
-        input_path=str(REFERENCE_CSV),
-        gamma_steps=101,
-        output_format="json",
-    )
-    code, payload = _run_json(run_sweep, config, capsys)
+    argv = ["sweep", "--input", str(REFERENCE_CSV), "--steps", "101", "--format", "json"]
+    code, payload = _run_json(argv, capsys)
     assert code == EXIT_OK
     slopes = [row["beta1"] for row in payload["rows"]]
     assert len(slopes) == 101
@@ -304,11 +257,11 @@ def test_run_sweep_stays_inside_bounds(capsys):
 
 
 def test_predict_inverse_round_trip(capsys):
-    base = dict(input_path=str(REFERENCE_CSV), gamma=0.9, output_format="json")
-    code = run_predict(CliConfig(command="predict", **base), 2.0)
+    base = ["--input", str(REFERENCE_CSV), "--gamma", "0.9", "--format", "json"]
+    code = main(["predict", *base, "--value", "2.0"])
     assert code == EXIT_OK
     y = json.loads(capsys.readouterr().out)["value"]
-    code = run_inverse(CliConfig(command="inverse", **base), y)
+    code = main(["inverse", *base, f"--value={y!r}"])
     assert code == EXIT_OK
     x = json.loads(capsys.readouterr().out)["value"]
     # both legs print at 10 significant digits, so allow a few quanta
@@ -317,22 +270,57 @@ def test_predict_inverse_round_trip(capsys):
 
 def test_inverse_at_intercept_is_zero(capsys):
     line = fit(parse_csv(REFERENCE_CSV.read_text()), FitConfig(gamma=0.9))
-    config = CliConfig(
-        command="inverse", input_path=str(REFERENCE_CSV), gamma=0.9, output_format="json"
-    )
-    assert run_inverse(config, line.beta0) == EXIT_OK
+    argv = ["inverse", "--input", str(REFERENCE_CSV), "--gamma", "0.9", "--format", "json"]
+    assert main([*argv, f"--value={line.beta0!r}"]) == EXIT_OK
     x = json.loads(capsys.readouterr().out)["value"]
     assert x == pytest.approx(0.0, abs=1e-9)
+
+
+# a slope of about 1.04, and one of about 1e-10
+SLOPED_CSV = "x,y\n0,0\n1,1.1\n2,2\n3,3.2\n"
+FLAT_CSV = "x,y\n0,0\n1,1e-10\n2,3e-10\n3,2e-10\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize(
+    "command, text, value",
+    [
+        ("predict", SLOPED_CSV, "1.79e308"),
+        ("predict", SLOPED_CSV, "-1.79e308"),
+        ("inverse", FLAT_CSV, "1e306"),
+        ("inverse", FLAT_CSV, "-1e306"),
+    ],
+)
+def test_non_finite_result_exits_3(tmp_path, capsys, command, text, value, fmt):
+    argv = [command, "--input", _write(tmp_path, text), f"--value={value}", "--format", fmt]
+    assert main(argv) == EXIT_FIT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("OutOfRange: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, value", [("-1e3", -1e3), ("-2.5e-3", -2.5e-3), ("-2.5", -2.5)])
+def test_value_takes_a_negative_number_in_any_form(capsys, text, value):
+    base = ["--input", str(REFERENCE_CSV), "--gamma", "0.9", "--format", "json"]
+    assert main(["predict", *base, "--value", text]) == EXIT_OK
+    got = json.loads(capsys.readouterr().out)["value"]
+    assert main(["predict", *base, f"--value={value!r}"]) == EXIT_OK
+    assert got == json.loads(capsys.readouterr().out)["value"]
+
+
+def test_value_without_its_argument_exits_2(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["predict", "--input", str(REFERENCE_CSV), "--value", "--format", "json"])
+    assert excinfo.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 # ---- verify ----------------------------------------------------------------------
 
 
 def test_run_verify_reference(capsys):
-    config = CliConfig(
-        command="verify", input_path=str(REFERENCE_CSV), gamma=0.9, output_format="json"
-    )
-    code, report = _run_json(run_verify, config, capsys)
+    argv = ["verify", "--input", str(REFERENCE_CSV), "--gamma", "0.9", "--format", "json"]
+    code, report = _run_json(argv, capsys)
     assert code == EXIT_OK
     assert report["status"] == "ok"
     assert report["abs_gap"] <= 1e-6 * (1.0 + abs(report["quartic_slope"]))
@@ -340,23 +328,16 @@ def test_run_verify_reference(capsys):
 
 
 def test_run_verify_perfect_line(tmp_path, capsys):
-    config = CliConfig(
-        command="verify", input_path=_write(tmp_path, PERFECT_CSV), gamma=0.5
-    )
-    assert run_verify(config) == EXIT_OK
+    assert main(["verify", "--input", _write(tmp_path, PERFECT_CSV), "--gamma", "0.5"]) == EXIT_OK
 
 
 def test_run_verify_random_csv(tmp_path, capsys):
     rng = np.random.default_rng(1234)
     data = random_dataset(rng, n=60)
     lines = ["x,y"] + [f"{float(x)!r},{float(y)!r}" for x, y in zip(data.x, data.y)]
-    config = CliConfig(
-        command="verify",
-        input_path=_write(tmp_path, "\n".join(lines) + "\n"),
-        gamma=0.37,
-        output_format="json",
-    )
-    code, report = _run_json(run_verify, config, capsys)
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    argv = ["verify", "--input", path, "--gamma", "0.37", "--format", "json"]
+    code, report = _run_json(argv, capsys)
     assert code == EXIT_OK
     assert report["status"] == "ok"
 
@@ -382,28 +363,62 @@ def test_run_verify_failure_exits_4(monkeypatch, capsys):
         gradient_max_rel_err=0.5,
     )
     monkeypatch.setattr("dualfit.cli.verify_fit", lambda stats, line, cfg: doctored)
-    config = CliConfig(
-        command="verify", input_path=str(REFERENCE_CSV), gamma=0.9, output_format="json"
-    )
-    assert run_verify(config) == EXIT_VERIFY
+    argv = ["verify", "--input", str(REFERENCE_CSV), "--gamma", "0.9", "--format", "json"]
+    assert main(argv) == EXIT_VERIFY
     captured = capsys.readouterr()
     assert json.loads(captured.out)["status"] == "fail"
     assert "0.5" in captured.err and "1.5" in captured.err
     assert "VerificationFailure" in captured.err
 
 
+# ---- the names the benchmark traces ------------------------------------------------
+
+
+def test_commands_look_up_the_traced_names(monkeypatch, tmp_path, capsys):
+    # bench/layers.py spans these module globals of dualfit.cli, so every
+    # command must still call them through the module at call time
+    calls = dict.fromkeys(["parse_csv", "Dataset", "compute_stats", "fit_stats", "verify_fit"], 0)
+
+    def counting(name):
+        original = getattr(cli, name)
+
+        def stand_in(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return stand_in
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    ref = str(REFERENCE_CSV)
+    for argv in (
+        ["fit", "--input", ref],
+        ["verify", "--input", ref],
+        ["predict", "--input", ref, "--value", "2"],
+        ["inverse", "--input", ref, "--value", "0.25"],
+    ):
+        assert main(argv) == EXIT_OK, argv
+    capsys.readouterr()
+    assert calls["fit_stats"] == 4 and calls["verify_fit"] == 1
+    # a 1_0 cell is refused by np.loadtxt, so the row-by-row parse reads it
+    assert main(["stats", "--input", _write(tmp_path, "x,y\n1_0,1\n2,3\n3,4\n")]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0].split() == ["n", "3"]
+    assert calls["parse_csv"] == calls["Dataset"] == calls["compute_stats"] == 1
+
+
 # ---- argument handling ------------------------------------------------------------
 
 
-def test_cli_config_validation():
-    with pytest.raises(InvalidInput):
-        CliConfig(command="teleport")
-    with pytest.raises(InvalidInput):
-        CliConfig(command="fit", gamma=1.5)
-    with pytest.raises(InvalidInput):
-        CliConfig(command="sweep", gamma_steps=1)
-    with pytest.raises(InvalidInput):
-        CliConfig(command="fit", output_format="yaml")
+def test_cli_config_validation(capsys):
+    for argv in (
+        ["teleport"],
+        ["fit", "--gamma", "1.5"],
+        ["sweep", "--steps", "1"],
+        ["fit", "--format", "yaml"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--input", str(REFERENCE_CSV)])
+        assert excinfo.value.code == 2, argv
 
 
 def test_main_predict_requires_value(capsys):

@@ -18,6 +18,7 @@ import math
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -33,6 +34,9 @@ from dualfit import (
     compute_stats,
     fit,
     fit_stats,
+    minimize_profile,
+    slope_bounds,
+    verify_fit,
 )
 
 from conftest import REFERENCE_POINTS, src_env
@@ -197,3 +201,21 @@ def test_cli_stats_on_subnormal_spread_prints_one_typed_line(tmp_path, block_row
     assert err.getvalue() == (
         "OutOfRange: the spread of x underflows float64; rescale the data\n"
     )
+
+
+@pytest.mark.parametrize("s_xx, s_yy", [(1e-300, 1e300), (1e300, 1e-300)])
+def test_slope_ratio_out_of_range_raises_out_of_range(s_xx, s_yy):
+    # s_yy / s_xx overflows to inf or underflows to 0, so the bounds would be
+    # (inf, inf) or (0, 0); the bracketed search and verify_fit build on them
+    stats = SufficientStats(n=3, x_bar=1.0, y_bar=2.0, s_xx=s_xx, s_yy=s_yy, s_xy=0.5, rho=0.5)
+    # the fit itself refuses these statistics, so verify a line of others
+    line = fit_stats(replace(stats, s_xx=1.0, s_yy=1.0), FitConfig(gamma=0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: slope_bounds(stats),
+            lambda: minimize_profile(stats, 0.5),
+            lambda: verify_fit(stats, line, FitConfig(gamma=0.5)),
+        ):
+            with pytest.raises(OutOfRange, match="s_yy / s_xx"):
+                call()

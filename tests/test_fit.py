@@ -117,8 +117,6 @@ def test_fit_config_validation():
     with pytest.raises(InvalidInput):
         FitConfig(gamma=float("nan"))
     with pytest.raises(InvalidInput):
-        FitConfig(gamma=0.5, oracle_tol=0.0)
-    with pytest.raises(InvalidInput):
         FitConfig(gamma=0.5, negative_correlation_policy="mirror")
 
 

@@ -8,6 +8,8 @@ objective was bound once per search and per verify.  One deliberate change:
 where the old code only refused a difference that hit ``beta1 = 0`` exactly.
 ``_newton_root`` now takes a quartic's coefficients and returns its value at
 the root too; ``_ref_newton_pair`` puts the frozen root finder in that form.
+``_ref_verify_fit`` searches down to ``_REF_ORACLE_TOL``, the default of the
+``FitConfig.oracle_tol`` field it used to read.
 
 On every input the two must agree exactly: ``==`` and the same ``repr`` on
 every field of ``FittedLine`` and ``OracleReport`` (so signed zeros and
@@ -58,6 +60,7 @@ _REF_MAX_NEWTON_STEPS = 400
 _REF_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _REF_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _REF_BRACKET_PAD = 0.01
+_REF_ORACLE_TOL = 1e-9
 
 
 def _ref_sse(stats, beta0, beta1, gamma):
@@ -180,7 +183,7 @@ def _ref_verify_fit(stats, line, config):
     positive = reflected(stats) if reflect else stats
     lower, upper = slope_bounds(positive)
     if 0.0 < gamma < 1.0:
-        oracle_slope, evals, bracket = _ref_minimize_traced(positive, gamma, config.oracle_tol)
+        oracle_slope, evals, bracket = _ref_minimize_traced(positive, gamma, _REF_ORACLE_TOL)
     else:
         oracle_slope = (
             positive.s_xy / positive.s_xx if gamma == 1.0 else positive.s_yy / positive.s_xy
@@ -313,7 +316,7 @@ def _assert_case(stats: SufficientStats, gamma: float, policy: str) -> None:
         _assert_same(sse_gradient, _ref_sse_gradient, stats, line.beta0, line.beta1, gamma)
         _assert_same(profile_sse, _ref_profile_sse, stats, line.beta1, gamma)
         _assert_same(check_gradient, _ref_check_gradient, stats, line.beta0, line.beta1, gamma)
-    _assert_same(_minimize_traced, _ref_minimize_traced, stats, gamma, config.oracle_tol)
+    _assert_same(_minimize_traced, _ref_minimize_traced, stats, gamma, _REF_ORACLE_TOL)
     positive = reflected(stats) if stats.rho < 0.0 else stats
     if 0.0 < gamma < 1.0 and positive.rho > 0.0:
         quartic = build_quartic(positive, gamma)

@@ -126,3 +126,11 @@ def test_stats_type_validates_ranges():
     # rho must be consistent with the sums
     with pytest.raises(InvalidInput):
         SufficientStats(n=3, x_bar=0.0, y_bar=0.0, s_xx=1.0, s_yy=1.0, s_xy=0.9, rho=0.1)
+
+
+@pytest.mark.parametrize("s_xx, s_yy", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
+def test_stats_type_refuses_a_correlation_without_spread(s_xx, s_yy):
+    # rho is s_xy / sqrt(s_xx * s_yy), which has no value when a sum is 0
+    with pytest.raises(InvalidInput, match="rho must be 0"):
+        SufficientStats(n=3, x_bar=0.0, y_bar=0.0, s_xx=s_xx, s_yy=s_yy, s_xy=0.0, rho=0.5)
+    SufficientStats(n=3, x_bar=0.0, y_bar=0.0, s_xx=s_xx, s_yy=s_yy, s_xy=0.0, rho=0.0)

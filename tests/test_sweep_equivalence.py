@@ -5,8 +5,10 @@
 statistics and wrote its rows as they were solved: a ``FitConfig`` and a fit
 per weight of ``np.linspace(0, 1, steps)``, every row kept as floats, then
 printed whole.  The fit they call is the frozen ``_ref_fit_stats`` of
-``test_oracle_equivalence``.  On every input the two must print the same
-bytes, exit with the same code and write the same error line.
+``test_oracle_equivalence``, and ``_RefConfig`` and ``_ref_load_and_guard``
+are the CLI's parsed invocation and its load-and-guard step of that time.
+On every input the two must print the same bytes, exit with the same code
+and write the same error line.
 
 The streamed sweep departs from the reference in one place, checked on its
 own below: a fit error part-way through leaves the rows solved before it on
@@ -21,7 +23,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +31,9 @@ import pytest
 
 from dualfit import Dataset, FitConfig, compute_stats
 from dualfit import cli
-from dualfit.cli import EXIT_FIT, EXIT_OK, CliConfig, _gamma_grid
+from dualfit.cli import EXIT_FIT, EXIT_INPUT, EXIT_OK, _gamma_grid
 from dualfit.core import _solver
-from dualfit.errors import DualFitError, SolverFailure
+from dualfit.errors import DualFitError, InvalidInput, ParseError, SolverFailure
 
 from conftest import dualfit_peak_mb, src_env
 from test_oracle_equivalence import _ref_fit_stats
@@ -41,6 +43,39 @@ REFERENCE_CSV = HERE / "data" / "reference.csv"
 FORMATS = ("csv", "json", "table")
 
 # ---- the frozen reference ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _RefConfig:
+    command: str
+    input_path: str = "-"
+    gamma: float = 0.5
+    gamma_steps: int = 101
+    x_column: str | None = None
+    y_column: str | None = None
+    output_format: str = "table"
+    reflect_negative: bool = False
+
+
+def _ref_load_stats(config):
+    columns = config.x_column, config.y_column
+    if config.input_path == "-":
+        return cli._read_stats(io.BytesIO(sys.stdin.buffer.read()), *columns)
+    with open(config.input_path, "rb") as fh:
+        return cli._read_stats(fh if fh.seekable() else io.BytesIO(fh.read()), *columns)
+
+
+def _ref_load_and_guard(config, body):
+    try:
+        summarise = _ref_load_stats(config)
+    except (OSError, ParseError, InvalidInput) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
+        return body(config, summarise())
+    except DualFitError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FIT
 
 
 def _ref_fmt(value):
@@ -84,7 +119,7 @@ def _ref_run_sweep(config):
         _ref_emit_rows(["gamma", "beta1", "beta0", "sse", "root_residual"], rows, cfg.output_format)
         return EXIT_OK
 
-    return cli._guarded(config, body)
+    return _ref_load_and_guard(config, body)
 
 
 # ---- runs ----------------------------------------------------------------------
@@ -103,7 +138,7 @@ def _streamed(path, steps: int, fmt: str, reflect: bool):
 
 
 def _reference(path, steps: int, fmt: str, reflect: bool):
-    config = CliConfig(
+    config = _RefConfig(
         command="sweep",
         input_path=str(path),
         gamma_steps=steps,
