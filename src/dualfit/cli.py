@@ -40,7 +40,7 @@ from .core import (
     inverse_predict,
     predict,
 )
-from .errors import DualFitError, InvalidInput, OutOfRange, ParseError
+from .errors import DualFitError, InvalidInput, ParseError
 from .oracle import GRADIENT_TOL, verify_fit
 
 EXIT_OK = 0
@@ -543,14 +543,12 @@ def _sweep(args: argparse.Namespace, stats: SufficientStats) -> int:
 def _point(args: argparse.Namespace, stats: SufficientStats) -> int:
     """Fit, then print the line's y at x = value, or for inverse its x at y = value.
 
-    A result that overflows float64 raises :class:`OutOfRange` (exit 3).
+    A result that overflows float64 raises the library's :class:`OutOfRange`
+    (exit 3), whose message names the command and the value.
     """
     line = fit_stats(stats, FitConfig(args.gamma, args.policy))
     at = inverse_predict if args.command == "inverse" else predict
-    result = at(line, args.value)
-    if not math.isfinite(result):
-        raise OutOfRange(f"{args.command} at {_fmt(args.value)} overflows float64")
-    _emit_scalar(result, args.format)
+    _emit_scalar(at(line, args.value), args.format)
     return EXIT_OK
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Literal, NamedTuple
 
 import numpy as np
@@ -60,16 +61,29 @@ _EPS = sys.float_info.epsilon
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Paired observations, stored as two equal-length read-only float arrays."""
+    """Paired observations, stored as two equal-length read-only float arrays.
+
+    A Dataset never changes.  Each column is a read-only view of a read-only
+    float64 copy of the input, so neither can be made writeable again, and a
+    copy or an unpickled Dataset is rebuilt through the constructor, checked
+    and frozen afresh.  Its sufficient statistics are therefore a pure
+    function of the object: :func:`compute_stats` works them out the first
+    time it is asked and keeps them on the Dataset for every later call, so
+    a dataset fitted at many weights and then verified is summarised once.
+    The kept record takes no part in ``repr``, equality,
+    ``dataclasses.fields`` or pickling, and an error is never kept.
+
+    Two Datasets are equal when their columns are; a Dataset is not hashable.
+    """
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_1d(np.array(self.x, dtype=float))
-        y = np.atleast_1d(np.array(self.y, dtype=float))
+        x = _column(self.x)
+        y = _column(self.y)
         if x.ndim != 1 or y.ndim != 1:
             raise InvalidInput("x and y must be one-dimensional")
         if x.shape != y.shape:
@@ -78,18 +92,13 @@ class Dataset:
             raise InvalidInput(f"need at least 2 points, got {x.size}")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise InvalidInput("coordinates must be finite")
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "x", _read_only(x))
+        object.__setattr__(self, "y", _read_only(y))
 
     @classmethod
     def from_points(cls, points: Iterable[tuple[float, float]]) -> "Dataset":
         """Build a Dataset from an iterable of (x, y) pairs."""
-        try:
-            arr = np.asarray(list(points), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"points are not numeric pairs: {exc}") from exc
+        arr = _column(list(points))
         if arr.size == 0:
             raise InvalidInput("need at least 2 points, got 0")
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -98,6 +107,54 @@ class Dataset:
 
     def __len__(self) -> int:
         return int(self.x.size)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return np.array_equal(self.x, other.x) and np.array_equal(self.y, other.y)
+
+    # compared by the values of its arrays, which numpy does not hash
+    __hash__ = None
+
+    def __reduce__(self):
+        # copies and pickles go through __post_init__: checked, frozen, no record
+        return (type(self), (self.x, self.y))
+
+    @cached_property
+    def _stats(self) -> SufficientStats:
+        """The record :func:`compute_stats` returns, made on first use."""
+        x, y = self.x, self.y
+        return _checked_stats(_moments(x, y), lambda: (x.min(), x.max(), y.min(), y.max()))
+
+
+def _column(values) -> np.ndarray:
+    """``values`` as a new float64 array of at least one dimension.
+
+    Raises
+    ------
+    InvalidInput
+        If a value is not a real number; complex values are refused rather
+        than cut to their real parts.
+    """
+    try:
+        raw = np.asarray(values)
+        if raw.dtype.kind == "c":
+            raise TypeError(f"got {raw.dtype} values")
+        return np.atleast_1d(raw.astype(float))
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"coordinates are not real numbers: {exc}") from exc
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    """A read-only view of ``column``, which is made read-only first.
+
+    The view does not own its data, so numpy refuses to make it writeable
+    again while its base is read-only.
+    """
+    column.setflags(write=False)
+    view = column.view()
+    view.setflags(write=False)
+    return view
 
 
 @dataclass(frozen=True)
@@ -322,11 +379,17 @@ def _checked_stats(
 
 
 def compute_stats(data: Dataset) -> SufficientStats:
-    """Two-pass sufficient statistics of a dataset.
+    """Two-pass sufficient statistics of a dataset, made once per Dataset.
 
     Means first, then centered sums of squares and products.  Round-off can
     push the correlation a hair past 1 in magnitude for collinear data, so it
     is clamped to [-1, 1].
+
+    The first call keeps the record on ``data`` and every later call, and
+    every :func:`fit` of ``data``, returns that same object.  This relies on
+    the read-only contract of :class:`Dataset`: its columns cannot be
+    written, and copies and pickles are rebuilt without the record.  An
+    error is raised again by every call, never kept.
 
     Raises
     ------
@@ -337,8 +400,7 @@ def compute_stats(data: Dataset) -> SufficientStats:
         subnormal sum of squares, or if ``s_xx * s_yy`` leaves the normal
         float64 range.
     """
-    x, y = data.x, data.y
-    return _checked_stats(_moments(x, y), lambda: (x.min(), x.max(), y.min(), y.max()))
+    return data._stats
 
 
 class _RunningStats:
@@ -687,7 +749,9 @@ def fit(data: Dataset, config: FitConfig) -> FittedLine:
     Parameters
     ----------
     data : Dataset
-        Paired observations, at least two points, finite coordinates.
+        Paired observations, at least two points, finite coordinates.  Its
+        statistics come from :func:`compute_stats`, so they are worked out
+        on the first fit or summary of ``data`` and read back after that.
     config : FitConfig
         Residual weight ``gamma`` and the policy for negatively correlated
         data.
@@ -721,19 +785,53 @@ def fit(data: Dataset, config: FitConfig) -> FittedLine:
 # ---------------------------------------------------------------------------
 
 
-def predict(line: FittedLine, x: float) -> float:
-    """Line value at ``x``."""
-    return line.beta0 + line.beta1 * x
+def predict(line: FittedLine, x: float | np.ndarray) -> float | np.ndarray:
+    """Line value at ``x``, a number or an array of them.
+
+    Raises
+    ------
+    OutOfRange
+        If a value is not finite: the line's value overflows float64, or
+        the query itself is not finite.
+    """
+    with np.errstate(all="ignore"):  # an overflow is raised as OutOfRange
+        value = line.beta0 + line.beta1 * x
+    return _finite(value, x, "predict")
 
 
-def inverse_predict(line: FittedLine, y: float) -> float:
-    """The ``x`` at which the line reaches ``y``; needs a nonzero slope.
+def inverse_predict(line: FittedLine, y: float | np.ndarray) -> float | np.ndarray:
+    """The ``x`` at which the line reaches ``y``, a number or an array of them.
+
+    Needs a nonzero slope.
 
     Raises
     ------
     SingularSlope
         If the fitted slope is zero.
+    OutOfRange
+        If a value is not finite: the line reaches ``y`` beyond float64, or
+        the query itself is not finite.
     """
     if line.beta1 == 0.0:
         raise SingularSlope("cannot invert a horizontal line")
-    return y / line.beta1 - line.beta0 / line.beta1
+    with np.errstate(all="ignore"):
+        value = y / line.beta1 - line.beta0 / line.beta1
+    return _finite(value, y, "inverse")
+
+
+def _finite(
+    value: float | np.ndarray, query: float | np.ndarray, name: str
+) -> float | np.ndarray:
+    """``value`` unchanged if every element is finite.
+
+    Raises
+    ------
+    OutOfRange
+        Naming the first query whose value is not finite.
+    """
+    finite = np.isfinite(value)
+    if finite.all():
+        return value
+    first = float(np.broadcast_to(query, finite.shape)[~finite].flat[0])
+    problem = "overflows float64" if math.isfinite(first) else "is not finite"
+    raise OutOfRange(f"{name} at {first:.10g} {problem}")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from dualfit import (
 from dualfit.errors import (
     InvalidInput,
     NonPositiveCorrelation,
+    OutOfRange,
     SingularSlope,
     ZeroCorrelation,
 )
@@ -171,6 +175,56 @@ def test_round_trip_random_values():
 def test_inverse_rejects_flat_line():
     with pytest.raises(SingularSlope):
         inverse_predict(FittedLine(beta0=1.0, beta1=0.0, gamma=1.0, sse=0.0), 2.0)
+
+
+_SLOPED_LINE = fit(
+    Dataset.from_points([(0, 0), (1, 1.1), (2, 2), (3, 3.2)]), FitConfig(gamma=0.5)
+)
+_SHALLOW_LINE = FittedLine(beta0=1.0, beta1=0.5, gamma=0.5, sse=0.0)
+
+
+@pytest.mark.parametrize(
+    "at, line, query, message",
+    [
+        (predict, _SLOPED_LINE, 1.79e308, "predict at 1.79e+308 overflows float64"),
+        (predict, _SLOPED_LINE, -1.79e308, "predict at -1.79e+308 overflows float64"),
+        (inverse_predict, _SHALLOW_LINE, 1e308, "inverse at 1e+308 overflows float64"),
+        (predict, _SLOPED_LINE, np.float64(1.79e308), "predict at 1.79e+308 overflows"),
+        (predict, _SLOPED_LINE, float("nan"), "predict at nan is not finite"),
+        (inverse_predict, _SHALLOW_LINE, float("-inf"), "inverse at -inf is not finite"),
+    ],
+)
+def test_non_finite_scalar_result_raises(at, line, query, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match=re.escape(message)):
+            at(line, query)
+
+
+@pytest.mark.parametrize(
+    "at, line, query, first",
+    [
+        (predict, _SLOPED_LINE, [1.0, 1.79e308, -1.79e308], "1.79e+308"),
+        (predict, _SLOPED_LINE, [[1.0, 2.0], [-1.79e308, 3.0]], "-1.79e+308"),
+        (inverse_predict, _SHALLOW_LINE, [2.0, 3.0, -1e308], "-1e+308"),
+        (inverse_predict, _SHALLOW_LINE, [2.0, np.nan], "nan"),
+    ],
+)
+def test_non_finite_array_result_raises_naming_the_first(at, line, query, first):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning must not leak
+        with pytest.raises(OutOfRange, match=re.escape(f" at {first} ")):
+            at(line, np.array(query))
+
+
+def test_finite_array_results_match_scalars():
+    queries = np.array([[-3.0, 0.0], [0.5, 1e300]])
+    for at in (predict, inverse_predict):
+        values = at(_SLOPED_LINE, queries)
+        assert isinstance(values, np.ndarray) and values.shape == queries.shape
+        assert values.tolist() == [[at(_SLOPED_LINE, q) for q in row] for row in queries.tolist()]
+    assert type(predict(_SLOPED_LINE, 2.0)) is float
+    assert type(inverse_predict(_SLOPED_LINE, 2.0)) is float
 
 
 def test_dataset_roundtrip_points():
