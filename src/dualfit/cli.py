@@ -5,9 +5,9 @@ of argparse's namespace and the input's sufficient statistics, looked up in
 ``_RUNNERS``; argparse checks the arguments, and :class:`FitConfig` the
 weight and the policy the library is given.  All numeric output is printed
 with 10 significant digits so json and csv output is byte-stable for
-identical inputs.  Exit codes: 0 ok, 2 input error, 3 fit error,
-4 verification failure; a reader that closes the output pipe early ends the
-command quietly with 0.
+identical inputs.  Exit codes: 0 ok, 2 input error or an output that cannot
+be written, 3 fit error, 4 verification failure; a reader that closes the
+output pipe early ends the command quietly with 0.
 """
 
 from __future__ import annotations
@@ -210,11 +210,12 @@ def _data_blocks(fh, x_column: str | None, y_column: str | None) -> Iterator[np.
         data rows were read.  Raising is left to that loop, so every error
         keeps the line number and the precedence of the row-by-row parse.
     """
+    origin = fh.tell()
     rows = _csv_rows(line.decode("utf-8") for line in fh)
     try:
         _, first = next(rows)
         has_header, x_idx, y_idx = _columns(first, x_column, y_column)
-        start = fh.tell() if has_header else 0
+        start = fh.tell() if has_header else origin
         # the first data row sets the column count, as in _parse_rows
         cells = next(rows)[1] if has_header else first
     except (StopIteration, ValueError, ParseError):
@@ -318,11 +319,11 @@ def parse_csv(source, x_column: str | None = None, y_column: str | None = None) 
     non-ASCII digits, a ``\\r`` before ``\\r\\n``) or raises the error below
     with the line number.
 
-    The ``dualfit`` command does not build a Dataset: it reads a file in the
-    same blocks and folds each into running statistics, so its memory does
-    not grow with the number of rows.  Standard input, or a pipe, is still
-    read whole first, because text the blocks reject is read again from the
-    start.
+    The ``dualfit`` command does not build a Dataset: it reads a file, or
+    standard input from a file, in the same blocks and folds each into
+    running statistics, so its memory does not grow with the number of rows.
+    A pipe is still read whole first, because text the blocks reject is read
+    again from where it began.
     With more than one block, its statistics can differ from
     ``compute_stats(parse_csv(...))`` in the last bits.
 
@@ -467,14 +468,18 @@ def _emit_scalar(value: float, fmt: str) -> None:
 def _read_stats(
     fh, x_column: str | None, y_column: str | None
 ) -> Callable[[], SufficientStats]:
-    """Fold a seekable binary CSV stream into running statistics, block by block.
+    """Fold a binary CSV stream into running statistics, block by block.
 
     Returns the step that checks them and builds the record, so that a
     statistics error (exit 3) stays apart from an input error (exit 2).
     Input the block reader rejects, or a non-finite value, goes back to the
-    start for :func:`parse_csv`, whose verdict stands: a malformed row after
-    an ``inf`` is still reported by its line.
+    stream's offset on entry for :func:`parse_csv`, whose verdict stands: a
+    malformed row after an ``inf`` is still reported by its line.  A stream
+    that cannot seek, a pipe or a terminal, is read whole first.
     """
+    if not fh.seekable():
+        fh = io.BytesIO(fh.read())
+    origin = fh.tell()
     running = _RunningStats()
     try:
         for xy in _data_blocks(fh, x_column, y_column):
@@ -483,7 +488,7 @@ def _read_stats(
             x, y = xy.T.copy()  # contiguous columns, as a Dataset holds them
             running.add(x, y)
     except _Fallback:
-        fh.seek(0)
+        fh.seek(origin)
         data = parse_csv(fh, x_column, y_column)
         return lambda: compute_stats(data)
     return running.stats
@@ -491,12 +496,12 @@ def _read_stats(
 
 def _load_stats(args: argparse.Namespace) -> Callable[[], SufficientStats]:
     columns = args.x_col, args.y_col
-    # standard input, or a pipe named by --input, is read whole first: a
-    # rejected input is read again from the start
-    if args.input == STDIN_MARKER:
-        return _read_stats(io.BytesIO(sys.stdin.buffer.read()), *columns)
-    with open(args.input, "rb") as fh:
-        return _read_stats(fh if fh.seekable() else io.BytesIO(fh.read()), *columns)
+    if args.input != STDIN_MARKER:
+        with open(args.input, "rb") as fh:
+            return _read_stats(fh, *columns)
+    if sys.stdin is None:
+        raise OSError("standard input is closed")
+    return _read_stats(sys.stdin.buffer, *columns)
 
 
 def _stats_pairs(stats: SufficientStats) -> list[tuple[str, object]]:
@@ -680,13 +685,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = _run(argv)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader stopped reading, which is its choice, not an error.
+    except OSError as exc:
         # Python flushes standard output again at exit; pointed at devnull,
         # that flush cannot raise (the recipe of the signal module's docs)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return EXIT_OK
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_OK  # the reader stopped reading: its choice, not an error
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return code
 
 
@@ -697,6 +704,8 @@ def _run(argv: list[str] | None) -> int:
         parser.error(f"{args.command} requires --value")
     if args.value is not None and not math.isfinite(args.value):
         parser.error("--value must be finite")
+    if sys.stdout is None:
+        raise OSError("standard output is closed")
     try:
         summarise = _load_stats(args)
     except (OSError, ParseError, InvalidInput) as exc:

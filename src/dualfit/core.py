@@ -12,16 +12,17 @@ and inverse regression (x on y, re-expressed as a slope in y over x) at
 ``gamma = 0``.
 
 The slope depends on the data only through the sufficient statistics, so
-the per-dataset part of a fit (the correlation checks, the reflection, the
-square-root ratios and the slope bounds) is done once by ``_solver``, which
-returns a function that solves any weight.  :func:`fit_stats` is one call
-of it; ``dualfit sweep`` solves its whole grid with one.  :func:`build_quartic`
-and :class:`Quartic` state the paper's equation; the solve evaluates the same
-coefficients inline.
+the per-dataset part of a fit (the correlation checks, the square-root
+ratios and the slope interval) is done once by ``_solver``, which returns a
+function that solves any weight.  :func:`fit_stats` is one call of it;
+``dualfit sweep`` solves its whole grid with one.  :func:`build_quartic`
+and :class:`Quartic` state the paper's equation; the solve evaluates the
+same coefficients, which ``_coefficients`` writes once for both.
 
-Only positively correlated data has a well-defined fit here.  Negatively
-correlated data can be handled by reflecting y, fitting, and negating the
-slope; see ``FitConfig.negative_correlation_policy``.
+Only positively correlated data has a well-defined fit here.  Negating y
+negates rho and the slope, as ``q(-b; -rho) = q(b; rho)``, so under the
+reflect policy (``FitConfig.negative_correlation_policy``) negatively
+correlated data is solved at ``|rho|`` and the slope takes the sign of rho.
 """
 
 from __future__ import annotations
@@ -547,26 +548,31 @@ def build_quartic(stats: SufficientStats, gamma: float) -> Quartic:
 
     Coefficients, highest degree first:
     ``(gamma*sqrt(s_xx/s_yy), -gamma*rho, 0, (1-gamma)*rho,
-    -(1-gamma)*sqrt(s_yy/s_xx))``.
+    -(1-gamma)*sqrt(s_yy/s_xx))``.  Negating y negates rho, and
+    ``q(-b; -rho) = q(b; rho)``, so the fit solves this quartic at ``|rho|``.
 
     Only interior weights go through the quartic; the endpoint weights have
     closed-form slopes and raise InvalidInput here.
     """
-    if stats.s_xx <= 0.0 or stats.s_yy <= 0.0:
-        raise DegenerateData("slope quartic needs positive spread in x and y")
+    ratio_xy, ratio_yx = _ratios(stats)
     if not 0.0 < gamma < 1.0:
         raise InvalidInput(f"quartic is defined for 0 < gamma < 1, got {gamma}")
-    ratio_xy = math.sqrt(stats.s_xx / stats.s_yy)
-    ratio_yx = math.sqrt(stats.s_yy / stats.s_xx)
-    return Quartic(
-        (
-            gamma * ratio_xy,
-            -gamma * stats.rho,
-            0.0,
-            (1.0 - gamma) * stats.rho,
-            -(1.0 - gamma) * ratio_yx,
-        )
-    )
+    return Quartic(_coefficients(gamma, stats.rho, ratio_xy, ratio_yx))
+
+
+def _ratios(stats: SufficientStats) -> tuple[float, float]:
+    """``sqrt(s_xx/s_yy)`` and ``sqrt(s_yy/s_xx)``; DegenerateData without spread."""
+    if stats.s_xx <= 0.0 or stats.s_yy <= 0.0:
+        raise DegenerateData("slope quartic needs positive spread in x and y")
+    return math.sqrt(stats.s_xx / stats.s_yy), math.sqrt(stats.s_yy / stats.s_xx)
+
+
+def _coefficients(
+    gamma: float, rho: float, ratio_xy: float, ratio_yx: float
+) -> tuple[float, float, float, float, float]:
+    """The slope quartic's coefficients, highest degree first; see :func:`build_quartic`."""
+    horizontal = 1.0 - gamma
+    return (gamma * ratio_xy, -gamma * rho, 0.0, horizontal * rho, -horizontal * ratio_yx)
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +625,8 @@ def _slope_interval(
 ) -> tuple[float, float]:
     """:func:`slope_bounds` with each end moved out by ``pad`` times itself.
 
-    With ``reflect``, the bounds of :func:`reflected` statistics, where a
-    reflect-policy fit solves, negated back onto the data's negative slopes.
+    With ``reflect``, the bounds of :func:`reflected` statistics negated
+    back onto the data's negative slopes, where a reflect-policy fit lands.
     """
     lower, upper = slope_bounds(reflected(stats) if reflect else stats)
     lower, upper = lower * (1.0 - pad), upper * (1.0 + pad)
@@ -641,11 +647,13 @@ def _solver(
 ) -> Callable[[float], FittedLine]:
     """:func:`fit_stats` as ``solve(gamma)``, with the per-dataset work done once.
 
-    The correlation checks and the reflection happen here, so their errors
-    are raised before any weight is solved.  The square-root ratios and the
-    slope bounds are made on the first interior weight, so that a fit at an
-    endpoint weight never pays for them; their errors are raised by every
-    interior ``solve``.
+    Both signs of rho are solved on ``stats`` themselves: the endpoint
+    closed forms are odd in y, and an interior weight runs Newton at
+    ``|rho|`` and gives the root the sign of rho.  The correlation checks
+    happen here, so their errors are raised before any weight is solved.
+    The square-root ratios and the slope interval are made on the first
+    interior weight, so that a fit at an endpoint weight never pays for
+    them; their errors are raised by every interior ``solve``.
     """
     if abs(stats.rho) < ZERO_RHO_TOL:
         raise ZeroCorrelation(f"correlation {stats.rho:.3g} is numerically zero")
@@ -654,65 +662,35 @@ def _solver(
         raise NonPositiveCorrelation(
             f"rho = {stats.rho:.6g} < 0; pass the reflect policy to fit anyway"
         )
-    # the statistics the slope is solved on; a reflected slope is negated back
-    positive = reflected(stats) if reflect else stats
+    rho, sign = abs(stats.rho), math.copysign(1.0, stats.rho)
+    notes = ("fitted on (x, -y) and negated the slope",) if reflect else ()
     interior: tuple[float, float, float, float] | None = None
 
     def solve(gamma: float) -> FittedLine:
         nonlocal interior
         residual = 0.0
         if gamma == 1.0:
-            beta1 = positive.s_xy / positive.s_xx
+            beta1 = stats.s_xy / stats.s_xx
         elif gamma == 0.0:
-            beta1 = positive.s_yy / positive.s_xy
+            beta1 = stats.s_yy / stats.s_xy
         else:
             if interior is None:
-                interior = _quartic_scales(positive)
+                ratio_xy, ratio_yx = _ratios(stats)
+                # an infinite ratio makes every interior quartic infinite; with
+                # both finite, slope_bounds at |rho| are these products and cannot raise
+                if not (math.isfinite(ratio_xy) and math.isfinite(ratio_yx)):
+                    raise InvalidInput("coefficients must be finite")
+                interior = ratio_xy, ratio_yx, rho * ratio_yx, ratio_yx / rho
             ratio_xy, ratio_yx, lower, upper = interior
-            rho = positive.rho
-            # build_quartic's coefficients, in Python floats whatever gamma's type
-            vertical = float(gamma)
-            horizontal = 1.0 - vertical
-            coeffs = (
-                vertical * ratio_xy,
-                -vertical * rho,
-                0.0,
-                horizontal * rho,
-                -horizontal * ratio_yx,
-            )
-            beta1, value = _newton_root(coeffs, lower, upper)
-            residual = abs(value)
-        beta0 = intercept(positive, beta1)
-        objective = _objective(positive, gamma)(beta0, beta1)
-        if not reflect:
-            return FittedLine(beta0, beta1, gamma, objective, residual)
-        beta1 = -beta1
-        return FittedLine(
-            beta0=stats.y_bar - beta1 * stats.x_bar,
-            beta1=beta1,
-            gamma=gamma,
-            sse=objective,
-            selected_root_residual=residual,
-            notes=("fitted on (x, -y) and negated the slope",),
-        )
+            # in Python floats whatever gamma's type
+            coeffs = _coefficients(float(gamma), rho, ratio_xy, ratio_yx)
+            root, value = _newton_root(coeffs, lower, upper)
+            beta1, residual = sign * root, abs(value)
+        beta0 = intercept(stats, beta1)
+        objective = _objective(stats, gamma)(beta0, beta1)
+        return FittedLine(beta0, beta1, gamma, objective, residual, notes)
 
     return solve
-
-
-def _quartic_scales(stats: SufficientStats) -> tuple[float, float, float, float]:
-    """``sqrt(s_xx/s_yy)``, ``sqrt(s_yy/s_xx)`` and the :func:`slope_bounds`.
-
-    The two ratios scale :func:`build_quartic`'s outer coefficients, and
-    raise its errors: a ratio that overflows makes a coefficient infinite
-    for every interior weight.
-    """
-    if stats.s_xx <= 0.0 or stats.s_yy <= 0.0:
-        raise DegenerateData("slope quartic needs positive spread in x and y")
-    ratio_xy = math.sqrt(stats.s_xx / stats.s_yy)
-    ratio_yx = math.sqrt(stats.s_yy / stats.s_xx)
-    if not (math.isfinite(ratio_xy) and math.isfinite(ratio_yx)):
-        raise InvalidInput("coefficients must be finite")
-    return (ratio_xy, ratio_yx, *slope_bounds(stats))
 
 
 def _newton_root(

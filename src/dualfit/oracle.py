@@ -208,13 +208,13 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
     """
     gamma = line.gamma
     reflect = stats.rho < 0.0 and config.negative_correlation_policy == "reflect"
-    bracket = _slope_interval(stats, reflect, _BRACKET_PAD)
     if 0.0 < gamma < 1.0:
         positive = reflected(stats) if reflect else stats
-        oracle_slope, evals, _ = _minimize_traced(positive, gamma, _SEARCH_TOL)
+        oracle_slope, evals, bracket = _minimize_traced(positive, gamma, _SEARCH_TOL)
         if reflect:
-            oracle_slope = -oracle_slope
+            oracle_slope, bracket = -oracle_slope, (-bracket[1], -bracket[0])
     else:
+        bracket = _slope_interval(stats, reflect, _BRACKET_PAD)
         # both closed forms are odd in y, so the reflected fit gives them back
         oracle_slope = stats.s_xy / stats.s_xx if gamma == 1.0 else stats.s_yy / stats.s_xy
         evals = 0

@@ -33,13 +33,15 @@ print(proc.returncode, usage.ru_maxrss)
 """
 
 
-def dualfit_peak_mb(*args: str) -> tuple[int, float]:
+def dualfit_peak_mb(*args: str, stdin=None) -> tuple[int, float]:
     """Exit code and peak resident memory in MB of one ``dualfit`` process.
 
-    Needs ``os.wait4``; its output goes to /dev/null.
+    Needs ``os.wait4``; its output goes to /dev/null.  ``stdin`` is passed
+    on to the process as its standard input, as ``subprocess.run`` takes it.
     """
     result = subprocess.run(
         [sys.executable, "-c", _MEASURE, sys.executable, "-m", "dualfit", *args],
+        stdin=stdin,
         capture_output=True,
         env=src_env(),
         timeout=120,

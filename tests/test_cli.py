@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -17,7 +18,7 @@ from dualfit import cli
 from dualfit.cli import EXIT_FIT, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main, parse_csv
 from dualfit.errors import InvalidInput, ParseError
 
-from conftest import random_dataset, src_env
+from conftest import dualfit_peak_mb, random_dataset, src_env
 
 REFERENCE_CSV = Path(__file__).parent / "data" / "reference.csv"
 
@@ -457,3 +458,81 @@ def test_module_entry_point_reads_stdin():
     out = result.stdout.decode()
     assert out.splitlines()[0] == "n,x_bar,y_bar,s_xx,s_yy,s_xy,rho"
     assert "0.5773502692" in out
+
+
+# ---- standard input and output -------------------------------------------------------
+
+
+def _shell(command: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``sh -c command`` where ``"$@"`` is ``python -m dualfit ARGS``."""
+    return subprocess.run(
+        ["sh", "-c", command, "sh", sys.executable, "-m", "dualfit", *args],
+        capture_output=True,
+        env=src_env(),
+        timeout=60,
+    )
+
+
+def _rows_csv(path: Path, n: int, seed: int) -> Path:
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-5.0, 5.0, n)
+    y = 2.0 * x + rng.standard_normal(n)
+    path.write_text("x,y\n" + "".join(map("{!r},{!r}\n".format, x.tolist(), y.tolist())))
+    return path
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_standard_input_from_a_file_is_read_in_blocks(tmp_path):
+    # read whole, the 2e5 rows (8 MB of text) would stay in memory
+    small_csv = _rows_csv(tmp_path / "small.csv", 20_000, 1)
+    code, small = dualfit_peak_mb("stats", "--input", str(small_csv))
+    assert code == EXIT_OK
+    with open(_rows_csv(tmp_path / "large.csv", 200_000, 2), "rb") as fh:
+        code, large = dualfit_peak_mb("stats", stdin=fh)
+    assert code == EXIT_OK
+    assert large - small <= 2.0, (small, large)
+
+
+@pytest.mark.parametrize("header", ["", "x,y\n"])
+# np.loadtxt refuses 1_0, so the row loop reads that text again from the offset
+@pytest.mark.parametrize("cell", ["3", "1_0"])
+def test_standard_input_is_read_from_its_offset(tmp_path, header, cell):
+    # rows before the offset would change every statistic if they were read
+    skipped = "50,-50\n" * 3
+    rest = header + f"0,1\n1,3\n2,{cell}\n3,4.5\n"
+    whole = tmp_path / "whole.csv"
+    whole.write_text(skipped + rest)
+    args = [sys.executable, "-m", "dualfit", "stats", "--format", "json"]
+    with open(whole, "rb") as fh:
+        fh.seek(len(skipped))
+        from_offset = subprocess.run(
+            args, stdin=fh, capture_output=True, env=src_env(), timeout=60
+        )
+    alone = subprocess.run(
+        [*args, "--input", _write(tmp_path, rest, "rest.csv")],
+        capture_output=True,
+        env=src_env(),
+        timeout=60,
+    )
+    assert (from_offset.returncode, from_offset.stderr) == (EXIT_OK, b"")
+    assert from_offset.stdout == alone.stdout
+    assert json.loads(from_offset.stdout)["n"] == 4
+
+
+def test_closed_standard_input_exits_2_with_one_line():
+    result = _shell('exec "$@" <&-', "stats")
+    assert result.returncode == EXIT_INPUT
+    assert result.stderr.decode().splitlines() == ["OSError: standard input is closed"]
+
+
+@pytest.mark.parametrize(
+    "args", [["fit"], ["sweep"], ["sweep", "--steps", "10001", "--format", "csv"]]
+)
+@pytest.mark.parametrize("redirect", [">&-", ">/dev/full"])
+def test_unwritable_standard_output_exits_2_with_one_line(args, redirect):
+    if redirect == ">/dev/full" and not Path("/dev/full").exists():
+        pytest.skip("no /dev/full")
+    result = _shell(f'exec "$@" {redirect}', *args, "--input", str(REFERENCE_CSV))
+    assert result.returncode == EXIT_INPUT
+    lines = result.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("OSError: "), lines

@@ -2,8 +2,9 @@
 
 The ``_ref_*`` functions are ``sse``, ``sse_gradient``, ``profile_sse``,
 ``_minimize_traced``, ``check_gradient``, ``verify_fit``, ``_newton_root``
-(with ``Quartic.__call__``) and the fit around it, as they were before the
-objective was bound once per search and per verify.  One deliberate change:
+(with ``Quartic.__call__``), the fit around it and ``reflected``, as they
+were before the objective was bound once per search and per verify, and
+before the fit stopped building reflected statistics.  One deliberate change:
 ``_ref_check_gradient`` raises ``SingularSlope`` when ``|beta1| <= step``,
 where the old code only refused a difference that hit ``beta1 = 0`` exactly.
 ``_newton_root`` now takes a quartic's coefficients and returns its value at
@@ -42,7 +43,7 @@ from dualfit import (
     sse_gradient,
     verify_fit,
 )
-from dualfit.core import ZERO_RHO_TOL, _newton_root, reflected
+from dualfit.core import ZERO_RHO_TOL, _newton_root
 from dualfit.errors import (
     BracketFailure,
     DualFitError,
@@ -61,6 +62,18 @@ _REF_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _REF_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _REF_BRACKET_PAD = 0.01
 _REF_ORACLE_TOL = 1e-9
+
+
+def _ref_reflected(stats):
+    return SufficientStats(
+        n=stats.n,
+        x_bar=stats.x_bar,
+        y_bar=-stats.y_bar,
+        s_xx=stats.s_xx,
+        s_yy=stats.s_yy,
+        s_xy=-stats.s_xy,
+        rho=-stats.rho,
+    )
 
 
 def _ref_sse(stats, beta0, beta1, gamma):
@@ -180,7 +193,7 @@ def _ref_check_gradient(stats, beta0, beta1, gamma, step=1e-6):
 def _ref_verify_fit(stats, line, config):
     gamma = line.gamma
     reflect = stats.rho < 0.0 and config.negative_correlation_policy == "reflect"
-    positive = reflected(stats) if reflect else stats
+    positive = _ref_reflected(stats) if reflect else stats
     lower, upper = slope_bounds(positive)
     if 0.0 < gamma < 1.0:
         oracle_slope, evals, bracket = _ref_minimize_traced(positive, gamma, _REF_ORACLE_TOL)
@@ -273,7 +286,7 @@ def _ref_fit_stats(stats, config):
             raise NonPositiveCorrelation(
                 f"rho = {stats.rho:.6g} < 0; pass the reflect policy to fit anyway"
             )
-        mirrored = _ref_fit_positive(reflected(stats), config)
+        mirrored = _ref_fit_positive(_ref_reflected(stats), config)
         beta1 = -mirrored.beta1
         return FittedLine(
             beta0=stats.y_bar - beta1 * stats.x_bar,
@@ -317,7 +330,7 @@ def _assert_case(stats: SufficientStats, gamma: float, policy: str) -> None:
         _assert_same(profile_sse, _ref_profile_sse, stats, line.beta1, gamma)
         _assert_same(check_gradient, _ref_check_gradient, stats, line.beta0, line.beta1, gamma)
     _assert_same(_minimize_traced, _ref_minimize_traced, stats, gamma, _REF_ORACLE_TOL)
-    positive = reflected(stats) if stats.rho < 0.0 else stats
+    positive = _ref_reflected(stats) if stats.rho < 0.0 else stats
     if 0.0 < gamma < 1.0 and positive.rho > 0.0:
         quartic = build_quartic(positive, gamma)
         _assert_same(_newton_root, _ref_newton_pair, quartic.coeffs, *slope_bounds(positive))
@@ -370,7 +383,7 @@ def test_extreme_weights_match_reference(gamma):
 def test_edge_statistics_match_reference(stats, gamma):
     for policy in ("error", "reflect"):
         _assert_case(stats, gamma, policy)
-        _assert_case(reflected(stats), gamma, policy)
+        _assert_case(_ref_reflected(stats), gamma, policy)
 
 
 @pytest.mark.parametrize("gamma", [5e-324, 0.3, 1.0 - 1e-16])
@@ -379,7 +392,7 @@ def test_overflowing_ratio_matches_reference(gamma):
     stats = SufficientStats(n=3, x_bar=1.0, y_bar=2.0, s_xx=1e-300, s_yy=1e300, s_xy=0.5, rho=0.5)
     for policy in ("error", "reflect"):
         config = FitConfig(gamma=gamma, negative_correlation_policy=policy)
-        for case in (stats, reflected(stats)):
+        for case in (stats, _ref_reflected(stats)):
             kind, _ = _assert_same(fit_stats, _ref_fit_stats, case, config)
             assert kind in (InvalidInput, NonPositiveCorrelation)
 
