@@ -1,7 +1,12 @@
-"""Line fitting that balances squared vertical against squared horizontal errors."""
+"""Line fitting that balances squared vertical against squared horizontal errors.
+
+``import dualfit`` loads the numpy-free kernel (:mod:`dualfit.core`), the
+oracle and the errors.  :class:`Dataset` lives in the data layer,
+:mod:`dualfit.dataset`, which imports numpy; it is imported on first use of
+``dualfit.Dataset``.
+"""
 
 from .core import (
-    Dataset,
     FitConfig,
     FittedLine,
     Quartic,
@@ -65,3 +70,16 @@ __all__ = [
     "sse_gradient",
     "verify_fit",
 ]
+
+# names of the data layer, which imports numpy: resolved on first use
+_DATA_LAYER = ("Dataset",)
+
+
+def __getattr__(name: str):
+    """A data-layer name, imported on first use and then kept as a global (PEP 562)."""
+    if name not in _DATA_LAYER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import dataset
+
+    value = globals()[name] = getattr(dataset, name)
+    return value

@@ -8,6 +8,11 @@ with 10 significant digits so json and csv output is byte-stable for
 identical inputs.  Exit codes: 0 ok, 2 input error or an output that cannot
 be written, 3 fit error, 4 verification failure; a reader that closes the
 output pipe early ends the command quietly with 0.
+
+Input of at most ``_BLOCK_ROWS`` data rows is read by the row-by-row parse
+and summarised in Python floats, so such a command never imports numpy.
+Longer input is read by ``np.loadtxt`` a block at a time; numpy and the data
+layer are imported for it then, and by :func:`parse_csv`.
 """
 
 from __future__ import annotations
@@ -23,16 +28,14 @@ import sys
 import warnings
 from dataclasses import fields
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .core import (
-    Dataset,
     FitConfig,
     FittedLine,
     SufficientStats,
-    _RunningStats,
+    _checked_stats,
+    _fsum_moments,
     _slope_interval,
     _solver,
     compute_stats,
@@ -42,6 +45,11 @@ from .core import (
 )
 from .errors import DualFitError, InvalidInput, ParseError
 from .oracle import GRADIENT_TOL, verify_fit
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .dataset import Dataset, _RunningStats
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -54,6 +62,31 @@ _FORMATS = ("table", "json", "csv")
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 STDIN_MARKER = "-"
+
+# the names that import numpy, bound as globals by _import_data_layer
+_DATA_LAYER = ("np", "Dataset", "_RunningStats")
+
+
+def _import_data_layer() -> None:
+    """Bind numpy and the data layer's names here, keeping any already bound.
+
+    Once bound they are looked up at call time like every other global, so
+    a caller that replaced one (a tracer, a test) keeps its replacement.
+    """
+    import numpy
+
+    from . import dataset
+
+    for name, value in zip(_DATA_LAYER, (numpy, dataset.Dataset, dataset._RunningStats)):
+        globals().setdefault(name, value)
+
+
+def __getattr__(name: str):
+    """``cli.Dataset`` and the other data-layer names, bound on first use (PEP 562)."""
+    if name not in _DATA_LAYER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _import_data_layer()
+    return globals()[name]
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +174,9 @@ def _csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
     reader = csv.reader(lines)
     try:
         for cells in reader:
-            if cells and not all(c.strip() == "" for c in cells):
-                yield reader.line_num, [c.strip() for c in cells]
+            # all cells are whitespace iff their concatenation is
+            if "".join(cells).strip():
+                yield reader.line_num, list(map(str.strip, cells))
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
 
@@ -255,9 +289,15 @@ def _data_blocks(fh, x_column: str | None, y_column: str | None) -> Iterator[np.
         raise _Fallback
 
 
-def _parse_rows(text: str, x_column: str | None, y_column: str | None) -> Dataset:
-    """Parse row by row; the path that names the line of a malformed row."""
-    rows = list(_csv_rows(io.StringIO(text)))
+def _parse_rows(
+    rows: list[tuple[int, list[str]]], x_column: str | None, y_column: str | None
+) -> tuple[list[float], list[float]]:
+    """The x and y values of the rows :func:`_csv_rows` yields, read one by one.
+
+    This decides the grammar: the rules that name the line of a malformed
+    row, and the forms ``np.loadtxt`` does not take.  Values are Python
+    floats, not yet checked to be finite.
+    """
     if not rows:
         raise InvalidInput("need at least 2 data rows, got 0")
     has_header, x_idx, y_idx = _columns(rows[0][1], x_column, y_column)
@@ -290,7 +330,7 @@ def _parse_rows(text: str, x_column: str | None, y_column: str | None) -> Datase
                 ) from None
     if len(xs) < 2:
         raise InvalidInput(f"need at least 2 data rows, got {len(xs)}")
-    return Dataset(np.asarray(xs), np.asarray(ys))
+    return xs, ys
 
 
 def parse_csv(source, x_column: str | None = None, y_column: str | None = None) -> Dataset:
@@ -319,13 +359,15 @@ def parse_csv(source, x_column: str | None = None, y_column: str | None = None) 
     non-ASCII digits, a ``\\r`` before ``\\r\\n``) or raises the error below
     with the line number.
 
-    The ``dualfit`` command does not build a Dataset: it reads a file, or
-    standard input from a file, in the same blocks and folds each into
-    running statistics, so its memory does not grow with the number of rows.
-    A pipe is still read whole first, because text the blocks reject is read
-    again from where it began.
-    With more than one block, its statistics can differ from
-    ``compute_stats(parse_csv(...))`` in the last bits.
+    The ``dualfit`` command does not build a Dataset.  Input of at most
+    ``_BLOCK_ROWS`` data rows it reads with the row-by-row rules and
+    summarises in Python floats, without numpy, by the corrected two-pass
+    ``math.fsum`` sums of ``core._fsum_moments``.  Longer input, a file or
+    standard input from a file, it reads in the same blocks and folds each
+    into running statistics, so its memory does not grow with the number of
+    rows.  A pipe is still read whole first, because text the blocks reject
+    is read again from where it began.  Either way its statistics can
+    differ from ``compute_stats(parse_csv(...))`` in the last bits.
 
     Raises
     ------
@@ -335,6 +377,7 @@ def parse_csv(source, x_column: str | None = None, y_column: str | None = None) 
         For text that is not UTF-8, missing columns, non-finite values, or
         fewer than 2 data rows.
     """
+    _import_data_layer()
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, (str, bytes, bytearray)):
@@ -345,7 +388,9 @@ def parse_csv(source, x_column: str | None = None, y_column: str | None = None) 
             pass
         else:
             return Dataset(xy[:, 0], xy[:, 1])
-    return _parse_rows(_as_text(source), x_column, y_column)
+    rows = list(_csv_rows(io.StringIO(_as_text(source))))
+    xs, ys = _parse_rows(rows, x_column, y_column)
+    return Dataset(np.asarray(xs), np.asarray(ys))
 
 
 # ---------------------------------------------------------------------------
@@ -465,21 +510,58 @@ def _emit_scalar(value: float, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _one_block(
+    fh, x_column: str | None, y_column: str | None
+) -> tuple[list[float], list[float]] | None:
+    """The x and y values of a binary CSV stream of at most ``_BLOCK_ROWS`` data rows.
+
+    The rows are read by :func:`_csv_rows` and :func:`_parse_rows`, whose
+    errors are the whole input's once it has all been read.  Returns None,
+    having read at most a header and one block and a row, for input that is
+    longer, that is not UTF-8 or that the csv module rejects before its end
+    (where the verdict may lie further on), or that holds a value that is
+    not finite.
+    """
+    rows = _csv_rows(line.decode("utf-8") for line in fh)
+    try:
+        head = list(islice(rows, _BLOCK_ROWS + 2))
+    except (UnicodeDecodeError, ParseError):
+        return None
+    if len(head) == _BLOCK_ROWS + 2:
+        return None
+    xs, ys = _parse_rows(head, x_column, y_column)
+    if len(xs) > _BLOCK_ROWS or not all(map(math.isfinite, chain(xs, ys))):
+        return None
+    return xs, ys
+
+
 def _read_stats(
     fh, x_column: str | None, y_column: str | None
 ) -> Callable[[], SufficientStats]:
-    """Fold a binary CSV stream into running statistics, block by block.
+    """Summarise a binary CSV stream: one block in Python floats, more block by block.
 
-    Returns the step that checks them and builds the record, so that a
-    statistics error (exit 3) stays apart from an input error (exit 2).
-    Input the block reader rejects, or a non-finite value, goes back to the
-    stream's offset on entry for :func:`parse_csv`, whose verdict stands: a
-    malformed row after an ``inf`` is still reported by its line.  A stream
-    that cannot seek, a pipe or a terminal, is read whole first.
+    Returns the step that checks the statistics and builds the record, so
+    that a statistics error (exit 3) stays apart from an input error (exit
+    2).  Input of at most ``_BLOCK_ROWS`` data rows is summarised by
+    :func:`~dualfit.core._fsum_moments`, without numpy.  Any other input goes
+    back to the stream's offset on entry and is folded into running
+    statistics, an ``np.loadtxt`` block at a time.  Input the block reader
+    rejects, or a non-finite value, goes back there again for
+    :func:`parse_csv`, whose verdict stands: a malformed row after an
+    ``inf`` is still reported by its line.  A stream that cannot seek, a
+    pipe or a terminal, is read whole first.
     """
     if not fh.seekable():
         fh = io.BytesIO(fh.read())
     origin = fh.tell()
+    block = _one_block(fh, x_column, y_column)
+    if block is not None:
+        xs, ys = block
+        return lambda: _checked_stats(
+            _fsum_moments(xs, ys), lambda: (min(xs), max(xs), min(ys), max(ys))
+        )
+    fh.seek(origin)
+    _import_data_layer()
     running = _RunningStats()
     try:
         for xy in _data_blocks(fh, x_column, y_column):

@@ -1,4 +1,4 @@
-"""Straight-line fitting under a blended squared-error objective.
+"""Straight-line fitting under a blended squared-error objective: the kernel.
 
 The objective weighs squared vertical residuals by ``gamma`` and squared
 horizontal residuals by ``1 - gamma``, with ``gamma`` in [0, 1].  For any
@@ -23,17 +23,22 @@ Only positively correlated data has a well-defined fit here.  Negating y
 negates rho and the slope, as ``q(-b; -rho) = q(b; rho)``, so under the
 reflect policy (``FitConfig.negative_correlation_policy``) negatively
 correlated data is solved at ``|rho|`` and the slope takes the sign of rho.
+
+This module imports no numpy.  The arrays live in :mod:`dualfit.dataset`:
+a :class:`~dualfit.dataset.Dataset` keeps the record that
+:func:`compute_stats` and :func:`fit` read, and its statistics are checked
+here by ``_checked_stats``.  A few rows held as Python floats are summarised
+here too, by ``_fsum_moments``, and :func:`predict` and
+:func:`inverse_predict` import numpy only when they are given an array.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Literal, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Literal, NamedTuple, Sequence
 
 from .errors import (
     DegenerateData,
@@ -44,6 +49,11 @@ from .errors import (
     SolverFailure,
     ZeroCorrelation,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .dataset import Dataset
 
 NegativeCorrelationPolicy = Literal["error", "reflect"]
 
@@ -58,104 +68,8 @@ _EPS = sys.float_info.epsilon
 
 
 # ---------------------------------------------------------------------------
-# data containers
+# records
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """Paired observations, stored as two equal-length read-only float arrays.
-
-    A Dataset never changes.  Each column is a read-only view of a read-only
-    float64 copy of the input, so neither can be made writeable again, and a
-    copy or an unpickled Dataset is rebuilt through the constructor, checked
-    and frozen afresh.  Its sufficient statistics are therefore a pure
-    function of the object: :func:`compute_stats` works them out the first
-    time it is asked and keeps them on the Dataset for every later call, so
-    a dataset fitted at many weights and then verified is summarised once.
-    The kept record takes no part in ``repr``, equality,
-    ``dataclasses.fields`` or pickling, and an error is never kept.
-
-    Two Datasets are equal when their columns are; a Dataset is not hashable.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x = _column(self.x)
-        y = _column(self.y)
-        if x.ndim != 1 or y.ndim != 1:
-            raise InvalidInput("x and y must be one-dimensional")
-        if x.shape != y.shape:
-            raise InvalidInput(f"x has {x.size} values but y has {y.size}")
-        if x.size < 2:
-            raise InvalidInput(f"need at least 2 points, got {x.size}")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise InvalidInput("coordinates must be finite")
-        object.__setattr__(self, "x", _read_only(x))
-        object.__setattr__(self, "y", _read_only(y))
-
-    @classmethod
-    def from_points(cls, points: Iterable[tuple[float, float]]) -> "Dataset":
-        """Build a Dataset from an iterable of (x, y) pairs."""
-        arr = _column(list(points))
-        if arr.size == 0:
-            raise InvalidInput("need at least 2 points, got 0")
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise InvalidInput("points must be (x, y) pairs")
-        return cls(arr[:, 0], arr[:, 1])
-
-    def __len__(self) -> int:
-        return int(self.x.size)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return np.array_equal(self.x, other.x) and np.array_equal(self.y, other.y)
-
-    # compared by the values of its arrays, which numpy does not hash
-    __hash__ = None
-
-    def __reduce__(self):
-        # copies and pickles go through __post_init__: checked, frozen, no record
-        return (type(self), (self.x, self.y))
-
-    @cached_property
-    def _stats(self) -> SufficientStats:
-        """The record :func:`compute_stats` returns, made on first use."""
-        x, y = self.x, self.y
-        return _checked_stats(_moments(x, y), lambda: (x.min(), x.max(), y.min(), y.max()))
-
-
-def _column(values) -> np.ndarray:
-    """``values`` as a new float64 array of at least one dimension.
-
-    Raises
-    ------
-    InvalidInput
-        If a value is not a real number; complex values are refused rather
-        than cut to their real parts.
-    """
-    try:
-        raw = np.asarray(values)
-        if raw.dtype.kind == "c":
-            raise TypeError(f"got {raw.dtype} values")
-        return np.atleast_1d(raw.astype(float))
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"coordinates are not real numbers: {exc}") from exc
-
-
-def _read_only(column: np.ndarray) -> np.ndarray:
-    """A read-only view of ``column``, which is made read-only first.
-
-    The view does not own its data, so numpy refuses to make it writeable
-    again while its base is read-only.
-    """
-    column.setflags(write=False)
-    view = column.view()
-    view.setflags(write=False)
-    return view
 
 
 @dataclass(frozen=True)
@@ -290,22 +204,6 @@ class _Moments(NamedTuple):
     s_xy: float
 
 
-def _moments(x: np.ndarray, y: np.ndarray) -> _Moments:
-    """Two-pass moments: means first, then centred sums of squares and products.
-
-    Nothing is checked here; :func:`_checked_stats` checks the figures.
-    """
-    n = int(x.size)
-    # numpy's overflow warnings are muted because the figures are checked
-    # later; sum / n is x.mean() to the bit, at a fraction of its call overhead
-    with np.errstate(all="ignore"):
-        x_bar = float(x.sum()) / n
-        y_bar = float(y.sum()) / n
-        dx = x - x_bar
-        dy = y - y_bar
-        return _Moments(n, x_bar, y_bar, float(dx @ dx), float(dy @ dy), float(dx @ dy))
-
-
 def _merge(a: _Moments, b: _Moments) -> _Moments:
     """Moments of the rows of ``a`` and ``b`` together.
 
@@ -324,6 +222,46 @@ def _merge(a: _Moments, b: _Moments) -> _Moments:
         a.s_xx + b.s_xx + dx * dx * weight,
         a.s_yy + b.s_yy + dy * dy * weight,
         a.s_xy + b.s_xy + dx * dy * weight,
+    )
+
+
+def _fsum(values: Iterable[float]) -> float:
+    """``math.fsum(values)``, or nan where an exact partial sum leaves float64.
+
+    fsum raises there, where a float sum would be inf or nan; either way
+    :func:`_checked_stats` refuses the figure.
+    """
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):  # an overflow, or inf + -inf
+        return math.nan
+
+
+def _fsum_moments(xs: Sequence[float], ys: Sequence[float]) -> _Moments:
+    """Corrected two-pass moments of rows held as Python floats.
+
+    The means are correctly rounded sums over ``n``.  Each centred sum is
+    ``sum(d*d) - sum(d)**2 / n`` over the deviations ``d`` from the rounded
+    mean: the corrected two-pass algorithm of Chan, Golub & LeVeque (1983),
+    "Algorithms for computing the sample variance", whose second term takes
+    out what the rounding of the mean leaves in the first.  Every sum is a
+    ``math.fsum``, so the figures are within about an ulp of exact, and
+    they can differ in the last bits from numpy's pairwise sums.  Nothing is
+    checked here; :func:`_checked_stats` checks the figures.
+    """
+    n = len(xs)
+    x_bar = _fsum(xs) / n
+    y_bar = _fsum(ys) / n
+    dx = [v - x_bar for v in xs]
+    dy = [v - y_bar for v in ys]
+    sum_dx, sum_dy = _fsum(dx), _fsum(dy)
+    return _Moments(
+        n,
+        x_bar,
+        y_bar,
+        _fsum(map(operator.mul, dx, dx)) - sum_dx * sum_dx / n,
+        _fsum(map(operator.mul, dy, dy)) - sum_dy * sum_dy / n,
+        _fsum(map(operator.mul, dx, dy)) - sum_dx * sum_dy / n,
     )
 
 
@@ -402,59 +340,6 @@ def compute_stats(data: Dataset) -> SufficientStats:
         float64 range.
     """
     return data._stats
-
-
-class _RunningStats:
-    """Sufficient statistics of rows that arrive a block at a time.
-
-    Memory stays flat in the number of rows.  Every block is centred on one
-    shift, the means of the first block, so that the merged means stay small
-    and the update loses no accuracy to an offset in the data; its moments
-    come from :func:`_moments`, and blocks merge pairwise by :func:`_merge`,
-    as a binary counter would carry.  One block alone gives the figures of
-    :func:`compute_stats` to the bit; more can differ from them in the last
-    bits.
-    """
-
-    def __init__(self) -> None:
-        self._whole: _Moments | None = None  # the first block, unshifted
-        self._shift = (0.0, 0.0)
-        # (blocks merged, moments), the block counts decreasing down the list
-        self._partial: list[tuple[int, _Moments]] = []
-        self._ranges = (math.inf, -math.inf, math.inf, -math.inf)
-
-    def add(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Fold in one block of finite values."""
-        if self._whole is None:
-            self._whole = _moments(x, y)
-            self._shift = (self._whole.x_bar, self._whole.y_bar)
-        shift_x, shift_y = self._shift
-        with np.errstate(all="ignore"):  # an overflow is caught by the checks
-            blocks, moments = 1, _moments(x - shift_x, y - shift_y)
-        while self._partial and self._partial[-1][0] == blocks:
-            count, earlier = self._partial.pop()
-            blocks, moments = blocks + count, _merge(earlier, moments)
-        self._partial.append((blocks, moments))
-        x_min, x_max, y_min, y_max = self._ranges
-        self._ranges = (
-            min(x_min, x.min()),
-            max(x_max, x.max()),
-            min(y_min, y.min()),
-            max(y_max, y.max()),
-        )
-
-    def stats(self) -> SufficientStats:
-        """Check the merged figures and build the record; see :func:`compute_stats`."""
-        if len(self._partial) == 1 and self._partial[0][0] == 1:
-            merged = self._whole
-        else:
-            merged = self._partial[-1][1]
-            for _, earlier in reversed(self._partial[:-1]):
-                merged = _merge(earlier, merged)
-            merged = merged._replace(
-                x_bar=self._shift[0] + merged.x_bar, y_bar=self._shift[1] + merged.y_bar
-            )
-        return _checked_stats(merged, lambda: self._ranges)
 
 
 def sse(stats: SufficientStats, beta0: float, beta1: float, gamma: float) -> float:
@@ -772,9 +657,7 @@ def predict(line: FittedLine, x: float | np.ndarray) -> float | np.ndarray:
         If a value is not finite: the line's value overflows float64, or
         the query itself is not finite.
     """
-    with np.errstate(all="ignore"):  # an overflow is raised as OutOfRange
-        value = line.beta0 + line.beta1 * x
-    return _finite(value, x, "predict")
+    return _evaluate(lambda q: line.beta0 + line.beta1 * q, x, "predict")
 
 
 def inverse_predict(line: FittedLine, y: float | np.ndarray) -> float | np.ndarray:
@@ -792,24 +675,36 @@ def inverse_predict(line: FittedLine, y: float | np.ndarray) -> float | np.ndarr
     """
     if line.beta1 == 0.0:
         raise SingularSlope("cannot invert a horizontal line")
-    with np.errstate(all="ignore"):
-        value = y / line.beta1 - line.beta0 / line.beta1
-    return _finite(value, y, "inverse")
+    return _evaluate(lambda q: q / line.beta1 - line.beta0 / line.beta1, y, "inverse")
 
 
-def _finite(
-    value: float | np.ndarray, query: float | np.ndarray, name: str
+def _evaluate(
+    formula: Callable, query: float | np.ndarray, name: str
 ) -> float | np.ndarray:
-    """``value`` unchanged if every element is finite.
+    """``formula(query)``, if every element of it is finite.
+
+    A Python number, a numpy float64 among them, is computed as a Python
+    float, which turns an overflow into inf without a warning; anything else
+    goes through numpy, imported here, with its warnings muted.
 
     Raises
     ------
     OutOfRange
         Naming the first query whose value is not finite.
     """
-    finite = np.isfinite(value)
-    if finite.all():
-        return value
-    first = float(np.broadcast_to(query, finite.shape)[~finite].flat[0])
+    if isinstance(query, (int, float)):
+        value = formula(float(query))
+        if math.isfinite(value):
+            return value
+        first = float(query)
+    else:
+        import numpy as np
+
+        with np.errstate(all="ignore"):  # an overflow is raised as OutOfRange
+            value = formula(query)
+        finite = np.isfinite(value)
+        if finite.all():
+            return value
+        first = float(np.broadcast_to(query, finite.shape)[~finite].flat[0])
     problem = "overflows float64" if math.isfinite(first) else "is not finite"
     raise OutOfRange(f"{name} at {first:.10g} {problem}")

@@ -205,6 +205,8 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
     A negatively correlated fit made with the reflect policy is re-derived
     on the statistics of ``(x, -y)``; the oracle slope and bracket are then
     negated back, and the gradient is checked on the original statistics.
+    The off-optimum probes move the intercept towards the sign of the slope,
+    so the report on ``(x, -y)`` mirrors this one bit for bit.
     """
     gamma = line.gamma
     reflect = stats.rho < 0.0 and config.negative_correlation_policy == "reflect"
@@ -221,12 +223,13 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
 
     objective = _objective(stats, gamma)
     grad_err = 0.0
+    off_line = line.beta0 + math.copysign(0.25 * (1.0 + abs(line.beta0)), line.beta1)
     for factor in (1.0, 0.9, 1.1):
         b1 = line.beta1 * factor
         step = 1e-6 * (1.0 + abs(b1))
         if abs(b1) <= 2.0 * step:
             continue  # differences would straddle the beta1 = 0 singularity
-        for b0 in (intercept(stats, b1), line.beta0 + 0.25 * (1.0 + abs(line.beta0))):
+        for b0 in (intercept(stats, b1), off_line):
             grad_err = max(grad_err, _gradient_error(objective, stats, b0, b1, gamma, step))
 
     return OracleReport(

@@ -401,10 +401,114 @@ def test_commands_look_up_the_traced_names(monkeypatch, tmp_path, capsys):
         assert main(argv) == EXIT_OK, argv
     capsys.readouterr()
     assert calls["fit_stats"] == 4 and calls["verify_fit"] == 1
-    # a 1_0 cell is refused by np.loadtxt, so the row-by-row parse reads it
-    assert main(["stats", "--input", _write(tmp_path, "x,y\n1_0,1\n2,3\n3,4\n")]) == EXIT_OK
-    assert capsys.readouterr().out.splitlines()[0].split() == ["n", "3"]
+    # one block is summarised without them; on two, a 1_0 cell is refused by
+    # np.loadtxt, so parse_csv reads the file row by row
+    rows = "".join(f"{i},{i % 7}\n" for i in range(cli._BLOCK_ROWS))
+    text = "x,y\n1_0,1\n" + rows
+    assert main(["stats", "--input", _write(tmp_path, text)]) == EXIT_OK
+    n = cli._BLOCK_ROWS + 1
+    assert capsys.readouterr().out.splitlines()[0].split() == ["n", str(n)]
     assert calls["parse_csv"] == calls["Dataset"] == calls["compute_stats"] == 1
+
+
+# ---- numpy only for input longer than one block -----------------------------------
+
+# runs dualfit in a fresh process and reports whether numpy was imported;
+# with "without-numpy" first, importing numpy raises ImportError
+_MAIN_REPORTING_NUMPY = """
+import sys
+if sys.argv[1] == "without-numpy":
+    sys.modules["numpy"] = None
+from dualfit.cli import main
+code = main(sys.argv[2:])
+sys.stdout.flush()
+sys.stderr.write(f"numpy imported: {sys.modules.get('numpy') is not None}\\n")
+sys.exit(code)
+"""
+
+
+def _main_reporting_numpy(mode: str, *args: str, stdin: bytes | None = None):
+    return subprocess.run(
+        [sys.executable, "-c", _MAIN_REPORTING_NUMPY, mode, *args],
+        input=stdin,
+        capture_output=True,
+        env=src_env(),
+        timeout=120,
+    )
+
+
+def _table(n: int) -> str:
+    # a noisy line of slope about 1/2 through about (0, 0), small enough for
+    # the verify gate; the first n of the same rows for every n
+    return "x,y\n" + "".join(
+        f"{(i % 211 - 105) / 7000!r},{(i % 211 - 105) / 14000 + (i * 37 % 101 - 50) / 1300000!r}\n"
+        for i in range(n)
+    )
+
+
+_COMMANDS = [
+    ["fit"],
+    ["verify"],
+    ["stats"],
+    ["predict", "--value", "2"],
+    ["inverse", "--value", "2"],
+    ["sweep", "--steps", "10001"],
+]
+
+
+def test_help_runs_without_numpy():
+    result = _main_reporting_numpy("without-numpy", "--help")
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout.startswith(b"usage: dualfit")
+
+
+@pytest.mark.parametrize("source", ["2 rows", "one block", "one block from a pipe"])
+@pytest.mark.parametrize("command", _COMMANDS, ids=lambda command: command[0])
+def test_one_block_of_input_runs_without_numpy(tmp_path, command, source):
+    text = _table(2 if source == "2 rows" else cli._BLOCK_ROWS)
+    if source.endswith("pipe"):
+        result = _main_reporting_numpy("without-numpy", *command, stdin=text.encode())
+    else:
+        path = _write(tmp_path, text)
+        result = _main_reporting_numpy("without-numpy", *command, "--input", path)
+    assert (result.returncode, result.stderr) == (0, b"numpy imported: False\n")
+    assert result.stdout
+
+
+# the statistics and output of the block path on _table(8193), frozen from the
+# code before input of one block was read without numpy
+_TWO_BLOCK_STATS = (
+    "SufficientStats(n=8193, x_bar=-5.49249359209079e-05, y_bar=-2.746969739646405e-05, "
+    "s_xx=0.6173238552074071, s_yy=0.1543344560765797, s_xy=0.30866129819661114, "
+    "rho=0.999986646829223)"
+)
+_TWO_BLOCK_FIT = """{
+  "n": 8193,
+  "x_bar": -5.492493592e-05,
+  "y_bar": -2.74696974e-05,
+  "s_xx": 0.6173238552,
+  "s_yy": 0.1543344561,
+  "s_xy": 0.3086612982,
+  "rho": 0.9999866468,
+  "gamma": 0.5,
+  "beta0": -6.698694871e-09,
+  "beta1": 0.500009663,
+  "sse": 1.030406045e-05,
+  "bound_lower": 0.4999989804,
+  "bound_upper": 0.5000123338,
+  "root_residual": 0.0
+}
+"""
+
+
+def test_input_longer_than_one_block_keeps_its_bits_and_imports_numpy(tmp_path):
+    assert cli._BLOCK_ROWS + 1 == 8193
+    path = _write(tmp_path, _table(cli._BLOCK_ROWS + 1))
+    with open(path, "rb") as fh:
+        assert repr(cli._read_stats(fh, None, None)()) == _TWO_BLOCK_STATS
+    result = _main_reporting_numpy("with-numpy", "fit", "--input", path, "--format", "json")
+    assert (result.returncode, result.stderr) == (0, b"numpy imported: True\n")
+    assert result.stdout.decode() == _TWO_BLOCK_FIT
 
 
 # ---- argument handling ------------------------------------------------------------

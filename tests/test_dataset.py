@@ -10,21 +10,21 @@ import pickle
 import numpy as np
 import pytest
 
-from dualfit import Dataset, FitConfig, compute_stats, core, fit, verify_fit
+from dualfit import Dataset, FitConfig, compute_stats, dataset, fit, verify_fit
 from dualfit.errors import DegenerateData, DualFitError, InvalidInput, OutOfRange
 
 
 @pytest.fixture
 def summaries(monkeypatch) -> list[int]:
-    """One entry per call of ``core._moments``, the pass over a Dataset's rows."""
+    """One entry per call of ``dataset._moments``, the pass over a Dataset's rows."""
     calls: list[int] = []
-    moments = core._moments
+    moments = dataset._moments
 
     def counting(x, y):
         calls.append(int(x.size))
         return moments(x, y)
 
-    monkeypatch.setattr(core, "_moments", counting)
+    monkeypatch.setattr(dataset, "_moments", counting)
     return calls
 
 

@@ -27,6 +27,7 @@ import pytest
 
 from dualfit import cli
 from dualfit import (
+    DegenerateData,
     Dataset,
     FitConfig,
     OutOfRange,
@@ -219,3 +220,43 @@ def test_slope_ratio_out_of_range_raises_out_of_range(s_xx, s_yy):
         ):
             with pytest.raises(OutOfRange, match="s_yy / s_xx"):
                 call()
+
+
+def _cli_stats_without_warnings(path: Path) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["stats", "--input", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+_BIG = sys.float_info.max
+
+
+# one block of rows whose math.fsum raises, on an overflow or on inf + -inf,
+# where numpy's sums are inf or nan, or whose spread leaves the normal range:
+# the CLI's error is compute_stats's, with no warning
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        pytest.param(_scaled_line(s).x.tolist(), _scaled_line(s).y.tolist(), id=f"scaled {s:g}")
+        for s in (1e160, 1e200, 1e307, 1e-170, 1e-200, 1e-320, 1e76, 1e-80, 1e-160)
+    ]
+    + [
+        pytest.param([_BIG, _BIG, _BIG], [1.0, 2.0, 4.0], id="constant x, sum overflows"),
+        pytest.param([1.0, 2.0, 4.0], [-_BIG, -_BIG, -_BIG], id="constant y, sum overflows"),
+        pytest.param([_BIG, _BIG, -_BIG, 1.0], [1.0, 2.0, 4.0, 3.0], id="partial sum overflows"),
+        pytest.param([1e300, 1e300, 1e300], [1.0, 2.0, 4.0], id="constant x near the top"),
+        pytest.param([-1e155, 1e155, -1e155], [1e155, -1e155, 1e155], id="products inf and -inf"),
+        pytest.param(list(_SUBNORMAL_X), list(_SUBNORMAL_Y), id="subnormal spread"),
+    ],
+)
+def test_one_block_cli_error_is_that_of_compute_stats(tmp_path, x, y):
+    with pytest.raises((OutOfRange, DegenerateData)) as excinfo:
+        _stats_without_warnings(Dataset(np.array(x), np.array(y)))
+    path = tmp_path / "extreme.csv"
+    path.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x, y)))
+    code, out, err = _cli_stats_without_warnings(path)
+    assert (code, out) == (3, "")
+    assert err == f"{type(excinfo.value).__name__}: {excinfo.value}\n"

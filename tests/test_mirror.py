@@ -5,7 +5,8 @@ slopes are odd in y, so under the reflect policy the fit of ``(x, -y)`` is
 the fit of ``(x, y)`` with the slope and the intercept negated, the same
 bits for the objective and the quartic's residual.  The slope solve rests on
 this: it solves a negative correlation at ``|rho|`` on the data's own
-statistics.
+statistics.  ``verify_fit`` mirrors too: its oracle slope and bracket are
+negated, and so are its gradient probes, so its gradient error keeps its bits.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ def test_mirrored_data_fit_and_verify_bit_for_bit():
         assert repr(mirrored_report.oracle_slope) == repr(-report.oracle_slope)
         assert repr(mirrored_report.bracket) == repr((-report.bracket[1], -report.bracket[0]))
         assert mirrored_report.profile_evals == report.profile_evals
+        assert repr(mirrored_report.gradient_max_rel_err) == repr(report.gradient_max_rel_err)
 
 
 def test_cli_prints_the_mirrored_slope_negated(tmp_path):

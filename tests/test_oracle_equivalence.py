@@ -10,7 +10,10 @@ where the old code only refused a difference that hit ``beta1 = 0`` exactly.
 ``_newton_root`` now takes a quartic's coefficients and returns its value at
 the root too; ``_ref_newton_pair`` puts the frozen root finder in that form.
 ``_ref_verify_fit`` searches down to ``_REF_ORACLE_TOL``, the default of the
-``FitConfig.oracle_tol`` field it used to read.
+``FitConfig.oracle_tol`` field it used to read.  A second deliberate change:
+its off-optimum gradient probe moves the intercept towards the sign of the
+slope, as ``verify_fit`` now does so that mirrored data gets the same
+gradient error to the bit; for a positive slope the probe is the old one.
 
 On every input the two must agree exactly: ``==`` and the same ``repr`` on
 every field of ``FittedLine`` and ``OracleReport`` (so signed zeros and
@@ -212,7 +215,8 @@ def _ref_verify_fit(stats, line, config):
         step = 1e-6 * (1.0 + abs(b1))
         if abs(b1) <= 2.0 * step:
             continue
-        for b0 in (stats.y_bar - b1 * stats.x_bar, line.beta0 + 0.25 * (1.0 + abs(line.beta0))):
+        off_line = line.beta0 + math.copysign(0.25 * (1.0 + abs(line.beta0)), line.beta1)
+        for b0 in (stats.y_bar - b1 * stats.x_bar, off_line):
             grad_err = max(grad_err, _ref_check_gradient(stats, b0, b1, gamma, step))
 
     return OracleReport(

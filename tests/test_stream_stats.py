@@ -1,17 +1,19 @@
-"""The CLI's block-streamed statistics against parsing whole, then ``compute_stats``.
+"""The CLI's streamed statistics against parsing whole, then ``compute_stats``.
 
-``dualfit`` reads its input ``cli._BLOCK_ROWS`` rows at a time and merges
-each block's statistics, instead of building a ``Dataset``.  Here the block
-size is cut to 1, 2 and 3 rows so that small texts span many blocks, and
-every ``dualfit stats`` run is held to the same run made the way the CLI
-worked before: ``parse_csv`` on the whole text, then ``compute_stats``.
+``dualfit`` sums input of at most ``cli._BLOCK_ROWS`` data rows in Python
+floats, and reads longer input that many rows at a time, merging each
+block's statistics; it never builds a ``Dataset``.  Here the block size is
+cut to 1, 2 and 3 rows so that small texts span many blocks, and every
+``dualfit stats`` run is held to the same run made the way the CLI worked
+before: ``parse_csv`` on the whole text, then ``compute_stats``.
 
 Input errors must agree exactly: exit code, message and line.  Statistics
-must agree exactly when the data fits in one block; across blocks they may
-differ by the round-off either algorithm commits, which the comparison
-allows, field by field.  Where a value's magnitude leaves ``[2**-200,
-2**200]``, whether a sum overflows or underflows can depend on the order of
-the arithmetic, so there the two runs need only both end in exit 0 or 3.
+may differ by the round-off either algorithm commits, which the comparison
+allows, field by field; data that fits in one block must also give, to the
+bit, ``parse_csv``'s values summed by the one-block arithmetic.  Where a
+value's magnitude leaves ``[2**-200, 2**200]``, whether a sum overflows or
+underflows can depend on the order of the arithmetic, so there the two runs
+need only both end in exit 0 or 3.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from hypothesis import strategies as st
 from dualfit import Dataset, compute_stats
 from dualfit import cli
 from dualfit.cli import EXIT_INPUT, EXIT_OK, parse_csv
-from dualfit.core import _RunningStats
+from dualfit.core import _checked_stats, _fsum_moments
+from dualfit.dataset import _RunningStats
 from dualfit.errors import InvalidInput, ParseError
 
 from conftest import dualfit_peak_mb
@@ -82,6 +85,14 @@ def _whole_then_stats(fh, x_column, y_column):
     # the CLI before streaming: the whole text parsed, then compute_stats
     data = parse_csv(fh, x_column, y_column)
     return lambda: compute_stats(data)
+
+
+def _whole_then_one_block_stats(fh, x_column, y_column):
+    # parse_csv's values, summed as the CLI sums one block
+    data = parse_csv(fh, x_column, y_column)
+    xs, ys = data.x.tolist(), data.y.tolist()
+    ranges = (min(xs), max(xs), min(ys), max(ys))
+    return lambda: _checked_stats(_fsum_moments(xs, ys), lambda: ranges)
 
 
 def _parsed(raw: bytes, columns):
@@ -148,9 +159,12 @@ def _assert_streams_like_whole(path, text: str, columns=(None, None)) -> None:
             # parse_csv joins the same blocks, to the same arrays
             assert _parsed(raw, columns) == parsed
         code, out, err = got
-        if expected[0] == EXIT_INPUT or rows <= block_rows:
+        if expected[0] == EXIT_INPUT:
             assert got == expected, block_rows
             continue
+        if rows <= block_rows:
+            with mock.patch.object(cli, "_read_stats", _whole_then_one_block_stats):
+                assert got == _stats_run(path, raw, columns), block_rows
         data = Dataset(np.frombuffer(parsed[1]), np.frombuffer(parsed[2]))
         if not _in_range(data):
             assert code in (EXIT_OK, 3) and len(err.splitlines()) == (code != EXIT_OK)
@@ -292,16 +306,41 @@ def _dataset(kind: str) -> tuple[np.ndarray, np.ndarray]:
 def test_merged_stats_within_4_ulp_of_exact(kind):
     x, y = _dataset(kind)
     stats = _streamed(x, y, cli._BLOCK_ROWS)
-    x_bar, y_bar, s_xx, s_yy, s_xy = _exact(x, y)
     assert stats.n == x.size
-    ulps = {
+    ulps = _ulps_from_exact(stats, x, y)
+    assert max(ulps.values()) <= 4.0, ulps
+
+
+def _ulps_from_exact(stats, x: np.ndarray, y: np.ndarray) -> dict[str, float]:
+    """Each statistic's distance from :func:`_exact`, in units in the last place.
+
+    A mean is measured in ulps of the largest value of its column, and
+    ``s_xy`` in ulps of ``sqrt(s_xx * s_yy)``, the scale its round-off has.
+    """
+    x_bar, y_bar, s_xx, s_yy, s_xy = _exact(x, y)
+    return {
         "x_bar": abs(stats.x_bar - x_bar) / math.ulp(float(np.abs(x).max())),
         "y_bar": abs(stats.y_bar - y_bar) / math.ulp(float(np.abs(y).max())),
         "s_xx": abs(stats.s_xx - s_xx) / math.ulp(s_xx),
         "s_yy": abs(stats.s_yy - s_yy) / math.ulp(s_yy),
         "s_xy": abs(stats.s_xy - s_xy) / math.ulp(math.sqrt(s_xx * s_yy)),
     }
-    assert max(ulps.values()) <= 4.0, ulps
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e9])
+@pytest.mark.parametrize("n", [2, 7, 1000, 8192])
+def test_one_block_stats_within_1_ulp_of_exact(n, offset):
+    # the CLI's one-block path: the row parse, then corrected two-pass fsums
+    assert n <= cli._BLOCK_ROWS
+    rng = np.random.default_rng([n, int(offset)])
+    t = rng.uniform(-3.0, 3.0, n)
+    x = t + 0.3 * rng.standard_normal(n) + offset
+    y = 1.7 * t + 0.5 * rng.standard_normal(n) - offset
+    text = "x,y\n" + "".join(map("{!r},{!r}\n".format, x.tolist(), y.tolist()))
+    stats = cli._read_stats(io.BytesIO(text.encode()), None, None)()
+    assert stats.n == n
+    ulps = _ulps_from_exact(stats, x, y)
+    assert max(ulps.values()) <= 1.0, ulps
 
 
 @pytest.mark.parametrize("n", [2, 3, 100, 8192])
