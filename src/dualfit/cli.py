@@ -9,15 +9,17 @@ identical inputs.  Exit codes: 0 ok, 2 input error or an output that cannot
 be written, 3 fit error, 4 verification failure; a reader that closes the
 output pipe early ends the command quietly with 0.
 
-Input of at most ``_BLOCK_ROWS`` data rows is read by the row-by-row parse
-and summarised in Python floats, so such a command never imports numpy.
-Longer input is read by ``np.loadtxt`` a block at a time; numpy and the data
-layer are imported for it then, and by :func:`parse_csv`.
+The header and the first ``_BLOCK_ROWS`` data rows of every input are read
+once, by the row-by-row parse.  Input that ends there is summarised in
+Python floats, so such a command never imports numpy.  Longer input is read
+on from the end of that block by ``np.loadtxt``, a block at a time; numpy
+and the data layer are imported for it then, and by :func:`parse_csv`.
 """
 
 from __future__ import annotations
 
 import argparse
+from array import array
 import csv
 import io
 import json
@@ -182,25 +184,12 @@ def _csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
 
 
 class _Fallback(Exception):
-    """The block reader cannot take this input; the row loop decides."""
+    """The blocks cannot take this input; the whole-text row loop decides."""
 
 
-# data rows per np.loadtxt call: memory per block is a few hundred kB, and
-# the call overhead is spread thin
+# data rows per block: one np.loadtxt call each, so memory per block is a few
+# hundred kB and the call overhead is spread thin
 _BLOCK_ROWS = 8192
-
-# lines np.loadtxt skips as empty, so a block holding only these has no data
-_BLANK_LINES = (b"\n", b"\r\n", b"\r")
-
-
-def _skip_blank_lines(fh) -> bool:
-    """Move ``fh`` past lines np.loadtxt skips; False at the end of the input."""
-    while True:
-        begin = fh.tell()
-        line = fh.readline()
-        if line not in _BLANK_LINES:
-            fh.seek(begin)
-            return bool(line)
 
 
 def _cells_within_limit(fh, begin: int, end: int) -> bool:
@@ -228,83 +217,32 @@ def _cells_within_limit(fh, begin: int, end: int) -> bool:
     return all(raw.find(b",", i, i + half) >= 0 for i in range(0, len(raw) - half + 1, half))
 
 
-def _data_blocks(fh, x_column: str | None, y_column: str | None) -> Iterator[np.ndarray]:
-    """Yield the ``(x, y)`` data rows of a seekable binary CSV stream in blocks.
-
-    The first row, and the first data row after a header, are read with the
-    csv module as in :func:`_parse_rows`; from there ``np.loadtxt`` reads up
-    to ``_BLOCK_ROWS`` rows per call.  Each block is an ``(m, 2)`` array.
-
-    Raises
-    ------
-    _Fallback
-        When the row loop must decide: the text is not UTF-8, a head row is
-        malformed, the columns do not resolve, ``np.loadtxt`` rejects a row,
-        a cell may be longer than ``csv.field_size_limit()``, or fewer than 2
-        data rows were read.  Raising is left to that loop, so every error
-        keeps the line number and the precedence of the row-by-row parse.
-    """
-    origin = fh.tell()
-    rows = _csv_rows(line.decode("utf-8") for line in fh)
-    try:
-        _, first = next(rows)
-        has_header, x_idx, y_idx = _columns(first, x_column, y_column)
-        start = fh.tell() if has_header else origin
-        # the first data row sets the column count, as in _parse_rows
-        cells = next(rows)[1] if has_header else first
-    except (StopIteration, ValueError, ParseError):
-        raise _Fallback from None
-    if not (0 <= x_idx < len(cells) and 0 <= y_idx < len(cells)):
-        raise _Fallback
-    fh.seek(start)
-    count = 0
-    # np.loadtxt warns when it reads no data, so it is called only before a
-    # line it does not skip
-    while _skip_blank_lines(fh):
-        begin = fh.tell()
-        try:
-            with warnings.catch_warnings():
-                # that a blank line is not counted towards max_rows is what
-                # blocks of rows need, not news for the user
-                warnings.filterwarnings(
-                    "ignore", r"Input line \d+ contained no data", UserWarning
-                )
-                xy = np.loadtxt(
-                    fh,
-                    delimiter=",",
-                    usecols=(x_idx, y_idx),
-                    comments=None,
-                    quotechar='"',
-                    ndmin=2,
-                    encoding="utf-8",
-                    max_rows=_BLOCK_ROWS,
-                )
-        except ValueError:
-            raise _Fallback from None
-        if not _cells_within_limit(fh, begin, fh.tell()):
-            raise _Fallback
-        count += len(xy)
-        yield xy
-    if count < 2:
-        raise _Fallback
-
-
 def _parse_rows(
-    rows: list[tuple[int, list[str]]], x_column: str | None, y_column: str | None
-) -> tuple[list[float], list[float]]:
-    """The x and y values of the rows :func:`_csv_rows` yields, read one by one.
+    rows: Iterator[tuple[int, list[str]]],
+    x_column: str | None,
+    y_column: str | None,
+    max_rows: int | None = None,
+) -> tuple[list[float], list[float], tuple[int, int]]:
+    """The x and y values of the rows :func:`_csv_rows` yields, read one by
+    one, and the x and y column indices.
 
+    The first row decides the header and the columns; then at most
+    ``max_rows`` data rows are read (all when None), and no row further.
     This decides the grammar: the rules that name the line of a malformed
-    row, and the forms ``np.loadtxt`` does not take.  Values are Python
-    floats, not yet checked to be finite.
+    row, and the forms ``np.loadtxt`` does not take.  Errors are raised in
+    the order the rows arrive.  Values are Python floats, not yet checked to
+    be finite; fewer than 2 are left to the caller, who knows whether the
+    input ended.
     """
-    if not rows:
+    first = next(rows, None)
+    if first is None:
         raise InvalidInput("need at least 2 data rows, got 0")
-    has_header, x_idx, y_idx = _columns(rows[0][1], x_column, y_column)
-    data_rows = rows[1:] if has_header else rows
-    if not data_rows:
+    has_header, x_idx, y_idx = _columns(first[1], x_column, y_column)
+    data_rows = islice(rows if has_header else chain([first], rows), max_rows)
+    first_data = next(data_rows, None)
+    if first_data is None:
         raise InvalidInput("need at least 2 data rows, got 0")
-    width = len(data_rows[0][1])
+    width = len(first_data[1])
     for idx, label in ((x_idx, "x"), (y_idx, "y")):
         if idx < 0 or idx >= width:
             raise InvalidInput(
@@ -314,7 +252,7 @@ def _parse_rows(
     xs: list[float] = []
     ys: list[float] = []
     needed = max(x_idx, y_idx) + 1
-    for line_num, cells in data_rows:
+    for line_num, cells in chain([first_data], data_rows):
         if len(cells) < needed:
             raise ParseError(
                 f"line {line_num}: expected at least {needed} columns, got {len(cells)}",
@@ -328,9 +266,74 @@ def _parse_rows(
                     f"line {line_num}: could not parse {cells[idx]!r} as a number",
                     line=line_num,
                 ) from None
-    if len(xs) < 2:
-        raise InvalidInput(f"need at least 2 data rows, got {len(xs)}")
-    return xs, ys
+    return xs, ys, (x_idx, y_idx)
+
+
+def _first_block(
+    fh, x_column: str | None, y_column: str | None
+) -> tuple[list[float], list[float], tuple[int, int], bool]:
+    """The first ``_BLOCK_ROWS`` data rows of a seekable binary CSV stream,
+    read by :func:`_parse_rows`, and whether a row follows them.
+
+    Also returns the column indices, and leaves ``fh`` just after the
+    block's last row.
+
+    Raises
+    ------
+    _Fallback
+        For any input error, and for input that ends with fewer than 2 data
+        rows: a later row can hold an error the whole text reports first, so
+        the whole-text row loop states every error.
+    """
+    rows = _csv_rows(line.decode("utf-8") for line in fh)
+    try:
+        xs, ys, columns = _parse_rows(rows, x_column, y_column, _BLOCK_ROWS)
+        end = fh.tell()
+        more = next(rows, None) is not None
+    except (UnicodeDecodeError, InvalidInput, ParseError):
+        raise _Fallback from None
+    if not more and len(xs) < 2:
+        raise _Fallback
+    fh.seek(end)
+    return xs, ys, columns, more
+
+
+def _data_blocks(fh, x_idx: int, y_idx: int) -> Iterator[np.ndarray]:
+    """Yield the ``(x, y)`` rows of a seekable binary CSV stream from where it
+    stands, as ``(m, 2)`` arrays of up to ``_BLOCK_ROWS`` rows, one
+    ``np.loadtxt`` call each, until a call finds no row.
+
+    Raises
+    ------
+    _Fallback
+        When ``np.loadtxt`` rejects a row, or a cell may be longer than
+        ``csv.field_size_limit()``: the row loop decides those.
+    """
+    while True:
+        begin = fh.tell()
+        try:
+            with warnings.catch_warnings():
+                # np.loadtxt warns that a blank line is not counted towards
+                # max_rows, which is what blocks of rows need, and that it read
+                # no data, which is how the last block ends
+                warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
+                xy = np.loadtxt(
+                    fh,
+                    delimiter=",",
+                    usecols=(x_idx, y_idx),
+                    comments=None,
+                    quotechar='"',
+                    ndmin=2,
+                    encoding="utf-8",
+                    max_rows=_BLOCK_ROWS,
+                )
+        except ValueError:
+            raise _Fallback from None
+        if not len(xy):
+            return
+        if not _cells_within_limit(fh, begin, fh.tell()):
+            raise _Fallback
+        yield xy
 
 
 def parse_csv(source, x_column: str | None = None, y_column: str | None = None) -> Dataset:
@@ -352,22 +355,22 @@ def parse_csv(source, x_column: str | None = None, y_column: str | None = None) 
     skipped, and cells past the selected columns are ignored.  A cell longer
     than ``csv.field_size_limit()``, in any column, is a malformed row.
 
-    Well-formed input is read in blocks of rows, one ``np.loadtxt`` call
-    each, and the blocks are joined.  Only text those calls reject goes
-    through a row-by-row loop, which either parses it (the rare forms
-    ``np.loadtxt`` does not take: whitespace-only or ``,,`` rows, ``1_0``,
-    non-ASCII digits, a ``\\r`` before ``\\r\\n``) or raises the error below
-    with the line number.
+    The header and the first ``_BLOCK_ROWS`` data rows are read row by row,
+    the rest in blocks of as many rows, one ``np.loadtxt`` call each, and
+    the blocks are joined.  Text those calls reject, the forms
+    ``np.loadtxt`` does not take past the first block (whitespace-only or
+    ``,,`` rows, ``1_0``, non-ASCII digits, a ``\\r`` before ``\\r\\n``) and
+    text with an error, goes through a loop over all the rows, which either
+    parses it or raises the error below with the line number.
 
-    The ``dualfit`` command does not build a Dataset.  Input of at most
-    ``_BLOCK_ROWS`` data rows it reads with the row-by-row rules and
-    summarises in Python floats, without numpy, by the corrected two-pass
-    ``math.fsum`` sums of ``core._fsum_moments``.  Longer input, a file or
-    standard input from a file, it reads in the same blocks and folds each
-    into running statistics, so its memory does not grow with the number of
-    rows.  A pipe is still read whole first, because text the blocks reject
-    is read again from where it began.  Either way its statistics can
-    differ from ``compute_stats(parse_csv(...))`` in the last bits.
+    The ``dualfit`` command reads the same blocks without building a
+    Dataset.  Input that ends within the first block it summarises in Python
+    floats, without numpy; longer input, a file or standard input from a
+    file, it folds a block at a time into running statistics, so its memory
+    does not grow with the number of rows.  A pipe is read whole first, and
+    so is text the blocks reject, which this function reads again from where
+    it began.  Either way the statistics can differ from
+    ``compute_stats(parse_csv(...))`` in the last bits.
 
     Raises
     ------
@@ -377,19 +380,29 @@ def parse_csv(source, x_column: str | None = None, y_column: str | None = None) 
         For text that is not UTF-8, missing columns, non-finite values, or
         fewer than 2 data rows.
     """
-    _import_data_layer()
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, (str, bytes, bytearray)):
         try:
             raw = source.encode("utf-8") if isinstance(source, str) else bytes(source)
-            xy = np.concatenate(list(_data_blocks(io.BytesIO(raw), x_column, y_column)))
+            fh = io.BytesIO(raw)
+            xs, ys, columns, more = _first_block(fh, x_column, y_column)
+            _import_data_layer()
+            blocks = [np.column_stack((xs, ys))]
+            if more:
+                blocks.extend(_data_blocks(fh, *columns))
+            xy = np.concatenate(blocks)
         except (UnicodeEncodeError, _Fallback):
             pass
         else:
             return Dataset(xy[:, 0], xy[:, 1])
+    # every row is read before any value is, so the first error in the
+    # text is raised, whatever kind it is
     rows = list(_csv_rows(io.StringIO(_as_text(source))))
-    xs, ys = _parse_rows(rows, x_column, y_column)
+    xs, ys, _ = _parse_rows(iter(rows), x_column, y_column)
+    if len(xs) < 2:
+        raise InvalidInput(f"need at least 2 data rows, got {len(xs)}")
+    _import_data_layer()
     return Dataset(np.asarray(xs), np.asarray(ys))
 
 
@@ -510,31 +523,6 @@ def _emit_scalar(value: float, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _one_block(
-    fh, x_column: str | None, y_column: str | None
-) -> tuple[list[float], list[float]] | None:
-    """The x and y values of a binary CSV stream of at most ``_BLOCK_ROWS`` data rows.
-
-    The rows are read by :func:`_csv_rows` and :func:`_parse_rows`, whose
-    errors are the whole input's once it has all been read.  Returns None,
-    having read at most a header and one block and a row, for input that is
-    longer, that is not UTF-8 or that the csv module rejects before its end
-    (where the verdict may lie further on), or that holds a value that is
-    not finite.
-    """
-    rows = _csv_rows(line.decode("utf-8") for line in fh)
-    try:
-        head = list(islice(rows, _BLOCK_ROWS + 2))
-    except (UnicodeDecodeError, ParseError):
-        return None
-    if len(head) == _BLOCK_ROWS + 2:
-        return None
-    xs, ys = _parse_rows(head, x_column, y_column)
-    if len(xs) > _BLOCK_ROWS or not all(map(math.isfinite, chain(xs, ys))):
-        return None
-    return xs, ys
-
-
 def _read_stats(
     fh, x_column: str | None, y_column: str | None
 ) -> Callable[[], SufficientStats]:
@@ -542,29 +530,33 @@ def _read_stats(
 
     Returns the step that checks the statistics and builds the record, so
     that a statistics error (exit 3) stays apart from an input error (exit
-    2).  Input of at most ``_BLOCK_ROWS`` data rows is summarised by
-    :func:`~dualfit.core._fsum_moments`, without numpy.  Any other input goes
-    back to the stream's offset on entry and is folded into running
-    statistics, an ``np.loadtxt`` block at a time.  Input the block reader
-    rejects, or a non-finite value, goes back there again for
-    :func:`parse_csv`, whose verdict stands: a malformed row after an
-    ``inf`` is still reported by its line.  A stream that cannot seek, a
+    2).  The first block is read by :func:`_first_block`.  Input that ends
+    there is summarised by :func:`~dualfit.core._fsum_moments`, without
+    numpy.  Longer input is folded into running statistics, that block
+    first, then an ``np.loadtxt`` block at a time.  Input the blocks refuse,
+    an input error or a non-finite value, goes back to the stream's offset on
+    entry for :func:`parse_csv`, whose verdict stands: a malformed row after
+    an ``inf`` is still reported by its line.  A stream that cannot seek, a
     pipe or a terminal, is read whole first.
     """
     if not fh.seekable():
         fh = io.BytesIO(fh.read())
     origin = fh.tell()
-    block = _one_block(fh, x_column, y_column)
-    if block is not None:
-        xs, ys = block
-        return lambda: _checked_stats(
-            _fsum_moments(xs, ys), lambda: (min(xs), max(xs), min(ys), max(ys))
-        )
-    fh.seek(origin)
-    _import_data_layer()
-    running = _RunningStats()
     try:
-        for xy in _data_blocks(fh, x_column, y_column):
+        xs, ys, columns, more = _first_block(fh, x_column, y_column)
+        if not all(map(math.isfinite, chain(xs, ys))):
+            raise _Fallback
+        if not more:
+            return lambda: _checked_stats(
+                _fsum_moments(xs, ys), lambda: (min(xs), max(xs), min(ys), max(ys))
+            )
+        # held as C doubles, a quarter of their size as Python floats, while
+        # numpy is imported
+        xs, ys = array("d", xs), array("d", ys)
+        _import_data_layer()
+        running = _RunningStats()
+        running.add(np.array(xs), np.array(ys))
+        for xy in _data_blocks(fh, *columns):
             if not np.isfinite(xy).all():
                 raise _Fallback
             x, y = xy.T.copy()  # contiguous columns, as a Dataset holds them

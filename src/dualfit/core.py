@@ -318,11 +318,13 @@ def _checked_stats(
 
 
 def compute_stats(data: Dataset) -> SufficientStats:
-    """Two-pass sufficient statistics of a dataset, made once per Dataset.
+    """Corrected two-pass sufficient statistics of a dataset, made once per Dataset.
 
-    Means first, then centered sums of squares and products.  Round-off can
-    push the correlation a hair past 1 in magnitude for collinear data, so it
-    is clamped to [-1, 1].
+    Means first, then centered sums of squares and products, each less what
+    the rounding of the means leaves in it (Chan, Golub & LeVeque, 1983), so
+    a column nearly constant at a large offset keeps its spread.  Round-off
+    can push the correlation a hair past 1 in magnitude for collinear data,
+    so it is clamped to [-1, 1].
 
     The first call keeps the record on ``data`` and every later call, and
     every :func:`fit` of ``data``, returns that same object.  This relies on

@@ -2,11 +2,12 @@
 
 This is the part of dualfit that imports numpy.  :class:`Dataset` holds two
 read-only float64 columns and works out their sufficient statistics once, by
-the two-pass :func:`_moments`; :class:`_RunningStats` folds rows that arrive
-a block at a time, as ``dualfit`` reads input longer than one block.  Both
-check their figures with the kernel's :func:`dualfit.core._checked_stats`,
-and everything after the statistics (the fit, the oracle, the command line)
-runs in :mod:`dualfit.core` without numpy.
+the corrected two-pass :func:`_moments`; :class:`_RunningStats` folds rows
+that arrive a block at a time, as ``dualfit`` reads input longer than one
+block.  Both check their figures with the kernel's
+:func:`dualfit.core._checked_stats`, and everything after the statistics
+(the fit, the oracle, the command line) runs in :mod:`dualfit.core` without
+numpy.
 """
 
 from __future__ import annotations
@@ -119,7 +120,14 @@ def _read_only(column: np.ndarray) -> np.ndarray:
 
 
 def _moments(x: np.ndarray, y: np.ndarray) -> _Moments:
-    """Two-pass moments: means first, then centred sums of squares and products.
+    """Corrected two-pass moments: means first, then centred sums of squares
+    and products.
+
+    Each centred sum is ``sum(d*d) - sum(d)**2 / n`` over the deviations
+    ``d`` from the rounded mean, the rule of
+    :func:`~dualfit.core._fsum_moments` (Chan, Golub & LeVeque, 1983): the
+    second term takes out what the rounding of the mean leaves in the first,
+    which is all there is of a column nearly constant at a large offset.
 
     Nothing is checked here; :func:`~dualfit.core._checked_stats` checks the
     figures.
@@ -132,7 +140,15 @@ def _moments(x: np.ndarray, y: np.ndarray) -> _Moments:
         y_bar = float(y.sum()) / n
         dx = x - x_bar
         dy = y - y_bar
-        return _Moments(n, x_bar, y_bar, float(dx @ dx), float(dy @ dy), float(dx @ dy))
+        sum_dx, sum_dy = float(dx.sum()), float(dy.sum())
+        return _Moments(
+            n,
+            x_bar,
+            y_bar,
+            float(dx @ dx) - sum_dx * sum_dx / n,
+            float(dy @ dy) - sum_dy * sum_dy / n,
+            float(dx @ dy) - sum_dx * sum_dy / n,
+        )
 
 
 class _RunningStats:

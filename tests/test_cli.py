@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualfit import Dataset, FitConfig, OracleReport, fit
+from dualfit import Dataset, FitConfig, OracleReport, compute_stats, fit
 from dualfit import cli
 from dualfit.cli import EXIT_FIT, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main, parse_csv
 from dualfit.errors import InvalidInput, ParseError
@@ -401,10 +401,10 @@ def test_commands_look_up_the_traced_names(monkeypatch, tmp_path, capsys):
         assert main(argv) == EXIT_OK, argv
     capsys.readouterr()
     assert calls["fit_stats"] == 4 and calls["verify_fit"] == 1
-    # one block is summarised without them; on two, a 1_0 cell is refused by
-    # np.loadtxt, so parse_csv reads the file row by row
+    # one block is summarised without them; a 1_0 cell in the second block
+    # is refused by np.loadtxt, so parse_csv reads the file row by row
     rows = "".join(f"{i},{i % 7}\n" for i in range(cli._BLOCK_ROWS))
-    text = "x,y\n1_0,1\n" + rows
+    text = "x,y\n" + rows + "1_0,1\n"
     assert main(["stats", "--input", _write(tmp_path, text)]) == EXIT_OK
     n = cli._BLOCK_ROWS + 1
     assert capsys.readouterr().out.splitlines()[0].split() == ["n", str(n)]
@@ -509,6 +509,42 @@ def test_input_longer_than_one_block_keeps_its_bits_and_imports_numpy(tmp_path):
     result = _main_reporting_numpy("with-numpy", "fit", "--input", path, "--format", "json")
     assert (result.returncode, result.stderr) == (0, b"numpy imported: True\n")
     assert result.stdout.decode() == _TWO_BLOCK_FIT
+
+
+def test_each_row_is_parsed_once(monkeypatch, tmp_path, capsys):
+    # the csv module reads the header, the first block and one row past it;
+    # np.loadtxt reads the rest
+    parsed = {"csv": 0, "loadtxt": 0}
+    real_reader, real_loadtxt = csv.reader, np.loadtxt
+
+    class CountingReader:
+        def __init__(self, *args, **kwargs):
+            self._reader = real_reader(*args, **kwargs)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            row = next(self._reader)
+            parsed["csv"] += 1
+            return row
+
+        @property
+        def line_num(self):
+            return self._reader.line_num
+
+    def counting_loadtxt(*args, **kwargs):
+        rows = real_loadtxt(*args, **kwargs)
+        parsed["loadtxt"] += len(rows)
+        return rows
+
+    monkeypatch.setattr(csv, "reader", CountingReader)
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    n = 2 * cli._BLOCK_ROWS + 100  # three blocks
+    assert main(["stats", "--input", _write(tmp_path, _table(n))]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0].split() == ["n", str(n)]
+    assert parsed["loadtxt"] == n - cli._BLOCK_ROWS
+    assert parsed["csv"] + parsed["loadtxt"] <= n + 2, parsed
 
 
 # ---- argument handling ------------------------------------------------------------
@@ -621,6 +657,20 @@ def test_standard_input_is_read_from_its_offset(tmp_path, header, cell):
     assert (from_offset.returncode, from_offset.stderr) == (EXIT_OK, b"")
     assert from_offset.stdout == alone.stdout
     assert json.loads(from_offset.stdout)["n"] == 4
+
+
+def test_refused_block_is_read_again_from_the_offset(tmp_path):
+    # the row parse takes 1_0 in the first block; past it np.loadtxt refuses
+    # the cell, and parse_csv reads the text again from where the stream stood
+    skipped = "50,-50\n" * 3
+    rest = _table(cli._BLOCK_ROWS) + "1_0,5\n"
+    whole = tmp_path / "whole.csv"
+    whole.write_text(skipped + rest)
+    with open(whole, "rb") as fh:
+        fh.seek(len(skipped))
+        stats = cli._read_stats(fh, None, None)()
+    assert stats == compute_stats(parse_csv(rest))
+    assert stats.n == cli._BLOCK_ROWS + 1
 
 
 def test_closed_standard_input_exits_2_with_one_line():

@@ -255,7 +255,10 @@ def test_well_formed_text_skips_row_loop(text, monkeypatch):
     def row_loop(*args):
         raise AssertionError("row loop reached")
 
-    monkeypatch.setattr(cli, "_parse_rows", row_loop)
+    # only the whole-text row loop reads its text through _as_text; blocks of
+    # one row make every text span blocks
+    monkeypatch.setattr(cli, "_as_text", row_loop)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 1)
     assert _outcome(parse_csv, text, None, None) == expected
 
 

@@ -351,6 +351,38 @@ def test_single_block_is_compute_stats_to_the_bit(n):
     assert _streamed(x, y, 8192) == compute_stats(Dataset(x, y))
 
 
+def test_two_points_at_a_large_offset_are_exact():
+    # the mean rounds half an ulp away, which an uncorrected centred sum
+    # counts twice over
+    x, y = np.array([1e20, 1e20 + 16384]), np.array([1.0, 2.0])
+    stats = compute_stats(Dataset(x, y))
+    assert (stats.x_bar, stats.y_bar, stats.s_xx, stats.s_yy, stats.s_xy) == _exact(x, y)
+    assert (stats.s_xx, stats.rho) == (134217728.0, 1.0)
+
+
+def _offset_columns(kind: str, n: int, offset: float) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded columns at ``offset`` and ``-offset``: a noisy line, or values a
+    few ulps of the offset apart, which are all a centred sum has to hold."""
+    rng = np.random.default_rng([n, int(offset), kind == "near-constant"])
+    if kind == "ordinary":
+        t = rng.uniform(-3.0, 3.0, n)
+        return t + 0.3 * rng.standard_normal(n) + offset, 1.7 * t - offset
+    steps = rng.integers(-8, 9, n)
+    steps[:2] = (-8, 8)  # never a constant column
+    spread = math.ulp(offset)
+    return offset + spread * steps, spread * (steps + rng.integers(-2, 3, n)) - offset
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e6, 1e9, 1e12])
+@pytest.mark.parametrize("n", [2, 7, 1000, 10_000])
+@pytest.mark.parametrize("kind", ["ordinary", "near-constant"])
+def test_compute_stats_within_32_ulp_of_exact(kind, n, offset):
+    x, y = _offset_columns(kind, n, offset)
+    stats = compute_stats(Dataset(x, y))
+    ulps = _ulps_from_exact(stats, x, y)
+    assert max(ulps.values()) <= 32.0, ulps
+
+
 # ---- peak memory flat in the number of rows -------------------------------------
 
 
