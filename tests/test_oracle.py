@@ -152,12 +152,14 @@ def test_verify_reference(reference_stats):
 
 
 def test_verify_endpoint_skips_search(reference_stats):
-    config = FitConfig(gamma=1.0)
-    line = fit_stats(reference_stats, config)
-    report = verify_fit(reference_stats, line, config)
-    assert report.profile_evals == 0
-    assert report.oracle_slope == reference_stats.s_xy / reference_stats.s_xx
-    assert report.abs_gap <= 1e-12
+    # no weight is searched: the endpoint closed forms are certified like the rest
+    s = reference_stats
+    for gamma, closed_form in ((1.0, s.s_xy / s.s_xx), (0.0, s.s_yy / s.s_xy)):
+        config = FitConfig(gamma=gamma)
+        report = verify_fit(s, fit_stats(s, config), config)
+        assert report.certified and report.profile_evals == 3
+        assert report.oracle_slope == closed_form
+        assert report.abs_gap == 0.0
 
 
 def test_verify_eval_budget_random():

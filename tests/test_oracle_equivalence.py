@@ -1,19 +1,22 @@
 """The objective, the slope solve and the oracle against frozen copies.
 
-The ``_ref_*`` functions are ``sse``, ``sse_gradient``, ``profile_sse``,
-``_minimize_traced``, ``check_gradient``, ``verify_fit``, ``_newton_root``
-(with ``Quartic.__call__``), the fit around it and ``reflected``, as they
-were before the objective was bound once per search and per verify, and
-before the fit stopped building reflected statistics.  One deliberate change:
-``_ref_check_gradient`` raises ``SingularSlope`` when ``|beta1| <= step``,
-where the old code only refused a difference that hit ``beta1 = 0`` exactly.
-``_newton_root`` now takes a quartic's coefficients and returns its value at
-the root too; ``_ref_newton_pair`` puts the frozen root finder in that form.
-``_ref_verify_fit`` searches down to ``_REF_ORACLE_TOL``, the default of the
-``FitConfig.oracle_tol`` field it used to read.  A second deliberate change:
-its off-optimum gradient probe moves the intercept towards the sign of the
-slope, as ``verify_fit`` now does so that mirrored data gets the same
-gradient error to the bit; for a positive slope the probe is the old one.
+The ``_ref_*`` functions are ``sse``, ``sse_gradient``, ``profile_sse``, the
+golden-section search of ``minimize_profile``, ``check_gradient``,
+``_newton_root`` (with ``Quartic.__call__``), the fit around it and
+``reflected``, as they were before the objective was bound once per search,
+and before the fit stopped building reflected statistics.  One deliberate
+change: ``_ref_check_gradient`` raises ``SingularSlope`` when
+``|beta1| <= step``, where the old code only refused a difference that hit
+``beta1 = 0`` exactly.  ``_newton_root`` now takes a quartic's coefficients
+and returns its value at the root too; ``_ref_newton_pair`` puts the frozen
+root finder in that form.  ``_ref_minimize_traced`` searches down to
+``_REF_ORACLE_TOL``, the default ``tol`` of ``minimize_profile``, and
+``minimize_profile`` must return its slope.
+
+``verify_fit`` is held to an exact reference instead, ``_ref_verify``: the
+profile objective evaluated in ``fractions.Fraction`` at the fitted slope
+and 8 ulps either side, on fitted slopes and on slopes moved by 4 ulps,
+where both verdicts occur.
 
 On every input the two must agree exactly: ``==`` and the same ``repr`` on
 every field of ``FittedLine`` and ``OracleReport`` (so signed zeros and
@@ -22,7 +25,9 @@ float types count too), or the same exception type and message.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +45,7 @@ from dualfit import (
     check_gradient,
     compute_stats,
     fit_stats,
+    minimize_profile,
     profile_sse,
     slope_bounds,
     sse,
@@ -56,7 +62,6 @@ from dualfit.errors import (
     SolverFailure,
     ZeroCorrelation,
 )
-from dualfit.oracle import _minimize_traced
 
 # ---- the frozen reference ----------------------------------------------------
 
@@ -65,6 +70,7 @@ _REF_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _REF_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _REF_BRACKET_PAD = 0.01
 _REF_ORACLE_TOL = 1e-9
+_REF_ULPS = 8
 
 
 def _ref_reflected(stats):
@@ -174,6 +180,10 @@ def _ref_minimize_traced(stats, gamma, tol):
     return x_star, evals, bracket
 
 
+def _ref_minimize_profile(stats, gamma):
+    return _ref_minimize_traced(stats, gamma, _REF_ORACLE_TOL)[0]
+
+
 def _ref_rel_err(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
@@ -193,39 +203,36 @@ def _ref_check_gradient(stats, beta0, beta1, gamma, step=1e-6):
     return max(_ref_rel_err(a0, fd0), _ref_rel_err(a1, fd1))
 
 
-def _ref_verify_fit(stats, line, config):
-    gamma = line.gamma
+def _ref_profile(stats, t, gamma):
+    """The profile objective ``V(t) * (gamma + (1 - gamma) / t**2)``, exactly."""
+    s_xx, s_xy, s_yy, g, t = map(Fraction, (stats.s_xx, stats.s_xy, stats.s_yy, gamma, t))
+    return (s_yy - 2 * t * s_xy + t * t * s_xx) * (g + (1 - g) / (t * t))
+
+
+def _ref_verify(stats, line, config):
     reflect = stats.rho < 0.0 and config.negative_correlation_policy == "reflect"
-    positive = _ref_reflected(stats) if reflect else stats
-    lower, upper = slope_bounds(positive)
-    if 0.0 < gamma < 1.0:
-        oracle_slope, evals, bracket = _ref_minimize_traced(positive, gamma, _REF_ORACLE_TOL)
-    else:
-        oracle_slope = (
-            positive.s_xy / positive.s_xx if gamma == 1.0 else positive.s_yy / positive.s_xy
-        )
-        evals = 0
-        bracket = (lower * (1.0 - _REF_BRACKET_PAD), upper * (1.0 + _REF_BRACKET_PAD))
-    if reflect:
-        oracle_slope, bracket = -oracle_slope, (-bracket[1], -bracket[0])
-
-    grad_err = 0.0
-    for factor in (1.0, 0.9, 1.1):
-        b1 = line.beta1 * factor
-        step = 1e-6 * (1.0 + abs(b1))
-        if abs(b1) <= 2.0 * step:
-            continue
-        off_line = line.beta0 + math.copysign(0.25 * (1.0 + abs(line.beta0)), line.beta1)
-        for b0 in (stats.y_bar - b1 * stats.x_bar, off_line):
-            grad_err = max(grad_err, _ref_check_gradient(stats, b0, b1, gamma, step))
-
+    slope_bounds(_ref_reflected(stats) if reflect else stats)  # raises as verify_fit does
+    b, gamma = line.beta1, line.gamma
+    below = above = b
+    for _ in range(_REF_ULPS):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+    if (b > 0.0) != reflect:
+        best = b
+        for probe in (below, above):
+            if _ref_profile(stats, probe, gamma) < _ref_profile(stats, best, gamma):
+                best = probe
+        evals = 3
+    else:  # a slope of the wrong sign loses to its negation
+        best, evals = -b, 0
+    s_xx, s_xy, s_yy, g, t = map(Fraction, (stats.s_xx, stats.s_xy, stats.s_yy, gamma, b))
+    terms = [g * s_xx * t**4, -g * s_xy * t**3, (1 - g) * s_xy * t, -(1 - g) * s_yy]
     return OracleReport(
-        oracle_slope=oracle_slope,
-        quartic_slope=line.beta1,
-        abs_gap=abs(oracle_slope - line.beta1),
+        oracle_slope=best,
+        quartic_slope=b,
+        abs_gap=abs(best - b),
         profile_evals=evals,
-        bracket=bracket,
-        gradient_max_rel_err=grad_err,
+        bracket=(below, above),
+        gradient_max_rel_err=float(abs(sum(terms)) / sum(map(abs, terms))),
     )
 
 
@@ -328,12 +335,18 @@ def _assert_case(stats: SufficientStats, gamma: float, policy: str) -> None:
         reflect = FitConfig(gamma=gamma, negative_correlation_policy="reflect")
         kind, line = _outcome(_ref_fit_stats, stats, reflect)
     if kind == "ok":
-        _assert_same(verify_fit, _ref_verify_fit, stats, line, config)
+        _assert_same(verify_fit, _ref_verify, stats, line, config)
+        # half a bracket off the fit, where about half the slopes are certified
+        moved = line.beta1
+        for _ in range(_REF_ULPS // 2):
+            moved = math.nextafter(moved, math.inf)
+        moved_line = dataclasses.replace(line, beta1=moved)
+        _assert_same(verify_fit, _ref_verify, stats, moved_line, config)
         _assert_same(sse, _ref_sse, stats, line.beta0, line.beta1, gamma)
         _assert_same(sse_gradient, _ref_sse_gradient, stats, line.beta0, line.beta1, gamma)
         _assert_same(profile_sse, _ref_profile_sse, stats, line.beta1, gamma)
         _assert_same(check_gradient, _ref_check_gradient, stats, line.beta0, line.beta1, gamma)
-    _assert_same(_minimize_traced, _ref_minimize_traced, stats, gamma, _REF_ORACLE_TOL)
+    _assert_same(minimize_profile, _ref_minimize_profile, stats, gamma)
     positive = _ref_reflected(stats) if stats.rho < 0.0 else stats
     if 0.0 < gamma < 1.0 and positive.rho > 0.0:
         quartic = build_quartic(positive, gamma)
