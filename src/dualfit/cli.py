@@ -9,11 +9,9 @@ identical inputs.  Exit codes: 0 ok, 2 input error or an output that cannot
 be written, 3 fit error, 4 verification failure; a reader that closes the
 output pipe early ends the command quietly with 0.
 
-The header and the first ``_BLOCK_ROWS`` data rows of every input are read
-once, by the row-by-row parse.  Input that ends there is summarised in
-Python floats, so such a command never imports numpy.  Longer input is read
-on from the end of that block by ``np.loadtxt``, a block at a time; numpy
-and the data layer are imported for it then, and by :func:`parse_csv`.
+Every input is read once, a block of ``_BLOCK_ROWS`` data rows at a time,
+by :func:`_blocks`.  Input that ends within the first block is summarised
+in Python floats, so such a command never imports numpy.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import sys
 import warnings
 from dataclasses import fields
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .core import (
     FitConfig,
@@ -40,7 +38,7 @@ from .core import (
     _fsum_moments,
     _slope_interval,
     _solver,
-    compute_stats,
+    compute_stats,  # not called here, but a name of this module that tracers wrap
     fit_stats,
     inverse_predict,
     predict,
@@ -96,17 +94,6 @@ def __getattr__(name: str):
 # ---------------------------------------------------------------------------
 
 
-def _as_text(source) -> str:
-    if isinstance(source, str):
-        return source
-    if isinstance(source, (bytes, bytearray)):
-        try:
-            return bytes(source).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InvalidInput(f"input is not valid UTF-8: {exc}") from exc
-    raise InvalidInput(f"unsupported CSV source type {type(source).__name__}")
-
-
 def _is_number(cell: str) -> bool:
     try:
         float(cell)
@@ -146,27 +133,22 @@ def _resolve_column(
         ) from None
 
 
-def _columns(
-    first_cells: list[str], x_column: str | None, y_column: str | None
-) -> tuple[bool, int, int]:
-    """Whether the first row is a header, and the x and y column indices.
-
-    The row is a header iff the cells it holds at the x and y probe indices
-    fail to parse as numbers.
-    """
-    probes = {_probe_index(x_column, 0), _probe_index(y_column, 1)}
-    present = [first_cells[i] for i in sorted(probes) if 0 <= i < len(first_cells)]
-    has_header = bool(present) and not all(_is_number(c) for c in present)
-    header = first_cells if has_header else None
-    x_idx = _resolve_column(x_column, header, "x", 0)
-    y_idx = _resolve_column(y_column, header, "y", 1)
-    return has_header, x_idx, y_idx
+# the 1-based line number and stripped cells of each non-blank row
+_Rows = Iterator[tuple[int, list[str]]]
 
 
-def _csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+def _lines(fh) -> Iterator[str]:
+    """The lines of a text stream, or of a UTF-8 binary one, from where it stands."""
+    if isinstance(fh, io.TextIOBase):
+        return fh
+    return (line.decode("utf-8") for line in fh)
+
+
+def _csv_rows(lines: Iterable[str], skipped: int = 0) -> _Rows:
     """Yield the 1-based line number and stripped cells of each non-blank row.
 
-    A row is blank when it has no cells or only whitespace cells.
+    A row is blank when it has no cells or only whitespace cells.  Line
+    numbers count on from the ``skipped`` lines before ``lines``.
 
     Raises
     ------
@@ -178,68 +160,30 @@ def _csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
         for cells in reader:
             # all cells are whitespace iff their concatenation is
             if "".join(cells).strip():
-                yield reader.line_num, list(map(str.strip, cells))
+                yield skipped + reader.line_num, list(map(str.strip, cells))
     except csv.Error as exc:
-        raise ParseError(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
+        line = skipped + reader.line_num
+        raise ParseError(f"line {line}: {exc}", line=line) from None
 
 
-class _Fallback(Exception):
-    """The blocks cannot take this input; the whole-text row loop decides."""
+def _data_rows(rows: _Rows, x_column: str | None, y_column: str | None) -> tuple[int, int, _Rows]:
+    """The x and y column indices, and the data rows of ``rows``.
 
-
-# data rows per block: one np.loadtxt call each, so memory per block is a few
-# hundred kB and the call overhead is spread thin
-_BLOCK_ROWS = 8192
-
-
-def _cells_within_limit(fh, begin: int, end: int) -> bool:
-    """Whether no cell of the rows in bytes ``[begin, end)`` of ``fh`` can be
-    longer than ``csv.field_size_limit()``; leaves ``fh`` at ``end``.
-
-    Without a quote, a cell holds no comma, so a cell over the limit leaves a
-    longer run of bytes between commas, which covers a whole stretch of half
-    the limit; a stretch without a comma sends the text to the row loop.
-    With a quote, the csv module, which enforces the limit, reads the rows.
-    """
-    limit = csv.field_size_limit()
-    if end - begin <= limit:
-        return True
-    fh.seek(begin)
-    raw = fh.read(end - begin)
-    if b'"' in raw:
-        try:
-            for _ in _csv_rows(io.StringIO(raw.decode("utf-8"))):
-                pass
-        except ParseError:
-            return False
-        return True
-    half = limit // 2
-    return all(raw.find(b",", i, i + half) >= 0 for i in range(0, len(raw) - half + 1, half))
-
-
-def _parse_rows(
-    rows: Iterator[tuple[int, list[str]]],
-    x_column: str | None,
-    y_column: str | None,
-    max_rows: int | None = None,
-) -> tuple[list[float], list[float], tuple[int, int]]:
-    """The x and y values of the rows :func:`_csv_rows` yields, read one by
-    one, and the x and y column indices.
-
-    The first row decides the header and the columns; then at most
-    ``max_rows`` data rows are read (all when None), and no row further.
-    This decides the grammar: the rules that name the line of a malformed
-    row, and the forms ``np.loadtxt`` does not take.  Errors are raised in
-    the order the rows arrive.  Values are Python floats, not yet checked to
-    be finite; fewer than 2 are left to the caller, who knows whether the
-    input ended.
+    The first row is a header iff its cells at the x and y probe indices fail
+    to parse as numbers; the first data row must hold both columns.  This and
+    :func:`_values` decide the grammar: the rules that name the line of a
+    malformed row, and the forms ``np.loadtxt`` does not take.
     """
     first = next(rows, None)
     if first is None:
         raise InvalidInput("need at least 2 data rows, got 0")
-    has_header, x_idx, y_idx = _columns(first[1], x_column, y_column)
-    data_rows = islice(rows if has_header else chain([first], rows), max_rows)
-    first_data = next(data_rows, None)
+    probes = {_probe_index(x_column, 0), _probe_index(y_column, 1)}
+    present = [first[1][i] for i in sorted(probes) if 0 <= i < len(first[1])]
+    has_header = bool(present) and not all(_is_number(c) for c in present)
+    header = first[1] if has_header else None
+    x_idx = _resolve_column(x_column, header, "x", 0)
+    y_idx = _resolve_column(y_column, header, "y", 1)
+    first_data = next(rows, None) if has_header else first
     if first_data is None:
         raise InvalidInput("need at least 2 data rows, got 0")
     width = len(first_data[1])
@@ -248,11 +192,16 @@ def _parse_rows(
             raise InvalidInput(
                 f"{label} column index {idx} is out of range for {width} column(s)"
             )
+    return x_idx, y_idx, chain([first_data], rows)
 
+
+def _values(rows: _Rows, x_idx: int, y_idx: int) -> tuple[list[float], list[float], bool]:
+    """The x and y values of ``rows``, read one by one by Python's ``float``,
+    and whether they are all finite."""
     xs: list[float] = []
     ys: list[float] = []
     needed = max(x_idx, y_idx) + 1
-    for line_num, cells in chain([first_data], data_rows):
+    for line_num, cells in rows:
         if len(cells) < needed:
             raise ParseError(
                 f"line {line_num}: expected at least {needed} columns, got {len(cells)}",
@@ -266,74 +215,158 @@ def _parse_rows(
                     f"line {line_num}: could not parse {cells[idx]!r} as a number",
                     line=line_num,
                 ) from None
-    return xs, ys, (x_idx, y_idx)
+    return xs, ys, all(map(math.isfinite, chain(xs, ys)))
 
 
-def _first_block(
-    fh, x_column: str | None, y_column: str | None
-) -> tuple[list[float], list[float], tuple[int, int], bool]:
-    """The first ``_BLOCK_ROWS`` data rows of a seekable binary CSV stream,
-    read by :func:`_parse_rows`, and whether a row follows them.
+# data rows per block: one np.loadtxt call each, so memory per block is a few
+# hundred kB and the call overhead is spread thin
+_BLOCK_ROWS = 8192
 
-    Also returns the column indices, and leaves ``fh`` just after the
-    block's last row.
 
-    Raises
-    ------
-    _Fallback
-        For any input error, and for input that ends with fewer than 2 data
-        rows: a later row can hold an error the whole text reports first, so
-        the whole-text row loop states every error.
+def _lines_before(fh, origin: int, offset: int) -> int:
+    """The number of lines in ``[origin, offset)`` of ``fh``, read a buffer
+    at a time; leaves ``fh`` at ``offset``, which starts a line."""
+    fh.seek(origin)
+    count = 0
+    for start in range(origin, offset, io.DEFAULT_BUFFER_SIZE):
+        chunk = fh.read(min(io.DEFAULT_BUFFER_SIZE, offset - start))
+        count += chunk.count("\n" if isinstance(chunk, str) else b"\n")
+    return count
+
+
+def _cells_within_limit(fh, begin: int, end: int) -> bool:
+    """Whether no cell of the rows in ``[begin, end)`` of ``fh`` can be
+    longer than ``csv.field_size_limit()``; leaves ``fh`` at ``end``.
+
+    Without a quote, a cell holds no comma, so a cell over the limit leaves a
+    longer run of bytes between commas, which covers a whole stretch of
+    half the limit; a stretch without a comma sends the rows to the row parse.
+    With a quote, the csv module, which enforces the limit, reads the rows.
     """
-    rows = _csv_rows(line.decode("utf-8") for line in fh)
-    try:
-        xs, ys, columns = _parse_rows(rows, x_column, y_column, _BLOCK_ROWS)
-        end = fh.tell()
-        more = next(rows, None) is not None
-    except (UnicodeDecodeError, InvalidInput, ParseError):
-        raise _Fallback from None
-    if not more and len(xs) < 2:
-        raise _Fallback
-    fh.seek(end)
-    return xs, ys, columns, more
-
-
-def _data_blocks(fh, x_idx: int, y_idx: int) -> Iterator[np.ndarray]:
-    """Yield the ``(x, y)`` rows of a seekable binary CSV stream from where it
-    stands, as ``(m, 2)`` arrays of up to ``_BLOCK_ROWS`` rows, one
-    ``np.loadtxt`` call each, until a call finds no row.
-
-    Raises
-    ------
-    _Fallback
-        When ``np.loadtxt`` rejects a row, or a cell may be longer than
-        ``csv.field_size_limit()``: the row loop decides those.
-    """
-    while True:
-        begin = fh.tell()
+    limit = csv.field_size_limit()
+    if end - begin <= limit:
+        return True
+    fh.seek(begin)
+    raw = fh.read(end - begin)
+    if isinstance(raw, str):
+        # searched as UTF-8 bytes, which a lone surrogate cannot spoil
+        raw = raw.encode("utf-8", "surrogatepass")
+    if b'"' in raw:
         try:
-            with warnings.catch_warnings():
-                # np.loadtxt warns that a blank line is not counted towards
-                # max_rows, which is what blocks of rows need, and that it read
-                # no data, which is how the last block ends
-                warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
-                xy = np.loadtxt(
-                    fh,
-                    delimiter=",",
-                    usecols=(x_idx, y_idx),
-                    comments=None,
-                    quotechar='"',
-                    ndmin=2,
-                    encoding="utf-8",
-                    max_rows=_BLOCK_ROWS,
-                )
-        except ValueError:
-            raise _Fallback from None
-        if not len(xy):
+            for _ in _csv_rows(io.StringIO(raw.decode("utf-8", "surrogatepass"))):
+                pass
+        except ParseError:
+            return False
+        return True
+    half = limit // 2
+    return all(raw.find(b",", i, i + half) >= 0 for i in range(0, len(raw) - half + 1, half))
+
+
+def _loadtxt_block(fh, x_idx: int, y_idx: int) -> np.ndarray | None:
+    """The next ``_BLOCK_ROWS`` rows of a seekable CSV stream as an
+    ``(m, 2)`` array, by one ``np.loadtxt`` call; None, with ``fh`` back where
+    it stood, if ``np.loadtxt`` refuses them or a cell may be longer than
+    ``csv.field_size_limit()``.
+    """
+    begin = fh.tell()
+    try:
+        with warnings.catch_warnings():
+            # np.loadtxt warns that a blank line is not counted towards
+            # max_rows, which is what blocks of rows need, and that it read
+            # no data, which is how the last block ends
+            warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
+            xy = np.loadtxt(
+                fh,
+                delimiter=",",
+                usecols=(x_idx, y_idx),
+                comments=None,
+                quotechar='"',
+                ndmin=2,
+                encoding="utf-8",
+                max_rows=_BLOCK_ROWS,
+            )
+    except ValueError:
+        xy = None
+    if xy is None or not _cells_within_limit(fh, begin, fh.tell()):
+        fh.seek(begin)
+        return None
+    return xy
+
+
+def _parsed_blocks(
+    fh, x_column: str | None, y_column: str | None
+) -> Iterator[tuple[Sequence[float], Sequence[float], bool]]:
+    """Yield the x and y values of a seekable CSV stream, from where it
+    stands, a block of up to ``_BLOCK_ROWS`` data rows at a time, each with
+    whether all its values are finite.
+
+    The row parse reads the header and the first block, and numpy is
+    imported only if a row follows.  ``np.loadtxt`` reads the blocks after it.
+    """
+    origin = fh.tell()
+    rows = _csv_rows(_lines(fh))
+    try:
+        x_idx, y_idx, data = _data_rows(rows, x_column, y_column)
+        xs, ys, finite = _values(islice(data, _BLOCK_ROWS), x_idx, y_idx)
+        end = fh.tell()
+        if next(data, None) is None:
+            if len(xs) < 2:
+                raise InvalidInput(f"need at least 2 data rows, got {len(xs)}")
+            yield xs, ys, finite
             return
-        if not _cells_within_limit(fh, begin, fh.tell()):
-            raise _Fallback
-        yield xy
+        # held as C doubles, a quarter of their size as Python floats, while
+        # numpy is imported
+        xs, ys = array("d", xs), array("d", ys)
+        _import_data_layer()
+        yield xs, ys, finite
+        fh.seek(end)
+        while (xy := _loadtxt_block(fh, x_idx, y_idx)) is not None:
+            if not len(xy):
+                return
+            x, y = xy.T.copy()  # contiguous columns, as a Dataset holds them
+            yield x, y, np.isfinite(xy).all()
+        # np.loadtxt refused the block at fh's offset: the row parse reads on
+        rows = _csv_rows(_lines(fh), _lines_before(fh, origin, fh.tell()))
+        while (block := _values(islice(rows, _BLOCK_ROWS), x_idx, y_idx))[0]:
+            yield block
+    except (InvalidInput, ParseError) as error:
+        # the whole text's order: a later row the csv module rejects is raised
+        # instead, and invalid UTF-8 anywhere after, as UnicodeDecodeError
+        try:
+            for _ in rows:
+                pass
+        finally:
+            for _ in _lines(fh):
+                pass
+        raise error
+
+
+def _blocks(
+    fh, x_column: str | None, y_column: str | None
+) -> Iterator[tuple[Sequence[float], Sequence[float]]]:
+    """Yield the x and y values of a seekable CSV stream, text or UTF-8
+    bytes, as :func:`_parsed_blocks` reads them.
+
+    A non-finite value stops the yielding, not the reading, so that it is
+    raised only when the rest of the input holds no other error.
+    """
+    origin = fh.tell()
+    parsed = _parsed_blocks(fh, x_column, y_column)
+    try:
+        for x, y, finite in parsed:
+            if not finite:
+                for _ in parsed:
+                    pass
+                raise InvalidInput("coordinates must be finite")
+            yield x, y
+    except UnicodeDecodeError as exc:
+        # the message and position of decoding the whole text
+        fh.seek(origin)
+        try:
+            fh.read().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        raise InvalidInput(f"input is not valid UTF-8: {exc}") from exc
 
 
 def parse_csv(source, x_column: str | None = None, y_column: str | None = None) -> Dataset:
@@ -350,27 +383,22 @@ def parse_csv(source, x_column: str | None = None, y_column: str | None = None) 
     span lines), with ``\\n`` or ``\\r\\n`` line ends.  A ``\\r`` alone in the
     middle of a row is a malformed row.  Cells are stripped of whitespace and
     read by Python's ``float``, so ``inf``/``nan`` spellings, ``1_0`` and
-    non-ASCII digits parse, and non-finite values are then refused by
-    :class:`Dataset`.  Rows that are empty or hold only whitespace cells are
-    skipped, and cells past the selected columns are ignored.  A cell longer
-    than ``csv.field_size_limit()``, in any column, is a malformed row.
+    non-ASCII digits parse, and non-finite values are then refused.  Rows
+    that are empty or hold only whitespace cells are skipped, and cells past
+    the selected columns are ignored.  A cell longer than
+    ``csv.field_size_limit()``, in any column, is a malformed row.
 
-    The header and the first ``_BLOCK_ROWS`` data rows are read row by row,
-    the rest in blocks of as many rows, one ``np.loadtxt`` call each, and
-    the blocks are joined.  Text those calls reject, the forms
-    ``np.loadtxt`` does not take past the first block (whitespace-only or
-    ``,,`` rows, ``1_0``, non-ASCII digits, a ``\\r`` before ``\\r\\n``) and
-    text with an error, goes through a loop over all the rows, which either
-    parses it or raises the error below with the line number.
+    The text is read in blocks of ``_BLOCK_ROWS`` data rows, which are
+    joined: the header and the first block row by row, the blocks after it
+    by one ``np.loadtxt`` call each.  From a block ``np.loadtxt`` does not
+    take (whitespace-only or ``,,`` rows, ``1_0``, non-ASCII digits, a
+    ``\\r`` before ``\\r\\n``, or an error) to the end, the row-by-row parse
+    reads on.  One error is raised, the first of these the text holds, in
+    this order: text that is not UTF-8; a row the csv module rejects; the
+    first other input error; a non-finite value.
 
-    The ``dualfit`` command reads the same blocks without building a
-    Dataset.  Input that ends within the first block it summarises in Python
-    floats, without numpy; longer input, a file or standard input from a
-    file, it folds a block at a time into running statistics, so its memory
-    does not grow with the number of rows.  A pipe is read whole first, and
-    so is text the blocks reject, which this function reads again from where
-    it began.  Either way the statistics can differ from
-    ``compute_stats(parse_csv(...))`` in the last bits.
+    The ``dualfit`` command reads the same blocks without a Dataset; its
+    statistics can differ from ``compute_stats(parse_csv(...))`` in the last bits.
 
     Raises
     ------
@@ -382,28 +410,15 @@ def parse_csv(source, x_column: str | None = None, y_column: str | None = None) 
     """
     if hasattr(source, "read"):
         source = source.read()
-    if isinstance(source, (str, bytes, bytearray)):
-        try:
-            raw = source.encode("utf-8") if isinstance(source, str) else bytes(source)
-            fh = io.BytesIO(raw)
-            xs, ys, columns, more = _first_block(fh, x_column, y_column)
-            _import_data_layer()
-            blocks = [np.column_stack((xs, ys))]
-            if more:
-                blocks.extend(_data_blocks(fh, *columns))
-            xy = np.concatenate(blocks)
-        except (UnicodeEncodeError, _Fallback):
-            pass
-        else:
-            return Dataset(xy[:, 0], xy[:, 1])
-    # every row is read before any value is, so the first error in the
-    # text is raised, whatever kind it is
-    rows = list(_csv_rows(io.StringIO(_as_text(source))))
-    xs, ys, _ = _parse_rows(iter(rows), x_column, y_column)
-    if len(xs) < 2:
-        raise InvalidInput(f"need at least 2 data rows, got {len(xs)}")
+    if isinstance(source, str):
+        fh = io.StringIO(source)
+    elif isinstance(source, (bytes, bytearray)):
+        fh = io.BytesIO(source)
+    else:
+        raise InvalidInput(f"unsupported CSV source type {type(source).__name__}")
+    xs, ys = zip(*_blocks(fh, x_column, y_column))
     _import_data_layer()
-    return Dataset(np.asarray(xs), np.asarray(ys))
+    return Dataset(np.concatenate(xs), np.concatenate(ys))
 
 
 # ---------------------------------------------------------------------------
@@ -530,41 +545,22 @@ def _read_stats(
 
     Returns the step that checks the statistics and builds the record, so
     that a statistics error (exit 3) stays apart from an input error (exit
-    2).  The first block is read by :func:`_first_block`.  Input that ends
-    there is summarised by :func:`~dualfit.core._fsum_moments`, without
-    numpy.  Longer input is folded into running statistics, that block
-    first, then an ``np.loadtxt`` block at a time.  Input the blocks refuse,
-    an input error or a non-finite value, goes back to the stream's offset on
-    entry for :func:`parse_csv`, whose verdict stands: a malformed row after
-    an ``inf`` is still reported by its line.  A stream that cannot seek, a
-    pipe or a terminal, is read whole first.
+    2).  A stream that cannot seek, a pipe or a terminal, is read whole first.
     """
     if not fh.seekable():
         fh = io.BytesIO(fh.read())
-    origin = fh.tell()
-    try:
-        xs, ys, columns, more = _first_block(fh, x_column, y_column)
-        if not all(map(math.isfinite, chain(xs, ys))):
-            raise _Fallback
-        if not more:
-            return lambda: _checked_stats(
-                _fsum_moments(xs, ys), lambda: (min(xs), max(xs), min(ys), max(ys))
-            )
-        # held as C doubles, a quarter of their size as Python floats, while
-        # numpy is imported
-        xs, ys = array("d", xs), array("d", ys)
-        _import_data_layer()
-        running = _RunningStats()
-        running.add(np.array(xs), np.array(ys))
-        for xy in _data_blocks(fh, *columns):
-            if not np.isfinite(xy).all():
-                raise _Fallback
-            x, y = xy.T.copy()  # contiguous columns, as a Dataset holds them
-            running.add(x, y)
-    except _Fallback:
-        fh.seek(origin)
-        data = parse_csv(fh, x_column, y_column)
-        return lambda: compute_stats(data)
+    blocks = _blocks(fh, x_column, y_column)
+    xs, ys = next(blocks)
+    block = next(blocks, None)
+    if block is None:
+        return lambda: _checked_stats(
+            _fsum_moments(xs, ys), lambda: (min(xs), max(xs), min(ys), max(ys))
+        )
+    running = _RunningStats()
+    running.add(np.asarray(xs), np.asarray(ys))
+    while block is not None:  # holding one later block at a time
+        running.add(np.asarray(block[0]), np.asarray(block[1]))
+        block = next(blocks, None)
     return running.stats
 
 

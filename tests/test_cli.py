@@ -402,14 +402,14 @@ def test_commands_look_up_the_traced_names(monkeypatch, tmp_path, capsys):
         assert main(argv) == EXIT_OK, argv
     capsys.readouterr()
     assert calls["fit_stats"] == 4 and calls["verify_fit"] == 1
-    # one block is summarised without them; a 1_0 cell in the second block
-    # is refused by np.loadtxt, so parse_csv reads the file row by row
+    # a 1_0 cell in the second block is refused by np.loadtxt, and the
+    # command reads that block row by row itself, building no Dataset
     rows = "".join(f"{i},{i % 7}\n" for i in range(cli._BLOCK_ROWS))
     text = "x,y\n" + rows + "1_0,1\n"
     assert main(["stats", "--input", _write(tmp_path, text)]) == EXIT_OK
     n = cli._BLOCK_ROWS + 1
     assert capsys.readouterr().out.splitlines()[0].split() == ["n", str(n)]
-    assert calls["parse_csv"] == calls["Dataset"] == calls["compute_stats"] == 1
+    assert calls["parse_csv"] == calls["Dataset"] == calls["compute_stats"] == 0
 
 
 # ---- numpy only for input longer than one block -----------------------------------
@@ -546,6 +546,15 @@ def test_each_row_is_parsed_once(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0].split() == ["n", str(n)]
     assert parsed["loadtxt"] == n - cli._BLOCK_ROWS
     assert parsed["csv"] + parsed["loadtxt"] <= n + 2, parsed
+    # an input error in the last row of one block: the rows before it are
+    # not read again to find an error the text holds before it
+    parsed.update(csv=0, loadtxt=0)
+    n = 8001
+    text = _table(n - 1) + "1,abc\n"
+    assert main(["stats", "--input", _write(tmp_path, text)]) == EXIT_INPUT
+    error = f"ParseError: line {n + 1}: could not parse 'abc' as a number\n"
+    assert capsys.readouterr().err == error
+    assert parsed == {"csv": n + 1, "loadtxt": 0}, parsed
 
 
 # ---- argument handling ------------------------------------------------------------
@@ -635,7 +644,7 @@ def test_standard_input_from_a_file_is_read_in_blocks(tmp_path):
 
 
 @pytest.mark.parametrize("header", ["", "x,y\n"])
-# np.loadtxt refuses 1_0, so the row loop reads that text again from the offset
+# the row parse takes 1_0, which np.loadtxt refuses
 @pytest.mark.parametrize("cell", ["3", "1_0"])
 def test_standard_input_is_read_from_its_offset(tmp_path, header, cell):
     # rows before the offset would change every statistic if they were read
@@ -662,16 +671,18 @@ def test_standard_input_is_read_from_its_offset(tmp_path, header, cell):
 
 def test_refused_block_is_read_again_from_the_offset(tmp_path):
     # the row parse takes 1_0 in the first block; past it np.loadtxt refuses
-    # the cell, and parse_csv reads the text again from where the stream stood
+    # the cell, and the row parse reads on from that block's offset, in the
+    # blocks np.loadtxt reads when the cell is written 10
     skipped = "50,-50\n" * 3
-    rest = _table(cli._BLOCK_ROWS) + "1_0,5\n"
-    whole = tmp_path / "whole.csv"
-    whole.write_text(skipped + rest)
-    with open(whole, "rb") as fh:
-        fh.seek(len(skipped))
-        stats = cli._read_stats(fh, None, None)()
-    assert stats == compute_stats(parse_csv(rest))
-    assert stats.n == cli._BLOCK_ROWS + 1
+    stats = {}
+    for cell in ("1_0", "10"):
+        whole = tmp_path / f"{cell}.csv"
+        whole.write_text(skipped + _table(cli._BLOCK_ROWS) + f"{cell},5\n")
+        with open(whole, "rb") as fh:
+            fh.seek(len(skipped))
+            stats[cell] = cli._read_stats(fh, None, None)()
+    assert stats["1_0"] == stats["10"]
+    assert stats["1_0"].n == cli._BLOCK_ROWS + 1
 
 
 def test_closed_standard_input_exits_2_with_one_line():

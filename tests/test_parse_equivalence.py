@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -139,10 +140,17 @@ def _outcome(parser, source, x_column, y_column):
     return ("data", data.x.tobytes(), data.y.tobytes())
 
 
+# the block size, and blocks of 1, 2 and 3 rows, so that small texts span blocks
+BLOCK_SIZES = (cli._BLOCK_ROWS, 1, 2, 3)
+
+
 def _assert_equivalent(text: str, x_column=None, y_column=None) -> None:
     expected = _outcome(_reference_parse, text, x_column, y_column)
-    for source in (text, text.encode("utf-8", "surrogatepass")):
-        assert _outcome(parse_csv, source, x_column, y_column) == expected, source
+    for block_rows in BLOCK_SIZES:
+        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+            for source in (text, text.encode("utf-8", "surrogatepass")):
+                outcome = _outcome(parse_csv, source, x_column, y_column)
+                assert outcome == expected, (block_rows, source)
 
 
 # ---- a fixed table -------------------------------------------------------------
@@ -207,6 +215,12 @@ CASES = [
     "﻿1,2\n3,4\n",
     "y,x\n0,1\n2,3\n",
     "1,2\n3,4\n" * 50 + "5,x\n",
+    # an input error, then in a later block a row the csv module rejects
+    "x,y\n1,2\n3,abc\n5,6\n7,8\n9,10\n11,1\r2\n",
+    # a non-finite value, a block np.loadtxt refuses, then an input error
+    "x,y\n1,inf\n3,4\n5,6\n7,8\n1_0,2\n9,x\n",
+    "x,y\n1,2\n3,4\n5,6\n7,8\n1_0,9\n11,12\n13,abc\n",
+    'x,y\n1,2\n3,4\n5,6\n7,8\n1_0,9\n11,12\n \n13,"1\n4"\n15,abc\n',
 ]
 
 COLUMN_CASES = [
@@ -252,21 +266,48 @@ def test_well_formed_text_skips_row_loop(text, monkeypatch):
     expected = _outcome(_reference_parse, text, None, None)
     assert expected[0] == "data"
 
-    def row_loop(*args):
-        raise AssertionError("row loop reached")
+    loaded = []
+    real_loadtxt = np.loadtxt
 
-    # only the whole-text row loop reads its text through _as_text; blocks of
-    # one row make every text span blocks
-    monkeypatch.setattr(cli, "_as_text", row_loop)
+    def counting_loadtxt(*args, **kwargs):
+        rows = real_loadtxt(*args, **kwargs)
+        loaded.append(len(rows))
+        return rows
+
+    # blocks of one row make every text span blocks; np.loadtxt reads every
+    # block after the first
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 1)
     assert _outcome(parse_csv, text, None, None) == expected
+    data_rows = len(expected[1]) // 8  # the bytes of the float64 x column
+    assert sum(loaded) == data_rows - 1, loaded
 
 
 def test_invalid_utf8_matches_reference():
-    for raw in (b"\xff\xfe\x00bad", b"x,y\n1,2\n3,\xff\n", b"1,2\n3,4\n\xc3"):
-        assert _outcome(parse_csv, raw, None, None) == _outcome(
-            _reference_parse, raw, None, None
-        )
+    for raw in (
+        b"\xff\xfe\x00bad",
+        b"x,y\n1,2\n3,\xff\n",
+        b"1,2\n3,4\n\xc3",
+        b"x,y\n1,abc\n3,4\n5,6\n7,\xff\n",
+        b"x,y\n1,2\n3,4\n5,6\n1_0,7\n9,\xc3\n",
+    ):
+        expected = _outcome(_reference_parse, raw, None, None)
+        for block_rows in BLOCK_SIZES:
+            with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+                assert _outcome(parse_csv, raw, None, None) == expected, (block_rows, raw)
+
+
+# a lone surrogate in the header, in a column not selected, and in a selected cell
+SURROGATE_TEXTS = ["x,\ud800\n1,2\n3,4\n", "x,y,\ud800\n1,2,z\n3,4,w\n", "x,y\n1,2\n3,\ud800\n"]
+
+
+@pytest.mark.parametrize("text", SURROGATE_TEXTS)
+def test_text_that_utf8_cannot_encode_matches_reference(text):
+    # a str source is read as text, never encoded: its bytes would not be UTF-8
+    expected = _outcome(_reference_parse, text, None, None)
+    for block_rows in BLOCK_SIZES:
+        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+            assert _outcome(parse_csv, text, None, None) == expected, block_rows
 
 
 # ---- generated text ------------------------------------------------------------

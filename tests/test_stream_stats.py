@@ -398,3 +398,22 @@ def test_peak_memory_does_not_grow_with_rows(tmp_path):
         code, peaks[n] = dualfit_peak_mb("stats", "--input", str(path))
         assert code == EXIT_OK
     assert peaks[200_000] - peaks[20_000] <= 2.0, peaks
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_peak_memory_stays_flat_past_a_refused_block(tmp_path):
+    # np.loadtxt refuses the 1_0 cell at data row 9000, in the second block;
+    # the rest of the file is still read a block at a time
+    rng = np.random.default_rng(8)
+    x = rng.integers(-(10**6), 10**6, 200_000).tolist()
+    y = rng.integers(-(10**6), 10**6, 200_000).tolist()
+    x[8999] = 10
+    peaks = {}
+    for cell in ("10", "1_0"):
+        rows = [f"{a},{b}\n" for a, b in zip(x, y)]
+        rows[8999] = f"{cell},{y[8999]}\n"
+        path = tmp_path / f"cell-{cell}.csv"
+        path.write_text("x,y\n" + "".join(rows))
+        code, peaks[cell] = dualfit_peak_mb("stats", "--input", str(path))
+        assert code == EXIT_OK
+    assert peaks["1_0"] - peaks["10"] <= 2.0, peaks
