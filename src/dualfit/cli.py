@@ -10,8 +10,9 @@ be written, 3 fit error, 4 verification failure; a reader that closes the
 output pipe early ends the command quietly with 0.
 
 Every input is read once, a block of ``_BLOCK_ROWS`` data rows at a time,
-by :func:`_blocks`.  Input that ends within the first block is summarised
-in Python floats, so such a command never imports numpy.
+by :func:`_blocks`: by ``np.loadtxt``, or row by row where it refuses a
+block.  Input that ends within the first block is summarised in Python
+floats, so such a command never imports numpy.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .core import (
     _fsum_moments,
     _slope_interval,
     _solver,
-    compute_stats,  # not called here, but a name of this module that tracers wrap
     fit_stats,
     inverse_predict,
     predict,
@@ -49,7 +49,7 @@ from .oracle import verify_fit
 if TYPE_CHECKING:
     import numpy as np
 
-    from .dataset import Dataset, _RunningStats
+    from .dataset import Dataset
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -62,31 +62,6 @@ _FORMATS = ("table", "json", "csv")
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 STDIN_MARKER = "-"
-
-# the names that import numpy, bound as globals by _import_data_layer
-_DATA_LAYER = ("np", "Dataset", "_RunningStats")
-
-
-def _import_data_layer() -> None:
-    """Bind numpy and the data layer's names here, keeping any already bound.
-
-    Once bound they are looked up at call time like every other global, so
-    a caller that replaced one (a tracer, a test) keeps its replacement.
-    """
-    import numpy
-
-    from . import dataset
-
-    for name, value in zip(_DATA_LAYER, (numpy, dataset.Dataset, dataset._RunningStats)):
-        globals().setdefault(name, value)
-
-
-def __getattr__(name: str):
-    """``cli.Dataset`` and the other data-layer names, bound on first use (PEP 562)."""
-    if name not in _DATA_LAYER:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _import_data_layer()
-    return globals()[name]
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +170,14 @@ def _data_rows(rows: _Rows, x_column: str | None, y_column: str | None) -> tuple
     return x_idx, y_idx, chain([first_data], rows)
 
 
-def _values(rows: _Rows, x_idx: int, y_idx: int) -> tuple[list[float], list[float], bool]:
+def _values(rows: _Rows, x_idx: int, y_idx: int) -> tuple[list[float], list[float], bool, int]:
     """The x and y values of ``rows``, read one by one by Python's ``float``,
-    and whether they are all finite."""
+    whether they are all finite, and the line number of the last row (0 if
+    there is none)."""
     xs: list[float] = []
     ys: list[float] = []
     needed = max(x_idx, y_idx) + 1
+    line_num = 0
     for line_num, cells in rows:
         if len(cells) < needed:
             raise ParseError(
@@ -215,7 +192,7 @@ def _values(rows: _Rows, x_idx: int, y_idx: int) -> tuple[list[float], list[floa
                     f"line {line_num}: could not parse {cells[idx]!r} as a number",
                     line=line_num,
                 ) from None
-    return xs, ys, all(map(math.isfinite, chain(xs, ys)))
+    return xs, ys, all(map(math.isfinite, chain(xs, ys))), line_num
 
 
 # data rows per block: one np.loadtxt call each, so memory per block is a few
@@ -223,20 +200,9 @@ def _values(rows: _Rows, x_idx: int, y_idx: int) -> tuple[list[float], list[floa
 _BLOCK_ROWS = 8192
 
 
-def _lines_before(fh, origin: int, offset: int) -> int:
-    """The number of lines in ``[origin, offset)`` of ``fh``, read a buffer
-    at a time; leaves ``fh`` at ``offset``, which starts a line."""
-    fh.seek(origin)
-    count = 0
-    for start in range(origin, offset, io.DEFAULT_BUFFER_SIZE):
-        chunk = fh.read(min(io.DEFAULT_BUFFER_SIZE, offset - start))
-        count += chunk.count("\n" if isinstance(chunk, str) else b"\n")
-    return count
-
-
-def _cells_within_limit(fh, begin: int, end: int) -> bool:
-    """Whether no cell of the rows in ``[begin, end)`` of ``fh`` can be
-    longer than ``csv.field_size_limit()``; leaves ``fh`` at ``end``.
+def _cells_within_limit(raw: str | bytes) -> bool:
+    """Whether no cell of the rows in ``raw`` can be longer than
+    ``csv.field_size_limit()``.
 
     Without a quote, a cell holds no comma, so a cell over the limit leaves a
     longer run of bytes between commas, which covers a whole stretch of
@@ -244,30 +210,30 @@ def _cells_within_limit(fh, begin: int, end: int) -> bool:
     With a quote, the csv module, which enforces the limit, reads the rows.
     """
     limit = csv.field_size_limit()
-    if end - begin <= limit:
+    if len(raw) <= limit:
         return True
-    fh.seek(begin)
-    raw = fh.read(end - begin)
     if isinstance(raw, str):
         # searched as UTF-8 bytes, which a lone surrogate cannot spoil
         raw = raw.encode("utf-8", "surrogatepass")
     if b'"' in raw:
         try:
-            for _ in _csv_rows(io.StringIO(raw.decode("utf-8", "surrogatepass"))):
+            for _ in csv.reader(io.StringIO(raw.decode("utf-8", "surrogatepass"))):
                 pass
-        except ParseError:
+        except csv.Error:
             return False
         return True
     half = limit // 2
     return all(raw.find(b",", i, i + half) >= 0 for i in range(0, len(raw) - half + 1, half))
 
 
-def _loadtxt_block(fh, x_idx: int, y_idx: int) -> np.ndarray | None:
+def _loadtxt_block(fh, x_idx: int, y_idx: int) -> tuple[np.ndarray, int] | None:
     """The next ``_BLOCK_ROWS`` rows of a seekable CSV stream as an
-    ``(m, 2)`` array, by one ``np.loadtxt`` call; None, with ``fh`` back where
-    it stood, if ``np.loadtxt`` refuses them or a cell may be longer than
-    ``csv.field_size_limit()``.
+    ``(m, 2)`` array, by one ``np.loadtxt`` call, with the number of lines
+    they span; None, with ``fh`` back where it stood, if ``np.loadtxt``
+    refuses them or a cell may be longer than ``csv.field_size_limit()``.
     """
+    import numpy as np
+
     begin = fh.tell()
     try:
         with warnings.catch_warnings():
@@ -286,11 +252,15 @@ def _loadtxt_block(fh, x_idx: int, y_idx: int) -> np.ndarray | None:
                 max_rows=_BLOCK_ROWS,
             )
     except ValueError:
-        xy = None
-    if xy is None or not _cells_within_limit(fh, begin, fh.tell()):
+        pass
+    else:
+        end = fh.tell()
         fh.seek(begin)
-        return None
-    return xy
+        raw = fh.read(end - begin)
+        if _cells_within_limit(raw):
+            return xy, raw.count("\n" if isinstance(raw, str) else b"\n")
+    fh.seek(begin)
+    return None
 
 
 def _parsed_blocks(
@@ -301,13 +271,14 @@ def _parsed_blocks(
     whether all its values are finite.
 
     The row parse reads the header and the first block, and numpy is
-    imported only if a row follows.  ``np.loadtxt`` reads the blocks after it.
+    imported only if a row follows.  ``np.loadtxt`` reads each block after
+    it; a block it refuses is read by the row parse alone, from the line
+    that starts it, and the next block goes back to ``np.loadtxt``.
     """
-    origin = fh.tell()
     rows = _csv_rows(_lines(fh))
     try:
         x_idx, y_idx, data = _data_rows(rows, x_column, y_column)
-        xs, ys, finite = _values(islice(data, _BLOCK_ROWS), x_idx, y_idx)
+        xs, ys, finite, line = _values(islice(data, _BLOCK_ROWS), x_idx, y_idx)
         end = fh.tell()
         if next(data, None) is None:
             if len(xs) < 2:
@@ -317,18 +288,24 @@ def _parsed_blocks(
         # held as C doubles, a quarter of their size as Python floats, while
         # numpy is imported
         xs, ys = array("d", xs), array("d", ys)
-        _import_data_layer()
+        import numpy as np
+
         yield xs, ys, finite
         fh.seek(end)
-        while (xy := _loadtxt_block(fh, x_idx, y_idx)) is not None:
-            if not len(xy):
+        while True:
+            if (block := _loadtxt_block(fh, x_idx, y_idx)) is not None:
+                xy, newlines = block
+                line += newlines
+                x, y = xy.T.copy()  # contiguous columns, as a Dataset holds them
+                finite = np.isfinite(xy).all()
+            else:
+                # np.loadtxt refused the block at fh's offset, whose line
+                # numbers go on from the last one read
+                rows = _csv_rows(_lines(fh), line)
+                x, y, finite, line = _values(islice(rows, _BLOCK_ROWS), x_idx, y_idx)
+            if not len(x):
                 return
-            x, y = xy.T.copy()  # contiguous columns, as a Dataset holds them
-            yield x, y, np.isfinite(xy).all()
-        # np.loadtxt refused the block at fh's offset: the row parse reads on
-        rows = _csv_rows(_lines(fh), _lines_before(fh, origin, fh.tell()))
-        while (block := _values(islice(rows, _BLOCK_ROWS), x_idx, y_idx))[0]:
-            yield block
+            yield x, y, finite
     except (InvalidInput, ParseError) as error:
         # the whole text's order: a later row the csv module rejects is raised
         # instead, and invalid UTF-8 anywhere after, as UnicodeDecodeError
@@ -390,12 +367,12 @@ def parse_csv(source, x_column: str | None = None, y_column: str | None = None) 
 
     The text is read in blocks of ``_BLOCK_ROWS`` data rows, which are
     joined: the header and the first block row by row, the blocks after it
-    by one ``np.loadtxt`` call each.  From a block ``np.loadtxt`` does not
-    take (whitespace-only or ``,,`` rows, ``1_0``, non-ASCII digits, a
-    ``\\r`` before ``\\r\\n``, or an error) to the end, the row-by-row parse
-    reads on.  One error is raised, the first of these the text holds, in
-    this order: text that is not UTF-8; a row the csv module rejects; the
-    first other input error; a non-finite value.
+    by one ``np.loadtxt`` call each.  A block ``np.loadtxt`` does not take
+    (whitespace-only or ``,,`` rows, ``1_0``, non-ASCII digits, a ``\\r``
+    before ``\\r\\n``, or an error) is read row by row, and the block after
+    it by ``np.loadtxt`` again.  One error is raised, the first of these the
+    text holds, in this order: text that is not UTF-8; a row the csv module
+    rejects; the first other input error; a non-finite value.
 
     The ``dualfit`` command reads the same blocks without a Dataset; its
     statistics can differ from ``compute_stats(parse_csv(...))`` in the last bits.
@@ -417,7 +394,10 @@ def parse_csv(source, x_column: str | None = None, y_column: str | None = None) 
     else:
         raise InvalidInput(f"unsupported CSV source type {type(source).__name__}")
     xs, ys = zip(*_blocks(fh, x_column, y_column))
-    _import_data_layer()
+    import numpy as np
+
+    from .dataset import Dataset
+
     return Dataset(np.concatenate(xs), np.concatenate(ys))
 
 
@@ -556,6 +536,10 @@ def _read_stats(
         return lambda: _checked_stats(
             _fsum_moments(xs, ys), lambda: (min(xs), max(xs), min(ys), max(ys))
         )
+    import numpy as np
+
+    from .dataset import _RunningStats
+
     running = _RunningStats()
     running.add(np.asarray(xs), np.asarray(ys))
     while block is not None:  # holding one later block at a time

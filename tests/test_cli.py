@@ -379,7 +379,7 @@ def test_run_verify_failure_exits_4(monkeypatch, capsys):
 def test_commands_look_up_the_traced_names(monkeypatch, tmp_path, capsys):
     # bench/layers.py spans these module globals of dualfit.cli, so every
     # command must still call them through the module at call time
-    calls = dict.fromkeys(["parse_csv", "Dataset", "compute_stats", "fit_stats", "verify_fit"], 0)
+    calls = dict.fromkeys(["parse_csv", "fit_stats", "verify_fit"], 0)
 
     def counting(name):
         original = getattr(cli, name)
@@ -392,6 +392,14 @@ def test_commands_look_up_the_traced_names(monkeypatch, tmp_path, capsys):
 
     for name in calls:
         monkeypatch.setattr(cli, name, counting(name))
+    built = []
+    real_post_init = Dataset.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        real_post_init(self)
+
+    monkeypatch.setattr(Dataset, "__post_init__", counting_post_init)
     ref = str(REFERENCE_CSV)
     for argv in (
         ["fit", "--input", ref],
@@ -409,7 +417,7 @@ def test_commands_look_up_the_traced_names(monkeypatch, tmp_path, capsys):
     assert main(["stats", "--input", _write(tmp_path, text)]) == EXIT_OK
     n = cli._BLOCK_ROWS + 1
     assert capsys.readouterr().out.splitlines()[0].split() == ["n", str(n)]
-    assert calls["parse_csv"] == calls["Dataset"] == calls["compute_stats"] == 0
+    assert calls["parse_csv"] == len(built) == 0
 
 
 # ---- numpy only for input longer than one block -----------------------------------
@@ -555,6 +563,16 @@ def test_each_row_is_parsed_once(monkeypatch, tmp_path, capsys):
     error = f"ParseError: line {n + 1}: could not parse 'abc' as a number\n"
     assert capsys.readouterr().err == error
     assert parsed == {"csv": n + 1, "loadtxt": 0}, parsed
+    # a block np.loadtxt refuses is read by the row parse alone: np.loadtxt
+    # reads the two blocks after it
+    parsed.update(csv=0, loadtxt=0)
+    n = 4 * cli._BLOCK_ROWS
+    lines = _table(n).splitlines(keepends=True)
+    lines[9000] = "1_0,3\n"  # data row 9000, in the second block
+    assert main(["stats", "--input", _write(tmp_path, "".join(lines))]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0].split() == ["n", str(n)]
+    assert parsed["csv"] <= 2 * cli._BLOCK_ROWS + 2, parsed
+    assert parsed["loadtxt"] == 2 * cli._BLOCK_ROWS, parsed
 
 
 # ---- argument handling ------------------------------------------------------------
@@ -670,9 +688,9 @@ def test_standard_input_is_read_from_its_offset(tmp_path, header, cell):
 
 
 def test_refused_block_is_read_again_from_the_offset(tmp_path):
-    # the row parse takes 1_0 in the first block; past it np.loadtxt refuses
-    # the cell, and the row parse reads on from that block's offset, in the
-    # blocks np.loadtxt reads when the cell is written 10
+    # the row parse takes 1_0 in its look past the first block; np.loadtxt
+    # then refuses the second block, which the row parse reads alone from
+    # that block's offset, where np.loadtxt reads it when the cell is written 10
     skipped = "50,-50\n" * 3
     stats = {}
     for cell in ("1_0", "10"):
@@ -683,6 +701,25 @@ def test_refused_block_is_read_again_from_the_offset(tmp_path):
             stats[cell] = cli._read_stats(fh, None, None)()
     assert stats["1_0"] == stats["10"]
     assert stats["1_0"].n == cli._BLOCK_ROWS + 1
+
+
+def test_line_numbers_carry_across_a_refused_block(tmp_path, capsys):
+    # np.loadtxt refuses the second block (1_0) and reads the third, whose
+    # \r\n row, blank line and quoted line break the line count must take in;
+    # the row parse finds abc in the fourth
+    lines = _table(40_000).splitlines(keepends=True)
+    lines[9000] = "1_0,3\n"
+    lines[20_000] = "5,6\r\n"
+    lines[20_001] = "\n" + lines[20_001]
+    lines[20_002] = '7,8,"multi\nline"\n'
+    lines[30_000] = "abc,1\n"
+    text = "".join(lines)
+    with pytest.raises(ParseError) as excinfo:
+        parse_csv(text)
+    assert excinfo.value.line == 30_003
+    assert main(["stats", "--input", _write(tmp_path, text)]) == EXIT_INPUT
+    error = "ParseError: line 30003: could not parse 'abc' as a number\n"
+    assert capsys.readouterr().err == error
 
 
 def test_closed_standard_input_exits_2_with_one_line():

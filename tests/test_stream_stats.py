@@ -229,6 +229,8 @@ def _long_cell_texts(cell: str, at: int, rows: int = 12) -> list[tuple[str, int]
         ('3,"' + "4" * (_LIMIT + 1) + '"', 9, "field larger than field limit"),
         # in a column that is not read
         ("3,4," + "z" * (_LIMIT + 1), 9, "field larger than field limit"),
+        # quoted, with a comma in every stretch: only the csv module finds it long
+        ('3,4,"' + "z," * (_LIMIT // 2 + 1) + '"', 9, "field larger than field limit"),
         # at the limit the cell is read, as inf
         ("3," + "4" * _LIMIT, 9, "coordinates must be finite"),
     ],
