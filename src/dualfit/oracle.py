@@ -4,9 +4,10 @@ With the intercept on the centroid line the objective is a function of the
 slope, ``P(t) = V(t) * (gamma + (1 - gamma) / t**2)`` with
 ``V(t) = s_yy - 2*t*s_xy + t**2*s_xx``, whose one critical point on the
 slopes of the correlation's sign is its minimum (README, "Why exactly one
-root").  :func:`verify_fit` compares ``P`` exactly, in integers, at the
-fitted slope and a few ulps either side.  :func:`minimize_profile` and
-:func:`check_gradient` are derivative-free checks, for use on their own.
+root").  :func:`verify_fit` compares ``P`` exactly at the fitted slope and a
+few ulps either side, in integers: the three slopes share one power of two,
+so ``t**2 * P(t)`` has one exponent for all three.  :func:`minimize_profile`
+and :func:`check_gradient` are derivative-free checks, for use on their own.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .core import (
     sse,
     sse_gradient,
 )
-from .errors import BracketFailure, InvalidInput, SingularSlope
+from .errors import BracketFailure, InvalidInput, OutOfRange, SingularSlope
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -178,20 +179,14 @@ def _exact(value: float) -> tuple[int, int]:
     return n, 1 - d.bit_length()
 
 
-def _sum(*terms: tuple[int, int]) -> tuple[int, int]:
-    least = min([e for _, e in terms])
-    total = 0
-    for n, e in terms:
-        total += n << (e - least)
-    return total, least
-
-
 def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> OracleReport:
     """Certify a fitted slope by one exact comparison of the profile objective.
 
     ``P`` (see the module docstring) is evaluated exactly at the fitted slope
-    ``b`` and at ``b - h`` and ``b + h``, ``h`` being 8 ulps.  If neither has
-    a lower ``P``, the minimum lies in ``[b - h, b + h]``: the report is
+    ``b`` and at ``b - h`` and ``b + h``, ``h`` being 8 ulps.  The three are
+    integers ``m`` times one power of two ``2**k``, so ``t**2 * P(t)`` is an
+    integer polynomial in ``m`` times a power of two they share.  If neither
+    has a lower ``P``, the minimum lies in ``[b - h, b + h]``: the report is
     :attr:`~OracleReport.certified`.  ``P`` keeps its value when ``s_xy`` and
     ``t`` are both negated, so mirrored data gets the mirrored report, bit for
     bit.  A slope of the wrong sign loses to its negation.  Of ``config`` only
@@ -202,41 +197,45 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
     NonPositiveCorrelation
         If the correlation is negative and the policy is ``"error"``.
     OutOfRange
-        If ``s_yy / s_xx`` leaves float64, as in :func:`dualfit.slope_bounds`.
+        If ``s_yy / s_xx`` leaves float64, as in :func:`dualfit.slope_bounds`,
+        or the slope's 8-ulp bracket does.
     InvalidInput
         If the fitted slope is zero or not finite.
     """
     reflect = stats.rho < 0.0 and config.negative_correlation_policy == "reflect"
-    lower, _ = _slope_interval(stats, reflect)
+    _slope_interval(stats, reflect)  # for its errors
     b = line.beta1
     if not (math.isfinite(b) and b != 0.0):
         raise InvalidInput(f"a fitted slope is finite and nonzero, got {b!r}")
     below = above = b
     for _ in range(_CERTIFIED_ULPS):
         below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+    if not (math.isfinite(below) and math.isfinite(above)):
+        raise OutOfRange(f"the slope's {_CERTIFIED_ULPS}-ulp bracket leaves float64 at {b!r}")
+    # t = m * 2**k in the bracket; shifted below, V(t) = (a*m*m - c*m + y) * 2**ev
+    # and gamma*t**2 + 1 - gamma = (g*m*m + h) * 2**(eg + ew)
+    k = min(math.frexp(below)[1], math.frexp(above)[1]) - 53
     exact = map(_exact, (stats.s_xx, stats.s_xy, stats.s_yy, line.gamma))
     (a, ea), (c, ec), (y, ey), (g, eg) = exact
     h = (1 << -eg) - g  # 1 - gamma = h * 2**eg
-
-    def profile(t: float) -> tuple[int, int, int, int]:
-        # t**2 * P(t) = V(t) * (gamma*t**2 + 1 - gamma), then t**2, as n, e, n, e
-        n, e = _exact(t)
-        v, ev = _sum((a * n * n, ea + 2 * e), (-2 * c * n, ec + e), (y, ey))
-        w, ew = _sum((g * n * n, eg + 2 * e), (h, eg))
-        return v * w, ev + ew, n * n, 2 * e
+    ev, ew = min(ea + 2 * k, ec + k, ey), min(2 * k, 0)
+    a, c, y = a << (ea + 2 * k - ev), c << (ec + k + 1 - ev), y << (ey - ev)
+    g, h = g << (2 * k - ew), h << -ew
 
     best, evals = -b, 0  # P(-b) - P(b) = 4*b*s_xy * (gamma + (1 - gamma)/b**2)
-    if b * lower > 0.0:
-        best, evals, p = b, 3, profile(b)
+    n = int(math.ldexp(b, -k))
+    if (b > 0.0) != reflect:
+        # P(t) < P(best) is q / (m*m) < p / nn, both sides times one power of two
+        best, evals = b, 3
+        p, nn = (a * n * n - c * n + y) * (g * n * n + h), n * n
         for t in (below, above):
-            q = profile(t)  # P(t) < P(best), cross-multiplied by both squares
-            if _sum((q[0] * p[2], q[1] + p[3]), (-p[0] * q[2], p[1] + q[3]))[0] < 0:
-                best, p = t, q
+            m = int(math.ldexp(t, -k))
+            q = (a * m * m - c * m + y) * (g * m * m + h)
+            if q * nn < p * m * m:
+                best, p, nn = t, q, m * m
 
     # b**3 * P'(b) / 2 = gamma*s_xx*b^4 - gamma*s_xy*b^3 + (1-gamma)*(s_xy*b - s_yy),
     # over the sum of its terms' magnitudes; both sums come out at one exponent
-    n, e = _exact(b)
-    terms = ((g * a * n**4, eg + ea + 4 * e), (-g * c * n**3, eg + ec + 3 * e))
-    terms += ((h * c * n, eg + ec + e), (-h * y, eg + ey))
-    gradient = abs(_sum(*terms)[0]) / _sum(*((abs(m), k) for m, k in terms))[0]
+    terms = (2 * g * a * n**4, -g * c * n**3, h * c * n, -2 * h * y)
+    gradient = abs(sum(terms)) / sum(map(abs, terms))
     return OracleReport(best, b, abs(best - b), evals, (below, above), gradient)

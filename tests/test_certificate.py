@@ -5,15 +5,19 @@ golden-section search and checked the gradient by finite differences: a
 correct fit of data offset by 10^6 failed the gradient check, a slope near
 10^-8 made the search raise ``BracketFailure``, and a slope moved by 10^-12
 of itself, or left a few Newton steps short, passed the search's agreement
-gate of 10^-6.  The properties then vary one thing at a time (offset, slope
-scale, data scale, extreme weights) and ask that every fit be certified and
-that data mirrored to ``(x, -y)`` get the mirrored report, bit for bit.
+gate of 10^-6.  A least-squares slope whose product with its lower bound
+underflows to 0 was taken for one of the wrong sign, and a slope within 8
+ulps of the largest float raised a bare ``OverflowError``.  The properties
+then vary one thing at a time (offset, slope scale, data scale, extreme
+weights) and ask that every fit be certified and that data mirrored to
+``(x, -y)`` get the mirrored report, bit for bit.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from hypothesis import strategies as st
 from dualfit import (
     Dataset,
     FitConfig,
+    FittedLine,
     OutOfRange,
     SufficientStats,
     build_quartic,
@@ -103,6 +108,19 @@ def test_a_slope_moved_by_1e_minus_12_of_itself_fails(
     assert err.startswith("VerificationFailure: ") and err.count("\n") == 1
 
 
+def test_a_slope_whose_product_with_its_lower_bound_underflows_is_certified(tmp_path, capsys):
+    # x in units of 1e80 and y in units of 1e-81: the least-squares slope
+    # times the lower slope bound underflows to 0, so a sign test by that
+    # product took the slope for one of the wrong sign
+    x, y = _noisy_line(1, 200, 0.3, y_unit=1e-81, noise=1.0)
+    stats, line, _, report = _report(x * 1e80, y, 1.0)
+    assert line.beta1 > 0.0 and line.beta1 * slope_bounds(stats)[0] == 0.0
+    assert report.certified
+    path = _write_csv(tmp_path / "tiny.csv", x * 1e80, y)
+    assert main(["verify", "--input", path, "--gamma", "1"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def _newton_iterates(stats: SufficientStats, gamma: float) -> list[float]:
     """The slopes of Newton's method on the slope quartic, run as the fit runs it."""
     c4, c3, c2, c1, c0 = build_quartic(stats, gamma).coeffs
@@ -138,6 +156,17 @@ def test_a_slope_of_the_wrong_sign_fails():
     stats, line, config, _ = _report(*_noisy_line(3, 50, 1.5), 0.5)
     report = verify_fit(stats, dataclasses.replace(line, beta1=-line.beta1), config)
     assert not report.certified and report.oracle_slope == line.beta1
+
+
+@pytest.mark.parametrize("slope", [sys.float_info.max, -sys.float_info.max])
+@pytest.mark.parametrize("policy", ["error", "reflect"])
+def test_a_bracket_past_the_largest_float_is_out_of_range(slope, policy):
+    # 8 ulps above the largest float is inf, which has no integer value; the
+    # bounds of a fit cap its slope near 1e166, so only a library call gets here
+    stats = SufficientStats(n=3, x_bar=0.0, y_bar=0.0, s_xx=1.0, s_yy=4.0, s_xy=1.0, rho=0.5)
+    line = FittedLine(0.0, slope, 0.5, 1.0)
+    with pytest.raises(OutOfRange, match="8-ulp bracket leaves float64"):
+        verify_fit(stats, line, FitConfig(0.5, policy))
 
 
 # ---- properties ------------------------------------------------------------------

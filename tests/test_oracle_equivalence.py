@@ -16,7 +16,8 @@ root finder in that form.  ``_ref_minimize_traced`` searches down to
 ``verify_fit`` is held to an exact reference instead, ``_ref_verify``: the
 profile objective evaluated in ``fractions.Fraction`` at the fitted slope
 and 8 ulps either side, on fitted slopes and on slopes moved by 4 ulps,
-where both verdicts occur.
+where both verdicts occur, and on slopes a few ulps from powers of two
+across the float64 range, subnormal ones included.
 
 On every input the two must agree exactly: ``==`` and the same ``repr`` on
 every field of ``FittedLine`` and ``OracleReport`` (so signed zeros and
@@ -401,6 +402,38 @@ def test_edge_statistics_match_reference(stats, gamma):
     for policy in ("error", "reflect"):
         _assert_case(stats, gamma, policy)
         _assert_case(_ref_reflected(stats), gamma, policy)
+
+
+def _edge_slopes():
+    """Powers of two moved by a few ulps, so that a bracket end can leave the binade."""
+    for e in (-1060, -1022, -1, 0, 1, 52, 300, 1000, 1023):
+        for j in (-9, -8, -1, 0, 1, 8, 9):
+            slope = 2.0**e
+            for _ in range(abs(j)):
+                slope = math.nextafter(slope, math.copysign(math.inf, j))
+            # the least, 2**-1060 - 9 ulps, is 2**14 - 9 ulps from 0, so no
+            # bracket end is 0, where the reference would divide by t**2 = 0
+            yield slope
+            yield -slope
+
+
+@pytest.mark.parametrize(
+    "stats",
+    [
+        SufficientStats(n=5, x_bar=1.0, y_bar=-3.0, s_xx=0.1, s_yy=0.9, s_xy=0.15, rho=0.5),
+        # the lower bound is 3e-151, so its product with a slope below 8e-174
+        # underflows to 0; such a slope must still be taken for the right sign
+        SufficientStats(n=5, x_bar=0.0, y_bar=0.0, s_xx=1e150, s_yy=1e-150, s_xy=0.3, rho=0.3),
+    ],
+)
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 5e-324, 2.0**-1000, 0.5, 1.0 - 2.0**-53])
+def test_slopes_at_the_edges_of_float64_match_reference(stats, gamma):
+    for slope in _edge_slopes():
+        line = FittedLine(beta0=0.0, beta1=slope, gamma=gamma, sse=0.0)
+        for case in (stats, _ref_reflected(stats)):
+            for policy in ("error", "reflect"):
+                config = FitConfig(gamma=gamma, negative_correlation_policy=policy)
+                _assert_same(verify_fit, _ref_verify, case, line, config)
 
 
 @pytest.mark.parametrize("gamma", [5e-324, 0.3, 1.0 - 1e-16])
