@@ -1,9 +1,10 @@
 """Line fitting that balances squared vertical against squared horizontal errors.
 
-``import dualfit`` loads the numpy-free kernel (:mod:`dualfit.core`), the
-oracle and the errors.  :class:`Dataset` lives in the data layer,
-:mod:`dualfit.dataset`, which imports numpy; it is imported on first use of
-``dualfit.Dataset``.
+``import dualfit`` loads the numpy-free kernel (:mod:`dualfit.core`) and the
+errors.  :class:`Dataset` lives in the data layer, :mod:`dualfit.dataset`,
+which imports numpy, and the checks of a fit live in :mod:`dualfit.oracle`;
+each is imported on first use of one of its names, such as
+``dualfit.Dataset`` or ``dualfit.verify_fit``.
 """
 
 from .core import (
@@ -34,7 +35,6 @@ from .errors import (
     SolverFailure,
     ZeroCorrelation,
 )
-from .oracle import OracleReport, check_gradient, minimize_profile, profile_sse, verify_fit
 
 __version__ = "0.1.0"
 
@@ -71,15 +71,24 @@ __all__ = [
     "verify_fit",
 ]
 
-# names of the data layer, which imports numpy: resolved on first use
-_DATA_LAYER = ("Dataset",)
+# name -> module of the names resolved on first use: the data layer imports
+# numpy, and only verify and the oracle's own checks need the oracle
+_LAZY = {
+    "Dataset": "dataset",
+    "OracleReport": "oracle",
+    "check_gradient": "oracle",
+    "minimize_profile": "oracle",
+    "profile_sse": "oracle",
+    "verify_fit": "oracle",
+}
 
 
 def __getattr__(name: str):
-    """A data-layer name, imported on first use and then kept as a global (PEP 562)."""
-    if name not in _DATA_LAYER:
+    """A name of :data:`_LAZY`, imported on first use and then kept as a global (PEP 562)."""
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import dataset
+    from importlib import import_module
 
-    value = globals()[name] = getattr(dataset, name)
+    module = import_module(f".{_LAZY[name]}", __name__)
+    value = globals()[name] = getattr(module, name)
     return value

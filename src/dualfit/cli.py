@@ -44,12 +44,12 @@ from .core import (
     predict,
 )
 from .errors import DualFitError, InvalidInput, ParseError
-from .oracle import verify_fit
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .dataset import Dataset
+    from .oracle import OracleReport
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -609,6 +609,13 @@ def _point(args: argparse.Namespace, stats: SufficientStats) -> int:
     at = inverse_predict if args.command == "inverse" else predict
     _emit_scalar(at(line, args.value), args.format)
     return EXIT_OK
+
+
+def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> OracleReport:
+    """:func:`dualfit.oracle.verify_fit`; only ``verify`` imports the oracle, on its first call."""
+    from .oracle import verify_fit
+
+    return verify_fit(stats, line, config)
 
 
 def _verify(args: argparse.Namespace, stats: SufficientStats) -> int:

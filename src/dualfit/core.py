@@ -348,42 +348,37 @@ def sse(stats: SufficientStats, beta0: float, beta1: float, gamma: float) -> flo
     """Blended objective from sufficient statistics alone.
 
     Vertical squared residuals carry weight ``gamma``, horizontal squared
-    residuals ``1 - gamma``.  The horizontal term divides by ``beta1`` and is
-    only evaluated when ``gamma < 1``; at ``gamma = 1`` any slope is allowed.
-    This is one call of the objective that ``_objective`` binds; code that
-    evaluates many points of one dataset binds it once instead.
+    residuals ``1 - gamma``.  The horizontal term divides by ``beta1**2`` and
+    is only evaluated when ``gamma < 1``; at ``gamma = 1`` any slope is
+    allowed.  ``_objective`` binds it to one dataset and weight.
 
     Raises
     ------
     SingularSlope
         If ``beta1 == 0`` while ``gamma < 1``.
+    OutOfRange
+        If ``beta1`` is nonzero but its square underflows float64 while
+        ``gamma < 1``.
     """
-    return _objective(stats, gamma)(beta0, beta1)
+    # the vertical and horizontal sums share these products
+    misfit = stats.y_bar - beta0 - beta1 * stats.x_bar
+    offset = stats.n * misfit * misfit
+    cross = 2.0 * beta1 * stats.s_xy
+    beta1_sq = beta1 * beta1
+    spread = beta1_sq * stats.s_xx
+    total = gamma * (stats.s_yy - cross + spread + offset)
+    if gamma < 1.0:
+        if beta1_sq == 0.0:
+            if beta1 == 0.0:
+                raise SingularSlope("horizontal residuals are undefined at beta1 = 0")
+            raise OutOfRange("the slope's square underflows float64; rescale the data")
+        total += (1.0 - gamma) * ((spread - cross + stats.s_yy + offset) / beta1_sq)
+    return float(total)
 
 
 def _objective(stats: SufficientStats, gamma: float) -> Callable[[float, float], float]:
-    """:func:`sse` as ``f(beta0, beta1)``, with the statistics and weights bound."""
-    n = stats.n
-    x_bar, y_bar = stats.x_bar, stats.y_bar
-    s_xx, s_yy, s_xy = stats.s_xx, stats.s_yy, stats.s_xy
-    horizontal_weight = 1.0 - gamma
-    with_horizontal = gamma < 1.0
-
-    def objective(beta0: float, beta1: float) -> float:
-        # the vertical and horizontal sums share these products
-        misfit = y_bar - beta0 - beta1 * x_bar
-        offset = n * misfit * misfit
-        cross = 2.0 * beta1 * s_xy
-        beta1_sq = beta1 * beta1
-        spread = beta1_sq * s_xx
-        total = gamma * (s_yy - cross + spread + offset)
-        if with_horizontal:
-            if beta1 == 0.0:
-                raise SingularSlope("horizontal residuals are undefined at beta1 = 0")
-            total += horizontal_weight * ((spread - cross + s_yy + offset) / beta1_sq)
-        return float(total)
-
-    return objective
+    """:func:`sse` as ``f(beta0, beta1)``, with the statistics and weight bound."""
+    return lambda beta0, beta1: sse(stats, beta0, beta1, gamma)
 
 
 def sse_gradient(
@@ -574,8 +569,7 @@ def _solver(
             root, value = _newton_root(coeffs, lower, upper)
             beta1, residual = sign * root, abs(value)
         beta0 = intercept(stats, beta1)
-        objective = _objective(stats, gamma)(beta0, beta1)
-        return FittedLine(beta0, beta1, gamma, objective, residual, notes)
+        return FittedLine(beta0, beta1, gamma, sse(stats, beta0, beta1, gamma), residual, notes)
 
     return solve
 
@@ -599,7 +593,9 @@ def _newton_root(
         if value <= 0.0:
             return b, value
         dq = ((4.0 * c4 * b + 3.0 * c3) * b + 2.0 * c2) * b + c1
-        step_to = max(lower, b - value / dq)
+        step_to = b - value / dq
+        if not step_to > lower:  # a NaN step too
+            step_to = lower
         if not step_to < b:
             return b, value
         b = step_to

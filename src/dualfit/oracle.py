@@ -39,6 +39,8 @@ _SEARCH_TOL = 1e-9
 # many ulps either side of it; measured on 6015 fits, 4 ulps left 20 of them
 # uncertified and 8 none, while every slope moved by 1e-12 of itself failed
 _CERTIFIED_ULPS = 8
+# b = n * 2**k with 2**52 <= |n| < 2**53; within these, n -+ 8 stay in that range
+_NARROWEST, _WIDEST = 2**52 + _CERTIFIED_ULPS, 2**53 - 1 - _CERTIFIED_ULPS
 
 
 @dataclass(frozen=True)
@@ -173,10 +175,11 @@ def check_gradient(
     return max(abs(a - f) / max(1.0, abs(a), abs(f)) for a, f in ((a0, fd0), (a1, fd1)))
 
 
-# the exact certificate's numbers are pairs (n, e) of integers, worth n * 2**e
+# the exact certificate's numbers are pairs (n, e) of integers, worth n * 2**e,
+# with n 0 or of 53 bits
 def _exact(value: float) -> tuple[int, int]:
-    n, d = value.as_integer_ratio()  # d is a power of two
-    return n, 1 - d.bit_length()
+    m, e = math.frexp(value)
+    return int(m * 2.0**53), e - 53
 
 
 def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> OracleReport:
@@ -207,14 +210,23 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
     b = line.beta1
     if not (math.isfinite(b) and b != 0.0):
         raise InvalidInput(f"a fitted slope is finite and nonzero, got {b!r}")
-    below = above = b
-    for _ in range(_CERTIFIED_ULPS):
-        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
-    if not (math.isfinite(below) and math.isfinite(above)):
-        raise OutOfRange(f"the slope's {_CERTIFIED_ULPS}-ulp bracket leaves float64 at {b!r}")
+    # b = n * 2**k; for a normal b (k >= -1074) whose bracket stays in its
+    # binade the bracket is (n -+ 8) * 2**k, else it is walked ulp by ulp and
+    # k is the lesser binade's
+    n, k = _exact(b)
+    if k >= -1074 and _NARROWEST <= abs(n) <= _WIDEST:
+        m_below, m_above = n - _CERTIFIED_ULPS, n + _CERTIFIED_ULPS
+        below, above = math.ldexp(m_below, k), math.ldexp(m_above, k)
+    else:
+        below = above = b
+        for _ in range(_CERTIFIED_ULPS):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        if not (math.isfinite(below) and math.isfinite(above)):
+            raise OutOfRange(f"the slope's {_CERTIFIED_ULPS}-ulp bracket leaves float64 at {b!r}")
+        k = min(math.frexp(below)[1], math.frexp(above)[1]) - 53
+        n, m_below, m_above = (int(math.ldexp(t, -k)) for t in (b, below, above))
     # t = m * 2**k in the bracket; shifted below, V(t) = (a*m*m - c*m + y) * 2**ev
     # and gamma*t**2 + 1 - gamma = (g*m*m + h) * 2**(eg + ew)
-    k = min(math.frexp(below)[1], math.frexp(above)[1]) - 53
     exact = map(_exact, (stats.s_xx, stats.s_xy, stats.s_yy, line.gamma))
     (a, ea), (c, ec), (y, ey), (g, eg) = exact
     h = (1 << -eg) - g  # 1 - gamma = h * 2**eg
@@ -223,19 +235,19 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
     g, h = g << (2 * k - ew), h << -ew
 
     best, evals = -b, 0  # P(-b) - P(b) = 4*b*s_xy * (gamma + (1 - gamma)/b**2)
-    n = int(math.ldexp(b, -k))
+    nn = n * n
     if (b > 0.0) != reflect:
-        # P(t) < P(best) is q / (m*m) < p / nn, both sides times one power of two
+        # P(t) < P(best) is q / (m*m) < p / pp, both sides times one power of two
         best, evals = b, 3
-        p, nn = (a * n * n - c * n + y) * (g * n * n + h), n * n
-        for t in (below, above):
-            m = int(math.ldexp(t, -k))
-            q = (a * m * m - c * m + y) * (g * m * m + h)
-            if q * nn < p * m * m:
-                best, p, nn = t, q, m * m
+        p, pp = (a * nn - c * n + y) * (g * nn + h), nn
+        for t, m in ((below, m_below), (above, m_above)):
+            mm = m * m
+            q = (a * mm - c * m + y) * (g * mm + h)
+            if q * pp < p * mm:
+                best, p, pp = t, q, mm
 
     # b**3 * P'(b) / 2 = gamma*s_xx*b^4 - gamma*s_xy*b^3 + (1-gamma)*(s_xy*b - s_yy),
     # over the sum of its terms' magnitudes; both sums come out at one exponent
-    terms = (2 * g * a * n**4, -g * c * n**3, h * c * n, -2 * h * y)
+    terms = (2 * g * a * nn * nn, -g * c * nn * n, h * c * n, -2 * h * y)
     gradient = abs(sum(terms)) / sum(map(abs, terms))
     return OracleReport(best, b, abs(best - b), evals, (below, above), gradient)

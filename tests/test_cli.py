@@ -484,6 +484,33 @@ def test_one_block_of_input_runs_without_numpy(tmp_path, command, source):
     assert result.stdout
 
 
+# runs "import dualfit", then a command, in a fresh process, and reports
+# whether the oracle was imported after each
+_MAIN_REPORTING_ORACLE = """
+import sys
+import dualfit
+after_import = "dualfit.oracle" in sys.modules
+from dualfit.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+after_command = "dualfit.oracle" in sys.modules
+sys.stderr.write(f"oracle imported: {after_import} {after_command}\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command, imported", [("fit", False), ("verify", True)])
+def test_only_verify_imports_the_oracle(command, imported):
+    result = subprocess.run(
+        [sys.executable, "-c", _MAIN_REPORTING_ORACLE, command, "--input", str(REFERENCE_CSV)],
+        capture_output=True,
+        env=src_env(),
+        timeout=120,
+    )
+    assert result.returncode == 0
+    assert result.stderr == f"oracle imported: False {imported}\n".encode()
+
+
 # the statistics and output of the block path on _table(8193), frozen from the
 # code before input of one block was read without numpy
 _TWO_BLOCK_STATS = (

@@ -176,6 +176,33 @@ def test_cli_fit_on_overflowing_data_prints_one_typed_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("OutOfRange: sums of squares overflow")
 
 
+# the reference points with x in units of 1e80 and y of 1e-82: the slope at
+# gamma = 0, s_yy / s_xy = 1.5e-162, squares to 0, and the horizontal
+# residuals divide by that square
+_TINY_SLOPE_POINTS = [(x * 1e80, y * 1e-82) for x, y in REFERENCE_POINTS]
+
+
+def test_slope_whose_square_underflows_raises_out_of_range():
+    stats = _stats_without_warnings(Dataset.from_points(_TINY_SLOPE_POINTS))
+    with pytest.raises(OutOfRange, match="slope's square underflows"):
+        fit_stats(stats, FitConfig(gamma=0.0))
+
+
+def test_cli_fit_whose_slope_squares_to_zero_prints_one_typed_line(tmp_path):
+    path = tmp_path / "tiny-slope.csv"
+    path.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in _TINY_SLOPE_POINTS))
+    result = subprocess.run(
+        [sys.executable, "-m", "dualfit", "fit", "--gamma", "0", "--input", str(path)],
+        capture_output=True,
+        env={**src_env(), "PYTHONWARNINGS": "error"},
+        timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (3, b"")
+    assert result.stderr.decode().splitlines() == [
+        "OutOfRange: the slope's square underflows float64; rescale the data"
+    ]
+
+
 # a centred sum in the subnormal range keeps a few bits: with these x, s_xx
 # was 9.999888672e-320 and rho 0.8485328607, against 0.8485281374 exactly
 _SUBNORMAL_X = (0.0, 1e-160, 3e-160, 4e-160)

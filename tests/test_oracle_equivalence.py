@@ -16,8 +16,10 @@ root finder in that form.  ``_ref_minimize_traced`` searches down to
 ``verify_fit`` is held to an exact reference instead, ``_ref_verify``: the
 profile objective evaluated in ``fractions.Fraction`` at the fitted slope
 and 8 ulps either side, on fitted slopes and on slopes moved by 4 ulps,
-where both verdicts occur, and on slopes a few ulps from powers of two
-across the float64 range, subnormal ones included.
+where both verdicts occur, on slopes a few ulps from powers of two
+across the float64 range, subnormal ones included, and on slopes whose
+mantissa is within 8 of either end of its binade, where the bracket read off
+the slope's mantissa gives way to the ulp-by-ulp walk.
 
 On every input the two must agree exactly: ``==`` and the same ``repr`` on
 every field of ``FittedLine`` and ``OracleReport`` (so signed zeros and
@@ -59,6 +61,7 @@ from dualfit.errors import (
     DualFitError,
     InvalidInput,
     NonPositiveCorrelation,
+    OutOfRange,
     SingularSlope,
     SolverFailure,
     ZeroCorrelation,
@@ -434,6 +437,50 @@ def test_slopes_at_the_edges_of_float64_match_reference(stats, gamma):
             for policy in ("error", "reflect"):
                 config = FitConfig(gamma=gamma, negative_correlation_policy=policy)
                 _assert_same(verify_fit, _ref_verify, case, line, config)
+
+
+def _binade_edge_slopes():
+    """Slopes ``n * 2**k`` with ``n`` at either end of the 53-bit mantissas.
+
+    For ``2**52 + 8 <= |n| <= 2**53 - 9`` of a normal slope the bracket
+    ``(n -+ 8) * 2**k`` stays in the slope's binade; the others leave it, or
+    leave float64.
+    """
+    # the binades of 2**-1022, 2**-1021 and 1, and the largest, which ends at
+    # sys.float_info.max
+    for k in (-1074, -1073, -52, 971):
+        for n in (2**52 + 7, 2**52 + 8, 2**53 - 9, 2**53 - 8):
+            yield math.ldexp(n, k)
+            yield math.ldexp(-n, k)
+
+
+@pytest.mark.parametrize(
+    "stats",
+    [
+        SufficientStats(n=5, x_bar=1.0, y_bar=-3.0, s_xx=0.1, s_yy=0.9, s_xy=0.15, rho=0.5),
+        SufficientStats(n=5, x_bar=0.0, y_bar=0.0, s_xx=1e150, s_yy=1e-150, s_xy=0.3, rho=0.3),
+    ],
+)
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 5e-324, 2.0**-1000, 0.5, 1.0 - 2.0**-53])
+def test_brackets_at_the_ends_of_a_binade_are_the_ulp_walk(stats, gamma):
+    for slope in _binade_edge_slopes():
+        below = above = slope
+        for _ in range(_REF_ULPS):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        line = FittedLine(beta0=0.0, beta1=slope, gamma=gamma, sse=0.0)
+        for case in (stats, _ref_reflected(stats)):
+            for policy in ("error", "reflect"):
+                config = FitConfig(gamma=gamma, negative_correlation_policy=policy)
+                if math.isinf(above) or math.isinf(below):
+                    # the reference cannot evaluate P at an infinite bracket end
+                    refused = case.rho < 0.0 and policy == "error"
+                    want = NonPositiveCorrelation if refused else OutOfRange
+                    assert _outcome(verify_fit, case, line, config)[0] is want
+                    continue
+                kind, _ = _assert_same(verify_fit, _ref_verify, case, line, config)
+                if kind == "ok":
+                    report = verify_fit(case, line, config)
+                    assert repr(report.bracket) == repr((below, above))
 
 
 @pytest.mark.parametrize("gamma", [5e-324, 0.3, 1.0 - 1e-16])
