@@ -65,6 +65,8 @@ ZERO_RHO_TOL = 1e-12
 _MAX_NEWTON_STEPS = 400
 
 _EPS = sys.float_info.epsilon
+# the least normal float64; a power of the slope below it has lost bits
+_TINY = sys.float_info.min
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +171,28 @@ class FittedLine:
     sse: float
     selected_root_residual: float = 0.0
     notes: tuple[str, ...] = ()
+
+    # the fields stored straight into the instance's dict, where the generated
+    # __init__ calls object.__setattr__ once per field; @dataclass keeps this
+    # __init__ and generates the rest.  Stores by key keep the dict's keys
+    # shared with the other records: one dict.update would give each record
+    # a table of its own, at some 140 bytes more
+    def __init__(
+        self,
+        beta0: float,
+        beta1: float,
+        gamma: float,
+        sse: float,
+        selected_root_residual: float = 0.0,
+        notes: tuple[str, ...] = (),
+    ):
+        fields = vars(self)
+        fields["beta0"] = beta0
+        fields["beta1"] = beta1
+        fields["gamma"] = gamma
+        fields["sse"] = sse
+        fields["selected_root_residual"] = selected_root_residual
+        fields["notes"] = notes
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +381,8 @@ def sse(stats: SufficientStats, beta0: float, beta1: float, gamma: float) -> flo
     SingularSlope
         If ``beta1 == 0`` while ``gamma < 1``.
     OutOfRange
-        If ``beta1`` is nonzero but its square underflows float64 while
-        ``gamma < 1``.
+        If ``beta1`` is nonzero but its square underflows to a zero or
+        subnormal float64 while ``gamma < 1``.
     """
     # the vertical and horizontal sums share these products
     misfit = stats.y_bar - beta0 - beta1 * stats.x_bar
@@ -368,7 +392,7 @@ def sse(stats: SufficientStats, beta0: float, beta1: float, gamma: float) -> flo
     spread = beta1_sq * stats.s_xx
     total = gamma * (stats.s_yy - cross + spread + offset)
     if gamma < 1.0:
-        if beta1_sq == 0.0:
+        if beta1_sq < _TINY:
             if beta1 == 0.0:
                 raise SingularSlope("horizontal residuals are undefined at beta1 = 0")
             raise OutOfRange("the slope's square underflows float64; rescale the data")
@@ -390,9 +414,18 @@ def sse_gradient(
     ------
     SingularSlope
         If ``beta1 == 0``.
+    OutOfRange
+        If ``beta1`` is nonzero but its square or cube, which the gradient
+        divides by, underflows to a zero or subnormal float64.
     """
     if beta1 == 0.0:
         raise SingularSlope("gradient is undefined at beta1 = 0")
+    b1sq = beta1 * beta1
+    b1cu = b1sq * beta1
+    if b1sq < _TINY:
+        raise OutOfRange("the slope's square underflows float64; rescale the data")
+    if abs(b1cu) < _TINY:
+        raise OutOfRange("the slope's cube underflows float64; rescale the data")
     n = stats.n
     # raw power sums, reconstructed from the centered ones
     sum_x = n * stats.x_bar
@@ -401,8 +434,6 @@ def sse_gradient(
     sum_yy = stats.s_yy + n * stats.y_bar * stats.y_bar
     sum_xy = stats.s_xy + n * stats.x_bar * stats.y_bar
 
-    b1sq = beta1 * beta1
-    b1cu = b1sq * beta1
     g0 = 2.0 * (n * beta0 - (sum_y - beta1 * sum_x)) * (gamma * b1sq + 1.0 - gamma) / b1sq
     g1 = gamma * (-2.0 * sum_xy + 2.0 * beta0 * sum_x + 2.0 * beta1 * sum_xx)
     g1 += (1.0 - gamma) * (
@@ -580,20 +611,23 @@ def _newton_root(
     """The quartic's root in ``[lower, upper]``, and the quartic's value there.
 
     ``coeffs`` run highest degree first, as in :class:`Quartic`, and the value
-    is its Horner sum to the bit.
+    is its Horner sum to the bit.  The b**2 coefficient is the slope
+    quartic's 0.0 and is not read: adding it changes nothing but the sign of
+    a zero, which the nonzero b coefficient ``(1 - gamma) * rho`` then absorbs.
     """
     # q(lower) <= 0 <= q(upper), and q is increasing and convex in between, so
     # Newton from the upper end descends onto the root without overshooting
-    c4, c3, c2, c1, c0 = coeffs
+    c4, c3, _, c1, c0 = coeffs
+    d4, d3 = 4.0 * c4, 3.0 * c3
+    isfinite = math.isfinite
     b = upper
     for _ in range(_MAX_NEWTON_STEPS):
-        value = (((c4 * b + c3) * b + c2) * b + c1) * b + c0
-        if not math.isfinite(value):
+        value = ((c4 * b + c3) * b * b + c1) * b + c0
+        if not isfinite(value):
             raise SolverFailure(f"slope quartic overflows at {b!r}")
         if value <= 0.0:
             return b, value
-        dq = ((4.0 * c4 * b + 3.0 * c3) * b + 2.0 * c2) * b + c1
-        step_to = b - value / dq
+        step_to = b - value / ((d4 * b + d3) * b * b + c1)
         if not step_to > lower:  # a NaN step too
             step_to = lower
         if not step_to < b:
@@ -634,6 +668,10 @@ def fit(data: Dataset, config: FitConfig) -> FittedLine:
         If the correlation is numerically zero.
     NonPositiveCorrelation
         If the correlation is negative and the policy is ``"error"``.
+    OutOfRange
+        If the statistics leave float64, as in :func:`compute_stats`, or the
+        slope's square underflows to a zero or subnormal float64 while
+        ``gamma < 1``, as in :func:`sse`.
     SolverFailure
         If the quartic overflows at the upper bound or Newton's method does
         not settle within its step cap (not expected for valid data).

@@ -61,6 +61,26 @@ class OracleReport:
     bracket: tuple[float, float]
     gradient_max_rel_err: float
 
+    # as FittedLine's: the fields stored by key, then the checks, which the
+    # generated __init__ would call too
+    def __init__(
+        self,
+        oracle_slope: float,
+        quartic_slope: float,
+        abs_gap: float,
+        profile_evals: int,
+        bracket: tuple[float, float],
+        gradient_max_rel_err: float,
+    ):
+        fields = vars(self)
+        fields["oracle_slope"] = oracle_slope
+        fields["quartic_slope"] = quartic_slope
+        fields["abs_gap"] = abs_gap
+        fields["profile_evals"] = profile_evals
+        fields["bracket"] = bracket
+        fields["gradient_max_rel_err"] = gradient_max_rel_err
+        self.__post_init__()
+
     def __post_init__(self):
         if self.bracket[0] >= self.bracket[1]:
             raise InvalidInput(f"bracket must be increasing, got {self.bracket}")
@@ -175,13 +195,6 @@ def check_gradient(
     return max(abs(a - f) / max(1.0, abs(a), abs(f)) for a, f in ((a0, fd0), (a1, fd1)))
 
 
-# the exact certificate's numbers are pairs (n, e) of integers, worth n * 2**e,
-# with n 0 or of 53 bits
-def _exact(value: float) -> tuple[int, int]:
-    m, e = math.frexp(value)
-    return int(m * 2.0**53), e - 53
-
-
 def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> OracleReport:
     """Certify a fitted slope by one exact comparison of the profile objective.
 
@@ -213,7 +226,8 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
     # b = n * 2**k; for a normal b (k >= -1074) whose bracket stays in its
     # binade the bracket is (n -+ 8) * 2**k, else it is walked ulp by ulp and
     # k is the lesser binade's
-    n, k = _exact(b)
+    mantissa, k = math.frexp(b)  # in [0.5, 1), so times 2**53 an integer of 53 bits
+    n, k = int(mantissa * 2.0**53), k - 53
     if k >= -1074 and _NARROWEST <= abs(n) <= _WIDEST:
         m_below, m_above = n - _CERTIFIED_ULPS, n + _CERTIFIED_ULPS
         below, above = math.ldexp(m_below, k), math.ldexp(m_above, k)
@@ -225,21 +239,29 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
             raise OutOfRange(f"the slope's {_CERTIFIED_ULPS}-ulp bracket leaves float64 at {b!r}")
         k = min(math.frexp(below)[1], math.frexp(above)[1]) - 53
         n, m_below, m_above = (int(math.ldexp(t, -k)) for t in (b, below, above))
-    # t = m * 2**k in the bracket; shifted below, V(t) = (a*m*m - c*m + y) * 2**ev
-    # and gamma*t**2 + 1 - gamma = (g*m*m + h) * 2**(eg + ew)
-    exact = map(_exact, (stats.s_xx, stats.s_xy, stats.s_yy, line.gamma))
-    (a, ea), (c, ec), (y, ey), (g, eg) = exact
-    h = (1 << -eg) - g  # 1 - gamma = h * 2**eg
+    # likewise s_xx, s_xy, s_yy and gamma are integers a, c, y and g of 53 bits
+    # (or 0) times 2**(ea - 53) and so on; with t = m * 2**k in the bracket and
+    # the shifts below, V(t) = (a*m*m - c*m + y) * 2**(ev - 53) and
+    # gamma*t**2 + 1 - gamma = (g*m*m + h) * 2**(eg - 53 + ew)
+    fa, ea = math.frexp(stats.s_xx)
+    fc, ec = math.frexp(stats.s_xy)
+    fy, ey = math.frexp(stats.s_yy)
+    fg, eg = math.frexp(line.gamma)
+    g = int(fg * 2.0**53)
+    h = (1 << (53 - eg)) - g  # 1 - gamma = h * 2**(eg - 53)
     ev, ew = min(ea + 2 * k, ec + k, ey), min(2 * k, 0)
-    a, c, y = a << (ea + 2 * k - ev), c << (ec + k + 1 - ev), y << (ey - ev)
+    a = int(fa * 2.0**53) << (ea + 2 * k - ev)
+    c = int(fc * 2.0**53) << (ec + k + 1 - ev)
+    y = int(fy * 2.0**53) << (ey - ev)
     g, h = g << (2 * k - ew), h << -ew
 
     best, evals = -b, 0  # P(-b) - P(b) = 4*b*s_xy * (gamma + (1 - gamma)/b**2)
     nn = n * n
+    gnn, ann, cn = g * nn, a * nn, c * n  # P(b)'s products, and the gradient's
     if (b > 0.0) != reflect:
         # P(t) < P(best) is q / (m*m) < p / pp, both sides times one power of two
         best, evals = b, 3
-        p, pp = (a * nn - c * n + y) * (g * nn + h), nn
+        p, pp = (ann - cn + y) * (gnn + h), nn
         for t, m in ((below, m_below), (above, m_above)):
             mm = m * m
             q = (a * mm - c * m + y) * (g * mm + h)
@@ -247,7 +269,8 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
                 best, p, pp = t, q, mm
 
     # b**3 * P'(b) / 2 = gamma*s_xx*b^4 - gamma*s_xy*b^3 + (1-gamma)*(s_xy*b - s_yy),
-    # over the sum of its terms' magnitudes; both sums come out at one exponent
-    terms = (2 * g * a * nn * nn, -g * c * nn * n, h * c * n, -2 * h * y)
-    gradient = abs(sum(terms)) / sum(map(abs, terms))
+    # over the sum of its terms' magnitudes (t4 is the b^4 term, and so on);
+    # both sums come out at one exponent
+    t4, t3, t1, t0 = 2 * gnn * ann, -gnn * cn, h * cn, -2 * h * y
+    gradient = abs(t4 + t3 + t1 + t0) / (abs(t4) + abs(t3) + abs(t1) + abs(t0))
     return OracleReport(best, b, abs(best - b), evals, (below, above), gradient)

@@ -37,6 +37,8 @@ from dualfit import (
     fit_stats,
     minimize_profile,
     slope_bounds,
+    sse,
+    sse_gradient,
     verify_fit,
 )
 
@@ -201,6 +203,65 @@ def test_cli_fit_whose_slope_squares_to_zero_prints_one_typed_line(tmp_path):
     assert result.stderr.decode().splitlines() == [
         "OutOfRange: the slope's square underflows float64; rescale the data"
     ]
+
+
+# x in units of 1e80 and y of 1e-81 or 1e-80: the gamma = 0 slope, 1.5e-161
+# or 1.5e-160, squares to a subnormal that keeps a few bits, and the
+# objective divided by it was 0.5 % or 5.6e-6 off
+@pytest.mark.parametrize("y_unit", [1e-81, 1e-80])
+def test_slope_whose_square_is_subnormal_raises_out_of_range(y_unit):
+    points = [(x * 1e80, y * y_unit) for x, y in REFERENCE_POINTS]
+    stats = _stats_without_warnings(Dataset.from_points(points))
+    with pytest.raises(OutOfRange, match="slope's square underflows"):
+        fit_stats(stats, FitConfig(gamma=0.0))
+
+
+def test_cli_fit_whose_slope_squares_to_a_subnormal_prints_one_typed_line(tmp_path):
+    path = tmp_path / "subnormal-square.csv"
+    points = [(x * 1e80, y * 1e-81) for x, y in REFERENCE_POINTS]
+    path.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in points))
+    result = subprocess.run(
+        [sys.executable, "-m", "dualfit", "fit", "--gamma", "0", "--input", str(path)],
+        capture_output=True,
+        env={**src_env(), "PYTHONWARNINGS": "error"},
+        timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (3, b"")
+    assert result.stderr.decode().splitlines() == [
+        "OutOfRange: the slope's square underflows float64; rescale the data"
+    ]
+
+
+# sys.float_info.min is 2.2250738585072014e-308, so a slope of 1.5e-154 squares
+# to a normal float and one of 1.49e-154 to a subnormal
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_objective_refuses_a_subnormal_square_of_the_slope(gamma):
+    stats = compute_stats(Dataset.from_points(REFERENCE_POINTS))
+    assert math.isfinite(sse(stats, 0.0, 1.5e-154, gamma))
+    for slope in (1.49e-154, -1.49e-154, 1e-170, 5e-324):
+        with pytest.raises(OutOfRange, match="slope's square underflows"):
+            sse(stats, 0.0, slope, gamma)
+    # the vertical residuals alone divide by nothing
+    assert sse(stats, 0.0, 1e-170, 1.0) == sse(stats, 0.0, 0.0, 1.0)
+
+
+# the gradient divides by the slope's cube as well, which is subnormal below
+# about 1.7e-108
+@pytest.mark.parametrize(
+    "slope, power",
+    [(1e-170, "square"), (-1.49e-154, "square"), (1e-120, "cube"), (-1.5e-154, "cube")],
+)
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+def test_gradient_refuses_a_subnormal_power_of_the_slope(slope, power, gamma):
+    stats = compute_stats(Dataset.from_points(REFERENCE_POINTS))
+    with pytest.raises(OutOfRange, match=f"slope's {power} underflows"):
+        sse_gradient(stats, 0.0, slope, gamma)
+
+
+def test_gradient_at_a_slope_whose_cube_is_normal_is_finite():
+    stats = compute_stats(Dataset.from_points(REFERENCE_POINTS))
+    for slope in (1e-100, -1e-100):
+        assert all(math.isfinite(g) for g in sse_gradient(stats, 0.0, slope, 0.5))
 
 
 # a centred sum in the subnormal range keeps a few bits: with these x, s_xx

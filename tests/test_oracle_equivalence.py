@@ -9,9 +9,11 @@ change: ``_ref_check_gradient`` raises ``SingularSlope`` when
 ``|beta1| <= step``, where the old code only refused a difference that hit
 ``beta1 = 0`` exactly.  ``_newton_root`` now takes a quartic's coefficients
 and returns its value at the root too; ``_ref_newton_pair`` puts the frozen
-root finder in that form.  ``_ref_minimize_traced`` searches down to
-``_REF_ORACLE_TOL``, the default ``tol`` of ``minimize_profile``, and
-``minimize_profile`` must return its slope.
+root finder in that form.  It also leaves out the quartic's 0.0 ``b**2``
+coefficient, which is held to the frozen sums where the ``b`` coefficient is
+least and where a partial sum is a negative zero.  ``_ref_minimize_traced``
+searches down to ``_REF_ORACLE_TOL``, the default ``tol`` of
+``minimize_profile``, and ``minimize_profile`` must return its slope.
 
 ``verify_fit`` is held to an exact reference instead, ``_ref_verify``: the
 profile objective evaluated in ``fractions.Fraction`` at the fitted slope
@@ -492,6 +494,43 @@ def test_overflowing_ratio_matches_reference(gamma):
         for case in (stats, _ref_reflected(stats)):
             kind, _ = _assert_same(fit_stats, _ref_fit_stats, case, config)
             assert kind in (InvalidInput, NonPositiveCorrelation)
+
+
+# _newton_root sums the slope quartic without its 0.0 b**2 term, which can only
+# turn a -0.0 partial sum into +0.0 before the b term (1 - gamma) * rho is
+# added; that term is least at the extreme interior weights and at the least
+# correlation a fit accepts, and it must still give the Horner sums' bits
+_LEAST_RHOS = (ZERO_RHO_TOL, math.nextafter(ZERO_RHO_TOL, 1.0), 2.0 * ZERO_RHO_TOL, 1e-9)
+
+
+@pytest.mark.parametrize("rho", _LEAST_RHOS)
+@pytest.mark.parametrize("gamma", [2.0**-53, 1.0 - 2.0**-53])
+def test_newton_at_the_least_b_coefficient_matches_reference(gamma, rho):
+    for e in range(-120, 121, 8):  # s_yy / s_xx from 1e-120 to 1e120
+        s_yy = 10.0**e
+        stats = SufficientStats(
+            n=3, x_bar=1.0, y_bar=-2.0, s_xx=1.0, s_yy=s_yy, s_xy=rho * math.sqrt(s_yy), rho=rho
+        )
+        quartic = build_quartic(stats, gamma)
+        assert quartic.coeffs[2] == 0.0 and quartic.coeffs[3] != 0.0
+        _assert_same(_newton_root, _ref_newton_pair, quartic.coeffs, *slope_bounds(stats))
+        for case in (stats, _ref_reflected(stats)):
+            for policy in ("error", "reflect"):
+                config = FitConfig(gamma=gamma, negative_correlation_policy=policy)
+                _assert_same(fit_stats, _ref_fit_stats, case, config)
+
+
+@pytest.mark.parametrize(
+    "coeffs, lower, upper",
+    [
+        # c4*b underflows to 0, so (c4*b + c3)*b and its derivative's
+        # (4*c4*b + 3*c3)*b are -0.0 at every step of the two
+        ((5e-324, -1e-320, 0.0, 1.0, -1e-10), 5e-11, 2e-10),
+        ((5e-324, -1e-320, 0.0, 2.0**-53 * ZERO_RHO_TOL, -1e-50), 1e-23, 1e-21),
+    ],
+)
+def test_newton_through_a_negative_zero_partial_sum_matches_reference(coeffs, lower, upper):
+    _assert_same(_newton_root, _ref_newton_pair, coeffs, lower, upper)
 
 
 @st.composite
