@@ -11,13 +11,13 @@ weights are the classical closed forms: regression of y on x at ``gamma = 1``
 and inverse regression (x on y, re-expressed as a slope in y over x) at
 ``gamma = 0``.
 
-The slope depends on the data only through the sufficient statistics, so
-the per-dataset part of a fit (the correlation checks, the square-root
-ratios and the slope interval) is done once by ``_solver``, which returns a
-function that solves any weight.  :func:`fit_stats` is one call of it;
-``dualfit sweep`` solves its whole grid with one.  :func:`build_quartic`
-and :class:`Quartic` state the paper's equation; the solve evaluates the
-same coefficients, which ``_coefficients`` writes once for both.
+The slope depends on the data only through the sufficient statistics.
+:func:`fit_stats` checks their correlation (``_reflects``) and solves one
+weight (``_solve``) in a straight call, taking the Newton bracket from the
+scalar ``_bounds``; ``_solver`` binds the two to one dataset for ``dualfit
+sweep``.  :func:`build_quartic` and :class:`Quartic` state the paper's
+equation; the solve evaluates the same coefficients, which
+``_coefficients`` writes once for both.
 
 Only positively correlated data has a well-defined fit here.  Negating y
 negates rho and the slope, as ``q(-b; -rho) = q(b; rho)``, so under the
@@ -38,6 +38,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Literal, NamedTuple, Sequence
 
 from .errors import (
@@ -467,17 +468,12 @@ def build_quartic(stats: SufficientStats, gamma: float) -> Quartic:
     Only interior weights go through the quartic; the endpoint weights have
     closed-form slopes and raise InvalidInput here.
     """
-    ratio_xy, ratio_yx = _ratios(stats)
+    s_xx, s_yy = stats.s_xx, stats.s_yy
+    if s_xx <= 0.0 or s_yy <= 0.0:
+        raise DegenerateData("slope quartic needs positive spread in x and y")
     if not 0.0 < gamma < 1.0:
         raise InvalidInput(f"quartic is defined for 0 < gamma < 1, got {gamma}")
-    return Quartic(_coefficients(gamma, stats.rho, ratio_xy, ratio_yx))
-
-
-def _ratios(stats: SufficientStats) -> tuple[float, float]:
-    """``sqrt(s_xx/s_yy)`` and ``sqrt(s_yy/s_xx)``; DegenerateData without spread."""
-    if stats.s_xx <= 0.0 or stats.s_yy <= 0.0:
-        raise DegenerateData("slope quartic needs positive spread in x and y")
-    return math.sqrt(stats.s_xx / stats.s_yy), math.sqrt(stats.s_yy / stats.s_xx)
+    return Quartic(_coefficients(gamma, stats.rho, math.sqrt(s_xx / s_yy), math.sqrt(s_yy / s_xx)))
 
 
 def _coefficients(
@@ -504,20 +500,26 @@ def slope_bounds(stats: SufficientStats) -> tuple[float, float]:
     NonPositiveCorrelation
         If ``rho <= 0``.
     OutOfRange
-        If ``s_yy / s_xx`` overflows or underflows float64, so that the ends
-        would be infinite or zero.
+        If ``s_yy / s_xx`` overflows, or underflows to a zero or subnormal
+        float64 that has lost its bits, so that the ends would be infinite,
+        zero or inexact.
     """
-    if stats.s_xx <= 0.0 or stats.s_yy <= 0.0:
+    return _bounds(stats.s_xx, stats.s_yy, stats.rho)
+
+
+def _bounds(s_xx: float, s_yy: float, rho: float) -> tuple[float, float]:
+    """:func:`slope_bounds` of the figures, at the correlation its caller solves at."""
+    if s_xx <= 0.0 or s_yy <= 0.0:
         raise DegenerateData("slope bounds need positive spread in x and y")
-    if stats.rho <= 0.0:
-        raise NonPositiveCorrelation(f"slope bounds need rho > 0, got {stats.rho:.6g}")
-    ratio = math.sqrt(stats.s_yy / stats.s_xx)
-    if not 0.0 < ratio < math.inf:
+    if rho <= 0.0:
+        raise NonPositiveCorrelation(f"slope bounds need rho > 0, got {rho:.6g}")
+    ratio = s_yy / s_xx
+    if not _TINY <= ratio < math.inf:
         raise OutOfRange(
-            f"s_yy / s_xx = {stats.s_yy:.3g} / {stats.s_xx:.3g} is out of float64 range; "
-            "rescale the data"
+            f"s_yy / s_xx = {s_yy:.3g} / {s_xx:.3g} is out of float64 range; rescale the data"
         )
-    return stats.rho * ratio, ratio / stats.rho
+    ratio = math.sqrt(ratio)
+    return rho * ratio, ratio / rho
 
 
 def reflected(stats: SufficientStats) -> SufficientStats:
@@ -541,7 +543,7 @@ def _slope_interval(
     With ``reflect``, the bounds of :func:`reflected` statistics negated
     back onto the data's negative slopes, where a reflect-policy fit lands.
     """
-    lower, upper = slope_bounds(reflected(stats) if reflect else stats)
+    lower, upper = _bounds(stats.s_xx, stats.s_yy, -stats.rho if reflect else stats.rho)
     lower, upper = lower * (1.0 - pad), upper * (1.0 + pad)
     return (-upper, -lower) if reflect else (lower, upper)
 
@@ -549,60 +551,57 @@ def _slope_interval(
 def fit_stats(stats: SufficientStats, config: FitConfig) -> FittedLine:
     """Fit from sufficient statistics; see :func:`fit` for the full contract.
 
-    One call of the solver that ``_solver`` binds to the statistics; code
-    that fits one dataset at many weights binds it once instead.
+    The correlation checks of ``_reflects``, then ``_solve`` at the one
+    weight: the same lines, to the bit, as a ``_solver`` bound to ``stats``.
     """
-    return _solver(stats, config.negative_correlation_policy)(config.gamma)
+    return _solve(stats, _reflects(stats, config.negative_correlation_policy), config.gamma)
 
 
 def _solver(
     stats: SufficientStats, policy: NegativeCorrelationPolicy
 ) -> Callable[[float], FittedLine]:
-    """:func:`fit_stats` as ``solve(gamma)``, with the per-dataset work done once.
+    """:func:`fit_stats` as ``solve(gamma)``, with the correlation checked once, here.
+
+    The slope bounds' errors are raised by each interior weight's ``solve``.
+    """
+    return partial(_solve, stats, _reflects(stats, policy))
+
+
+def _reflects(stats: SufficientStats, policy: NegativeCorrelationPolicy) -> bool:
+    """Whether a fit of ``stats`` is solved at ``-rho`` and negated, after its checks."""
+    rho = stats.rho
+    if abs(rho) < ZERO_RHO_TOL:
+        raise ZeroCorrelation(f"correlation {rho:.3g} is numerically zero")
+    if rho < 0.0 and policy != "reflect":
+        raise NonPositiveCorrelation(f"rho = {rho:.6g} < 0; pass the reflect policy to fit anyway")
+    return rho < 0.0
+
+
+def _solve(stats: SufficientStats, reflect: bool, gamma: float) -> FittedLine:
+    """The fit at one weight of statistics ``_reflects`` has passed.
 
     Both signs of rho are solved on ``stats`` themselves: the endpoint
     closed forms are odd in y, and an interior weight runs Newton at
-    ``|rho|`` and gives the root the sign of rho.  The correlation checks
-    happen here, so their errors are raised before any weight is solved.
-    The square-root ratios and the slope interval are made on the first
-    interior weight, so that a fit at an endpoint weight never pays for
-    them; their errors are raised by every interior ``solve``.
+    ``|rho|`` inside :func:`slope_bounds` and negates the root under
+    ``reflect``.
     """
-    if abs(stats.rho) < ZERO_RHO_TOL:
-        raise ZeroCorrelation(f"correlation {stats.rho:.3g} is numerically zero")
-    reflect = stats.rho < 0.0
-    if reflect and policy != "reflect":
-        raise NonPositiveCorrelation(
-            f"rho = {stats.rho:.6g} < 0; pass the reflect policy to fit anyway"
-        )
-    rho, sign = abs(stats.rho), math.copysign(1.0, stats.rho)
+    residual = 0.0
+    if gamma == 1.0:
+        beta1 = stats.s_xy / stats.s_xx
+    elif gamma == 0.0:
+        beta1 = stats.s_yy / stats.s_xy
+    else:
+        s_xx, s_yy = stats.s_xx, stats.s_yy
+        rho = -stats.rho if reflect else stats.rho
+        # with s_yy / s_xx normal, s_xx / s_yy cannot overflow either
+        lower, upper = _bounds(s_xx, s_yy, rho)
+        # in Python floats whatever gamma's type
+        coeffs = _coefficients(float(gamma), rho, math.sqrt(s_xx / s_yy), math.sqrt(s_yy / s_xx))
+        root, value = _newton_root(coeffs, lower, upper)
+        beta1, residual = -root if reflect else root, abs(value)
+    beta0 = intercept(stats, beta1)
     notes = ("fitted on (x, -y) and negated the slope",) if reflect else ()
-    interior: tuple[float, float, float, float] | None = None
-
-    def solve(gamma: float) -> FittedLine:
-        nonlocal interior
-        residual = 0.0
-        if gamma == 1.0:
-            beta1 = stats.s_xy / stats.s_xx
-        elif gamma == 0.0:
-            beta1 = stats.s_yy / stats.s_xy
-        else:
-            if interior is None:
-                ratio_xy, ratio_yx = _ratios(stats)
-                # an infinite ratio makes every interior quartic infinite; with
-                # both finite, slope_bounds at |rho| are these products and cannot raise
-                if not (math.isfinite(ratio_xy) and math.isfinite(ratio_yx)):
-                    raise InvalidInput("coefficients must be finite")
-                interior = ratio_xy, ratio_yx, rho * ratio_yx, ratio_yx / rho
-            ratio_xy, ratio_yx, lower, upper = interior
-            # in Python floats whatever gamma's type
-            coeffs = _coefficients(float(gamma), rho, ratio_xy, ratio_yx)
-            root, value = _newton_root(coeffs, lower, upper)
-            beta1, residual = sign * root, abs(value)
-        beta0 = intercept(stats, beta1)
-        return FittedLine(beta0, beta1, gamma, sse(stats, beta0, beta1, gamma), residual, notes)
-
-    return solve
+    return FittedLine(beta0, beta1, gamma, sse(stats, beta0, beta1, gamma), residual, notes)
 
 
 def _newton_root(
@@ -669,7 +668,8 @@ def fit(data: Dataset, config: FitConfig) -> FittedLine:
     NonPositiveCorrelation
         If the correlation is negative and the policy is ``"error"``.
     OutOfRange
-        If the statistics leave float64, as in :func:`compute_stats`, or the
+        If the statistics leave float64, as in :func:`compute_stats`; if
+        ``0 < gamma < 1`` and :func:`slope_bounds` refuses them; or if the
         slope's square underflows to a zero or subnormal float64 while
         ``gamma < 1``, as in :func:`sse`.
     SolverFailure

@@ -19,6 +19,7 @@ from .core import (
     FitConfig,
     FittedLine,
     SufficientStats,
+    _bounds,
     _objective,
     _slope_interval,
     intercept,
@@ -61,8 +62,7 @@ class OracleReport:
     bracket: tuple[float, float]
     gradient_max_rel_err: float
 
-    # as FittedLine's: the fields stored by key, then the checks, which the
-    # generated __init__ would call too
+    # the checks, then the fields stored by key as in FittedLine; replace() checks too
     def __init__(
         self,
         oracle_slope: float,
@@ -72,6 +72,14 @@ class OracleReport:
         bracket: tuple[float, float],
         gradient_max_rel_err: float,
     ):
+        if bracket[0] >= bracket[1]:
+            raise InvalidInput(f"bracket must be increasing, got {bracket}")
+        if profile_evals < 0:
+            raise InvalidInput("evaluation count cannot be negative")
+        if abs_gap != abs(oracle_slope - quartic_slope):
+            raise InvalidInput("abs_gap must equal |oracle_slope - quartic_slope|")
+        if gradient_max_rel_err < 0.0:
+            raise InvalidInput("gradient error cannot be negative")
         fields = vars(self)
         fields["oracle_slope"] = oracle_slope
         fields["quartic_slope"] = quartic_slope
@@ -79,17 +87,6 @@ class OracleReport:
         fields["profile_evals"] = profile_evals
         fields["bracket"] = bracket
         fields["gradient_max_rel_err"] = gradient_max_rel_err
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.bracket[0] >= self.bracket[1]:
-            raise InvalidInput(f"bracket must be increasing, got {self.bracket}")
-        if self.profile_evals < 0:
-            raise InvalidInput("evaluation count cannot be negative")
-        if self.abs_gap != abs(self.oracle_slope - self.quartic_slope):
-            raise InvalidInput("abs_gap must equal |oracle_slope - quartic_slope|")
-        if self.gradient_max_rel_err < 0.0:
-            raise InvalidInput("gradient error cannot be negative")
 
     @property
     def certified(self) -> bool:
@@ -219,7 +216,7 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
         If the fitted slope is zero or not finite.
     """
     reflect = stats.rho < 0.0 and config.negative_correlation_policy == "reflect"
-    _slope_interval(stats, reflect)  # for its errors
+    _bounds(stats.s_xx, stats.s_yy, -stats.rho if reflect else stats.rho)  # for its errors
     b = line.beta1
     if not (math.isfinite(b) and b != 0.0):
         raise InvalidInput(f"a fitted slope is finite and nonzero, got {b!r}")
@@ -267,6 +264,9 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
             q = (a * mm - c * m + y) * (g * mm + h)
             if q * pp < p * mm:
                 best, p, pp = t, q, mm
+            elif not (m or h) and y * g * pp < p:
+                # t = 0 at gamma = 1, where P = V * gamma: q / mm is y * g
+                best, p, pp = t, y * g, 1
 
     # b**3 * P'(b) / 2 = gamma*s_xx*b^4 - gamma*s_xy*b^3 + (1-gamma)*(s_xy*b - s_yy),
     # over the sum of its terms' magnitudes (t4 is the b^4 term, and so on);

@@ -38,7 +38,7 @@ from dualfit import (
     verify_fit,
 )
 from dualfit import cli
-from dualfit.cli import EXIT_OK, EXIT_VERIFY, main
+from dualfit.cli import EXIT_FIT, EXIT_OK, EXIT_VERIFY, main
 
 from conftest import REFERENCE_POINTS
 
@@ -109,16 +109,23 @@ def test_a_slope_moved_by_1e_minus_12_of_itself_fails(
 
 
 def test_a_slope_whose_product_with_its_lower_bound_underflows_is_certified(tmp_path, capsys):
-    # x in units of 1e80 and y in units of 1e-81: the least-squares slope
-    # times the lower slope bound underflows to 0, so a sign test by that
-    # product took the slope for one of the wrong sign
-    x, y = _noisy_line(1, 200, 0.3, y_unit=1e-81, noise=1.0)
-    stats, line, _, report = _report(x * 1e80, y, 1.0)
+    # the least-squares slope times the lower slope bound underflows to 0, so
+    # a sign test by that product took the slope for one of the wrong sign
+    stats = SufficientStats(
+        n=3, x_bar=1.0, y_bar=2.0, s_xx=1.0, s_yy=1e-300, s_xy=1e-162, rho=1e-12
+    )
+    config = FitConfig(1.0)
+    line = fit_stats(stats, config)
     assert line.beta1 > 0.0 and line.beta1 * slope_bounds(stats)[0] == 0.0
-    assert report.certified
+    assert verify_fit(stats, line, config).certified
+    # x in units of 1e80 and y of 1e-81 gave such a product too, but there
+    # s_yy / s_xx is subnormal, so the slope bounds themselves are refused
+    x, y = _noisy_line(1, 200, 0.3, y_unit=1e-81, noise=1.0)
+    with pytest.raises(OutOfRange, match="s_yy / s_xx"):
+        _report(x * 1e80, y, 1.0)
     path = _write_csv(tmp_path / "tiny.csv", x * 1e80, y)
-    assert main(["verify", "--input", path, "--gamma", "1"]) == EXIT_OK
-    assert capsys.readouterr().err == ""
+    assert main(["verify", "--input", path, "--gamma", "1"]) == EXIT_FIT
+    assert capsys.readouterr().err.startswith("OutOfRange: s_yy / s_xx = ")
 
 
 def _newton_iterates(stats: SufficientStats, gamma: float) -> list[float]:

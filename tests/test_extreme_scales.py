@@ -232,6 +232,25 @@ def test_cli_fit_whose_slope_squares_to_a_subnormal_prints_one_typed_line(tmp_pa
     ]
 
 
+# with x in units of 1e80 and y of 1e-81, s_yy / s_xx is the subnormal 7.5e-323:
+# an interior fit said "InvalidInput: coefficients must be finite", and fit at
+# gamma = 1 printed bound_lower 4.970239661e-162 below beta1 5e-162, the exact
+# bounds being 5e-162 and 1.5e-161; each command now refuses the bounds
+@pytest.mark.parametrize("command, gamma", [("fit", "0.5"), ("fit", "1"), ("verify", "1")])
+def test_cli_on_a_subnormal_slope_ratio_prints_one_typed_line(command, gamma, tmp_path):
+    path = tmp_path / "subnormal-ratio.csv"
+    path.write_text("x,y\n" + "".join(f"{x * 1e80!r},{y * 1e-81!r}\n" for x, y in REFERENCE_POINTS))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--input", str(path), "--gamma", gamma])
+    assert (code, out.getvalue()) == (3, "")
+    assert err.getvalue() == (
+        "OutOfRange: s_yy / s_xx = 7.5e-163 / 1e+160 is out of float64 range; rescale the data\n"
+    )
+
+
 # sys.float_info.min is 2.2250738585072014e-308, so a slope of 1.5e-154 squares
 # to a normal float and one of 1.49e-154 to a subnormal
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
@@ -292,10 +311,11 @@ def test_cli_stats_on_subnormal_spread_prints_one_typed_line(tmp_path, block_row
     )
 
 
-@pytest.mark.parametrize("s_xx, s_yy", [(1e-300, 1e300), (1e300, 1e-300)])
+@pytest.mark.parametrize("s_xx, s_yy", [(1e-300, 1e300), (1e300, 1e-300), (1e160, 1e-160)])
 def test_slope_ratio_out_of_range_raises_out_of_range(s_xx, s_yy):
-    # s_yy / s_xx overflows to inf or underflows to 0, so the bounds would be
-    # (inf, inf) or (0, 0); the bracketed search and verify_fit build on them
+    # s_yy / s_xx overflows to inf, or underflows to 0 or to the subnormal
+    # 1e-320, so the bounds would be (inf, inf), (0, 0) or inexact; the fit,
+    # the bracketed search and verify_fit build on them
     stats = SufficientStats(n=3, x_bar=1.0, y_bar=2.0, s_xx=s_xx, s_yy=s_yy, s_xy=0.5, rho=0.5)
     # the fit itself refuses these statistics, so verify a line of others
     line = fit_stats(replace(stats, s_xx=1.0, s_yy=1.0), FitConfig(gamma=0.5))
@@ -303,6 +323,7 @@ def test_slope_ratio_out_of_range_raises_out_of_range(s_xx, s_yy):
         warnings.simplefilter("error")
         for call in (
             lambda: slope_bounds(stats),
+            lambda: fit_stats(stats, FitConfig(gamma=0.5)),
             lambda: minimize_profile(stats, 0.5),
             lambda: verify_fit(stats, line, FitConfig(gamma=0.5)),
         ):

@@ -11,14 +11,17 @@ negated, and so are its gradient probes, so its gradient error keeps its bits.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 
-from dualfit import Dataset, FitConfig, compute_stats, fit, verify_fit
+from dualfit import Dataset, FitConfig, SufficientStats, compute_stats, fit, fit_stats, verify_fit
 from dualfit import cli
 from dualfit.core import reflected
 
@@ -85,3 +88,29 @@ def test_cli_prints_the_mirrored_slope_negated(tmp_path):
         -straight["bound_upper"],
         -straight["bound_lower"],
     )
+
+
+def test_reflect_policy_builds_no_statistics(monkeypatch):
+    # the fit, verify_fit and the CLI's fit read the bounds of a negative
+    # correlation off the data's own statistics, never off reflected() ones
+    _, mirror, _ = next(_pairs())
+    stats = compute_stats(mirror)
+    assert stats.rho < 0.0
+    built = []
+    real_post_init = SufficientStats.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        real_post_init(self)
+
+    monkeypatch.setattr(SufficientStats, "__post_init__", counting_post_init)
+    for gamma in (0.0, 0.5, 1.0):
+        config = FitConfig(gamma, "reflect")
+        line = fit(mirror, config)
+        assert line == fit_stats(stats, config)
+        verify_fit(stats, line, config)
+        args = argparse.Namespace(gamma=gamma, policy="reflect", format="json")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli._fit(args, stats) == cli.EXIT_OK
+        assert json.loads(out.getvalue())["bound_upper"] < 0.0
+    assert built == []

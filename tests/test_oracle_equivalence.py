@@ -21,7 +21,11 @@ and 8 ulps either side, on fitted slopes and on slopes moved by 4 ulps,
 where both verdicts occur, on slopes a few ulps from powers of two
 across the float64 range, subnormal ones included, and on slopes whose
 mantissa is within 8 of either end of its binade, where the bracket read off
-the slope's mantissa gives way to the ulp-by-ulp walk.
+the slope's mantissa gives way to the ulp-by-ulp walk.  A bracket end of
+exactly 0, where ``_ref_profile`` divides by zero, is held to its own exact
+``V(t)`` at ``gamma = 1``.  Where ``s_yy / s_xx`` leaves float64 the fit
+raises the ``OutOfRange`` of ``slope_bounds``, and the reference's
+``Quartic`` the ``InvalidInput`` it subclasses.
 
 On every input the two must agree exactly: ``==`` and the same ``repr`` on
 every field of ``FittedLine`` and ``OracleReport`` (so signed zeros and
@@ -485,15 +489,48 @@ def test_brackets_at_the_ends_of_a_binade_are_the_ulp_walk(stats, gamma):
                     assert repr(report.bracket) == repr((below, above))
 
 
+@pytest.mark.parametrize("s_xy", [1e-323, 2e-323, 3e-323])
+def test_a_bracket_end_at_zero_competes_where_its_objective_is_finite(s_xy):
+    # b = 4e-323 is 8 ulps above 0.0, its bracket's lower end; at gamma = 1
+    # P(t) = V(t) is finite there, and least when the least-squares slope
+    # s_xy / s_xx is below b / 2, which _ref_profile cannot evaluate at t = 0
+    stats = SufficientStats(n=3, x_bar=0.0, y_bar=0.0, s_xx=1.0, s_yy=1.0, s_xy=s_xy, rho=s_xy)
+    line = FittedLine(beta0=0.0, beta1=4e-323, gamma=1.0, sse=0.0)
+    mirrored = dataclasses.replace(line, beta1=-4e-323)
+    cases = [(stats, line, "error"), (_ref_reflected(stats), mirrored, "reflect")]
+    for case, fitted, policy in cases:
+        config = FitConfig(gamma=1.0, negative_correlation_policy=policy)
+        report = verify_fit(case, fitted, config)
+        assert 0.0 in report.bracket and report.profile_evals == 3
+
+        def exact(t):
+            return Fraction(case.s_yy) - 2 * Fraction(t) * Fraction(case.s_xy) + Fraction(t) ** 2
+
+        best = fitted.beta1  # ties go to the fitted slope
+        for t in report.bracket:
+            if exact(t) < exact(best):
+                best = t
+        assert repr(report.oracle_slope) == repr(best)
+        assert report.certified == (s_xy >= 2e-323)
+
+
 @pytest.mark.parametrize("gamma", [5e-324, 0.3, 1.0 - 1e-16])
 def test_overflowing_ratio_matches_reference(gamma):
-    # sqrt(s_yy/s_xx) overflows, so the quartic's constant term is infinite
+    # sqrt(s_yy/s_xx) overflows, so the quartic's constant term is infinite;
+    # the reference refuses it as InvalidInput("coefficients must be finite"),
+    # the fit as slope_bounds does, with OutOfRange, a kind of InvalidInput
     stats = SufficientStats(n=3, x_bar=1.0, y_bar=2.0, s_xx=1e-300, s_yy=1e300, s_xy=0.5, rho=0.5)
+    refused = _outcome(slope_bounds, stats)
+    assert refused[0] is OutOfRange and issubclass(OutOfRange, InvalidInput)
     for policy in ("error", "reflect"):
         config = FitConfig(gamma=gamma, negative_correlation_policy=policy)
         for case in (stats, _ref_reflected(stats)):
-            kind, _ = _assert_same(fit_stats, _ref_fit_stats, case, config)
-            assert kind in (InvalidInput, NonPositiveCorrelation)
+            got, want = _outcome(fit_stats, case, config), _outcome(_ref_fit_stats, case, config)
+            if want[0] is NonPositiveCorrelation:
+                assert got == want
+            else:
+                assert want == (InvalidInput, "coefficients must be finite")
+                assert got == refused
 
 
 # _newton_root sums the slope quartic without its 0.0 b**2 term, which can only

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualfit import Dataset, FitConfig, compute_stats
+from dualfit import Dataset, FitConfig, SufficientStats, compute_stats, fit_stats
 from dualfit import cli
 from dualfit.cli import EXIT_FIT, EXIT_INPUT, EXIT_OK, _gamma_grid
 from dualfit.core import _solver
@@ -223,6 +223,38 @@ def test_one_solver_matches_reference_at_every_weight(dataset, policy):
         want = _ref_fit_stats(stats, FitConfig(gamma=gamma, negative_correlation_policy=policy))
         got = solve(gamma)
         assert got == want and repr(got) == repr(want), gamma
+
+
+def _seeded_stats(seed: int):
+    """Statistics of noisy lines of either slope sign, n 10..1e4, scales 1e-3..1e3."""
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        n = int(np.exp(rng.uniform(np.log(10.0), np.log(1e4))))
+        x = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), n)
+        slope = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)
+        y = slope * (x + rng.normal(0.0, rng.uniform(0.01, 1.0) * x.std(), n))
+        yield compute_stats(Dataset(x, y))
+
+
+def _fit_outcome(solve, gamma):
+    try:
+        return repr(solve(gamma))
+    except DualFitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_fit_stats_is_one_call_of_the_bound_solver():
+    rng = np.random.default_rng(7)
+    # and statistics whose slope bounds each interior solve refuses
+    subnormal_ratio = SufficientStats(
+        n=3, x_bar=1.0, y_bar=2.0, s_xx=1e160, s_yy=1e-160, s_xy=0.5, rho=0.5
+    )
+    for stats in [*_seeded_stats(7), subnormal_ratio]:
+        for policy in ("error", "reflect"):
+            for gamma in (0.0, 1.0, 5e-324, 1.0 - 1e-16, 0.5, float(rng.uniform())):
+                got = _fit_outcome(lambda g: _solver(stats, policy)(g), gamma)
+                want = _fit_outcome(lambda g: fit_stats(stats, FitConfig(g, policy)), gamma)
+                assert got == want, (stats, gamma, policy)
 
 
 # ---- the grid ------------------------------------------------------------------------
