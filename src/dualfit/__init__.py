@@ -2,7 +2,7 @@
 
 ``import dualfit`` loads the numpy-free kernel (:mod:`dualfit.core`) and the
 errors.  :class:`Dataset` lives in the data layer, :mod:`dualfit.dataset`,
-which imports numpy, and the checks of a fit live in :mod:`dualfit.oracle`;
+which imports numpy, and the certificate of a fit in :mod:`dualfit.oracle`;
 each is imported on first use of one of its names, such as
 ``dualfit.Dataset`` or ``dualfit.verify_fit``.
 """
@@ -21,10 +21,8 @@ from .core import (
     predict,
     slope_bounds,
     sse,
-    sse_gradient,
 )
 from .errors import (
-    BracketFailure,
     DegenerateData,
     DualFitError,
     InvalidInput,
@@ -39,7 +37,6 @@ from .errors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketFailure",
     "Dataset",
     "DegenerateData",
     "DualFitError",
@@ -56,29 +53,22 @@ __all__ = [
     "SufficientStats",
     "ZeroCorrelation",
     "build_quartic",
-    "check_gradient",
     "compute_stats",
     "fit",
     "fit_stats",
     "intercept",
     "inverse_predict",
-    "minimize_profile",
     "predict",
-    "profile_sse",
     "slope_bounds",
     "sse",
-    "sse_gradient",
     "verify_fit",
 ]
 
 # name -> module of the names resolved on first use: the data layer imports
-# numpy, and only verify and the oracle's own checks need the oracle
+# numpy, and only verify needs the oracle
 _LAZY = {
     "Dataset": "dataset",
     "OracleReport": "oracle",
-    "check_gradient": "oracle",
-    "minimize_profile": "oracle",
-    "profile_sse": "oracle",
     "verify_fit": "oracle",
 }
 

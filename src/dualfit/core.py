@@ -375,7 +375,7 @@ def sse(stats: SufficientStats, beta0: float, beta1: float, gamma: float) -> flo
     Vertical squared residuals carry weight ``gamma``, horizontal squared
     residuals ``1 - gamma``.  The horizontal term divides by ``beta1**2`` and
     is only evaluated when ``gamma < 1``; at ``gamma = 1`` any slope is
-    allowed.  ``_objective`` binds it to one dataset and weight.
+    allowed.
 
     Raises
     ------
@@ -383,7 +383,9 @@ def sse(stats: SufficientStats, beta0: float, beta1: float, gamma: float) -> flo
         If ``beta1 == 0`` while ``gamma < 1``.
     OutOfRange
         If ``beta1`` is nonzero but its square underflows to a zero or
-        subnormal float64 while ``gamma < 1``.
+        subnormal float64 while ``gamma < 1``, or if the objective is not a
+        finite float64 (a square that overflows gives ``0 * inf`` or
+        ``inf / inf``).
     """
     # the vertical and horizontal sums share these products
     misfit = stats.y_bar - beta0 - beta1 * stats.x_bar
@@ -398,53 +400,9 @@ def sse(stats: SufficientStats, beta0: float, beta1: float, gamma: float) -> flo
                 raise SingularSlope("horizontal residuals are undefined at beta1 = 0")
             raise OutOfRange("the slope's square underflows float64; rescale the data")
         total += (1.0 - gamma) * ((spread - cross + stats.s_yy + offset) / beta1_sq)
+    if not math.isfinite(total):
+        raise OutOfRange("the objective overflows float64; rescale the data")
     return float(total)
-
-
-def _objective(stats: SufficientStats, gamma: float) -> Callable[[float, float], float]:
-    """:func:`sse` as ``f(beta0, beta1)``, with the statistics and weight bound."""
-    return lambda beta0, beta1: sse(stats, beta0, beta1, gamma)
-
-
-def sse_gradient(
-    stats: SufficientStats, beta0: float, beta1: float, gamma: float
-) -> tuple[float, float]:
-    """Analytic gradient (d/d beta0, d/d beta1) of :func:`sse`.
-
-    Raises
-    ------
-    SingularSlope
-        If ``beta1 == 0``.
-    OutOfRange
-        If ``beta1`` is nonzero but its square or cube, which the gradient
-        divides by, underflows to a zero or subnormal float64.
-    """
-    if beta1 == 0.0:
-        raise SingularSlope("gradient is undefined at beta1 = 0")
-    b1sq = beta1 * beta1
-    b1cu = b1sq * beta1
-    if b1sq < _TINY:
-        raise OutOfRange("the slope's square underflows float64; rescale the data")
-    if abs(b1cu) < _TINY:
-        raise OutOfRange("the slope's cube underflows float64; rescale the data")
-    n = stats.n
-    # raw power sums, reconstructed from the centered ones
-    sum_x = n * stats.x_bar
-    sum_y = n * stats.y_bar
-    sum_xx = stats.s_xx + n * stats.x_bar * stats.x_bar
-    sum_yy = stats.s_yy + n * stats.y_bar * stats.y_bar
-    sum_xy = stats.s_xy + n * stats.x_bar * stats.y_bar
-
-    g0 = 2.0 * (n * beta0 - (sum_y - beta1 * sum_x)) * (gamma * b1sq + 1.0 - gamma) / b1sq
-    g1 = gamma * (-2.0 * sum_xy + 2.0 * beta0 * sum_x + 2.0 * beta1 * sum_xx)
-    g1 += (1.0 - gamma) * (
-        -2.0 * n * beta0 * beta0 / b1cu
-        + 2.0 * sum_xy / b1sq
-        - 2.0 * beta0 * sum_x / b1sq
-        - 2.0 * sum_yy / b1cu
-        + 4.0 * beta0 * sum_y / b1cu
-    )
-    return float(g0), float(g1)
 
 
 def intercept(stats: SufficientStats, beta1: float) -> float:
@@ -467,13 +425,23 @@ def build_quartic(stats: SufficientStats, gamma: float) -> Quartic:
 
     Only interior weights go through the quartic; the endpoint weights have
     closed-form slopes and raise InvalidInput here.
+
+    Raises
+    ------
+    DegenerateData
+        If ``s_xx`` or ``s_yy`` is not positive.
+    InvalidInput
+        If ``gamma`` is not strictly between 0 and 1.
+    OutOfRange
+        If ``s_yy / s_xx`` leaves float64, as in :func:`slope_bounds`.
     """
     s_xx, s_yy = stats.s_xx, stats.s_yy
     if s_xx <= 0.0 or s_yy <= 0.0:
         raise DegenerateData("slope quartic needs positive spread in x and y")
     if not 0.0 < gamma < 1.0:
         raise InvalidInput(f"quartic is defined for 0 < gamma < 1, got {gamma}")
-    return Quartic(_coefficients(gamma, stats.rho, math.sqrt(s_xx / s_yy), math.sqrt(s_yy / s_xx)))
+    ratio_yx = math.sqrt(_ratio(s_xx, s_yy))
+    return Quartic(_coefficients(gamma, stats.rho, math.sqrt(s_xx / s_yy), ratio_yx))
 
 
 def _coefficients(
@@ -513,13 +481,26 @@ def _bounds(s_xx: float, s_yy: float, rho: float) -> tuple[float, float]:
         raise DegenerateData("slope bounds need positive spread in x and y")
     if rho <= 0.0:
         raise NonPositiveCorrelation(f"slope bounds need rho > 0, got {rho:.6g}")
+    ratio = math.sqrt(_ratio(s_xx, s_yy))
+    return rho * ratio, ratio / rho
+
+
+def _ratio(s_xx: float, s_yy: float) -> float:
+    """``s_yy / s_xx`` of positive sums, if it is a normal float64.
+
+    Then ``s_xx / s_yy`` is finite too, at most ``1 / sys.float_info.min``.
+
+    Raises
+    ------
+    OutOfRange
+        If the ratio overflows, or underflows to a zero or subnormal float64.
+    """
     ratio = s_yy / s_xx
     if not _TINY <= ratio < math.inf:
         raise OutOfRange(
             f"s_yy / s_xx = {s_yy:.3g} / {s_xx:.3g} is out of float64 range; rescale the data"
         )
-    ratio = math.sqrt(ratio)
-    return rho * ratio, ratio / rho
+    return ratio
 
 
 def reflected(stats: SufficientStats) -> SufficientStats:
@@ -535,16 +516,13 @@ def reflected(stats: SufficientStats) -> SufficientStats:
     )
 
 
-def _slope_interval(
-    stats: SufficientStats, reflect: bool, pad: float = 0.0
-) -> tuple[float, float]:
-    """:func:`slope_bounds` with each end moved out by ``pad`` times itself.
+def _slope_interval(stats: SufficientStats, reflect: bool) -> tuple[float, float]:
+    """:func:`slope_bounds`; with ``reflect``, those of :func:`reflected` statistics, negated.
 
-    With ``reflect``, the bounds of :func:`reflected` statistics negated
-    back onto the data's negative slopes, where a reflect-policy fit lands.
+    Negated, they fall on the data's negative slopes, where a reflect-policy
+    fit lands.
     """
     lower, upper = _bounds(stats.s_xx, stats.s_yy, -stats.rho if reflect else stats.rho)
-    lower, upper = lower * (1.0 - pad), upper * (1.0 + pad)
     return (-upper, -lower) if reflect else (lower, upper)
 
 
@@ -671,7 +649,7 @@ def fit(data: Dataset, config: FitConfig) -> FittedLine:
         If the statistics leave float64, as in :func:`compute_stats`; if
         ``0 < gamma < 1`` and :func:`slope_bounds` refuses them; or if the
         slope's square underflows to a zero or subnormal float64 while
-        ``gamma < 1``, as in :func:`sse`.
+        ``gamma < 1``, or the objective overflows, as in :func:`sse`.
     SolverFailure
         If the quartic overflows at the upper bound or Newton's method does
         not settle within its step cap (not expected for valid data).

@@ -44,10 +44,6 @@ class SolverFailure(DualFitError):
     """The slope quartic overflowed, or Newton's method hit its step cap."""
 
 
-class BracketFailure(DualFitError):
-    """The widened slope interval does not bracket an interior minimum."""
-
-
 class ParseError(DualFitError):
     """A CSV row could not be parsed.  Carries the 1-based line number."""
 

@@ -1,4 +1,4 @@
-"""Checks of a fit that do not trust the quartic.
+"""The exact certificate of a fit, which does not trust the quartic.
 
 With the intercept on the centroid line the objective is a function of the
 slope, ``P(t) = V(t) * (gamma + (1 - gamma) / t**2)`` with
@@ -6,8 +6,7 @@ slope, ``P(t) = V(t) * (gamma + (1 - gamma) / t**2)`` with
 slopes of the correlation's sign is its minimum (README, "Why exactly one
 root").  :func:`verify_fit` compares ``P`` exactly at the fitted slope and a
 few ulps either side, in integers: the three slopes share one power of two,
-so ``t**2 * P(t)`` has one exponent for all three.  :func:`minimize_profile`
-and :func:`check_gradient` are derivative-free checks, for use on their own.
+so ``t**2 * P(t)`` has one exponent for all three.
 """
 
 from __future__ import annotations
@@ -15,26 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (
-    FitConfig,
-    FittedLine,
-    SufficientStats,
-    _bounds,
-    _objective,
-    _slope_interval,
-    intercept,
-    sse,
-    sse_gradient,
-)
-from .errors import BracketFailure, InvalidInput, OutOfRange, SingularSlope
-
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
-
-# the search widens the slope bounds by this factor on each side, and stops
-# once its bracket is narrower than the tolerance
-_BRACKET_PAD = 0.01
-_SEARCH_TOL = 1e-9
+from .core import FitConfig, FittedLine, SufficientStats, _bounds
+from .errors import InvalidInput, OutOfRange
 
 # verify_fit compares the profile at the fitted slope with the profile this
 # many ulps either side of it; measured on 6015 fits, 4 ulps left 20 of them
@@ -92,104 +73,6 @@ class OracleReport:
     def certified(self) -> bool:
         """No slope of the bracket beats the fitted one, so the minimum lies in the bracket."""
         return self.oracle_slope == self.quartic_slope
-
-
-def profile_sse(stats: SufficientStats, beta1: float, gamma: float) -> float:
-    """Objective as a function of the slope alone, intercept on the centroid line.
-
-    One evaluation; the golden-section search evaluates the same profile
-    through an objective it binds once per search.
-    """
-    return sse(stats, intercept(stats, beta1), beta1, gamma)
-
-
-def minimize_profile(stats: SufficientStats, gamma: float, tol: float = _SEARCH_TOL) -> float:
-    """Golden-section minimizer of the profile objective.
-
-    Searches the slope bounds widened by 1% on each side, shrinking until the
-    bracket is narrower than ``tol``.  Deterministic, derivative-free, and
-    independent of the quartic path.
-
-    Raises
-    ------
-    BracketFailure
-        If a widened endpoint undercuts every interior probe.
-    """
-    if not 0.0 < gamma < 1.0:
-        raise InvalidInput(f"profile search is defined for 0 < gamma < 1, got {gamma}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InvalidInput(f"tolerance must be positive and finite, got {tol}")
-    a, b = bracket = _slope_interval(stats, False, _BRACKET_PAD)
-
-    h = b - a
-    if h <= tol:
-        return (a + b) / 2.0
-
-    # the profile objective: intercept on the centroid line
-    f = _objective(stats, gamma)
-    x_bar, y_bar = stats.x_bar, stats.y_bar
-    steps = math.ceil(math.log(tol / h) / math.log(INV_PHI))
-    c = a + INV_PHI2 * h
-    d = a + INV_PHI * h
-    yc = f(y_bar - c * x_bar, c)
-    yd = f(y_bar - d * x_bar, d)
-    interior_best = min(math.inf, yc, yd)  # a NaN probe is never the best
-    for _ in range(steps - 1):
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h *= INV_PHI
-            c = a + INV_PHI2 * h
-            yc = f(y_bar - c * x_bar, c)
-            if yc < interior_best:
-                interior_best = yc
-        else:
-            a, c, yc = c, d, yd
-            h *= INV_PHI
-            d = a + INV_PHI * h
-            yd = f(y_bar - d * x_bar, d)
-            if yd < interior_best:
-                interior_best = yd
-    x_star = (a + d) / 2.0 if yc < yd else (c + b) / 2.0
-
-    # a true interior minimum beats both widened endpoints; an endpoint that
-    # undercuts every interior probe means the minimum escaped the bracket
-    low, high = bracket
-    if (
-        f(y_bar - low * x_bar, low) < interior_best
-        or f(y_bar - high * x_bar, high) < interior_best
-    ):
-        raise BracketFailure(f"no interior minimum in [{low:.6g}, {high:.6g}]")
-    return x_star
-
-
-def check_gradient(
-    stats: SufficientStats,
-    beta0: float,
-    beta1: float,
-    gamma: float,
-    step: float = 1e-6,
-) -> float:
-    """Max relative disagreement between the analytic gradient and central differences.
-
-    The relative error of a component pair (a, f) is
-    ``|a - f| / max(1, |a|, |f|)``.  The four differences are evaluations of
-    one objective bound to ``stats`` and ``gamma``.
-
-    Raises
-    ------
-    SingularSlope
-        If ``|beta1| <= step``, so that the differences straddle or touch
-        ``beta1 = 0``.
-    """
-    if not (math.isfinite(step) and step > 0.0):
-        raise InvalidInput(f"step must be positive and finite, got {step}")
-    if abs(beta1) <= step:
-        raise SingularSlope("finite differences straddle beta1 = 0")
-    objective = _objective(stats, gamma)
-    a0, a1 = sse_gradient(stats, beta0, beta1, gamma)
-    fd0 = (objective(beta0 + step, beta1) - objective(beta0 - step, beta1)) / (2.0 * step)
-    fd1 = (objective(beta0, beta1 + step) - objective(beta0, beta1 - step)) / (2.0 * step)
-    return max(abs(a - f) / max(1.0, abs(a), abs(f)) for a, f in ((a0, fd0), (a1, fd1)))
 
 
 def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> OracleReport:

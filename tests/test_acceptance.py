@@ -18,13 +18,12 @@ from dualfit import (
     Dataset,
     FitConfig,
     OracleReport,
-    check_gradient,
     compute_stats,
     fit,
     fit_stats,
-    minimize_profile,
     slope_bounds,
     sse,
+    verify_fit,
 )
 from dualfit.cli import EXIT_VERIFY, main
 
@@ -89,19 +88,20 @@ def test_criterion_5_oracle_equivalence():
     rng = np.random.default_rng(20260816)
     gammas = [round(0.1 * k, 1) for k in range(1, 10)]
     start = time.perf_counter()
-    max_gap = 0.0
+    worst = 0.0
     for _ in range(500):
         stats = compute_stats(random_dataset(rng))
         for gamma in gammas:
-            line = fit_stats(stats, FitConfig(gamma=gamma))
-            gap = abs(line.beta1 - minimize_profile(stats, gamma))
-            assert gap <= 1e-6 * (1.0 + abs(line.beta1))
-            max_gap = max(max_gap, gap)
+            config = FitConfig(gamma=gamma)
+            report = verify_fit(stats, fit_stats(stats, config), config)
+            assert report.certified
+            assert report.gradient_max_rel_err <= 1e-14
+            worst = max(worst, report.gradient_max_rel_err)
     elapsed = time.perf_counter() - start
     assert elapsed <= 30.0
     print(
-        f"PASS criterion 5: 500 datasets x 9 weights, max slope gap {max_gap:.3e}, "
-        f"{elapsed:.1f} s"
+        f"PASS criterion 5: 500 datasets x 9 weights certified, max exact gradient "
+        f"{worst:.3e}, {elapsed:.1f} s"
     )
 
 
@@ -111,13 +111,12 @@ def test_criterion_6_gradient_suite():
     for _ in range(10):
         stats = compute_stats(random_dataset(rng))
         for _ in range(10):
-            beta0 = float(rng.uniform(-3.0, 3.0))
-            beta1 = float(rng.uniform(0.05, 3.0)) * float(rng.choice([-1.0, 1.0]))
-            gamma = float(rng.uniform(0.05, 0.95))
-            err = check_gradient(stats, beta0, beta1, gamma)
-            assert err <= 1e-6
-            worst = max(worst, err)
-    print(f"PASS criterion 6: 100 gradient checks, max relative error {worst:.3e}")
+            config = FitConfig(gamma=float(rng.uniform(0.05, 0.95)))
+            report = verify_fit(stats, fit_stats(stats, config), config)
+            assert report.certified
+            assert report.gradient_max_rel_err <= 1e-14
+            worst = max(worst, report.gradient_max_rel_err)
+    print(f"PASS criterion 6: 100 certified fits, max exact gradient {worst:.3e}")
 
 
 def test_criterion_7_property_suite():

@@ -3,7 +3,7 @@
 The regressions below each failed while ``verify_fit`` re-found the slope by
 golden-section search and checked the gradient by finite differences: a
 correct fit of data offset by 10^6 failed the gradient check, a slope near
-10^-8 made the search raise ``BracketFailure``, and a slope moved by 10^-12
+10^-8 made the search find no interior minimum, and a slope moved by 10^-12
 of itself, or left a few Newton steps short, passed the search's agreement
 gate of 10^-6.  A least-squares slope whose product with its lower bound
 underflows to 0 was taken for one of the wrong sign, and a slope within 8

@@ -32,13 +32,12 @@ from dualfit import (
     FitConfig,
     OutOfRange,
     SufficientStats,
+    build_quartic,
     compute_stats,
     fit,
     fit_stats,
-    minimize_profile,
     slope_bounds,
     sse,
-    sse_gradient,
     verify_fit,
 )
 
@@ -264,23 +263,38 @@ def test_objective_refuses_a_subnormal_square_of_the_slope(gamma):
     assert sse(stats, 0.0, 1e-170, 1.0) == sse(stats, 0.0, 0.0, 1.0)
 
 
-# the gradient divides by the slope's cube as well, which is subnormal below
-# about 1.7e-108
-@pytest.mark.parametrize(
-    "slope, power",
-    [(1e-170, "square"), (-1.49e-154, "square"), (1e-120, "cube"), (-1.5e-154, "cube")],
+# the gamma = 0 slope s_yy / s_xy = 1e155 squares to inf, so the objective,
+# all horizontal there, was 0 * inf + inf / inf = nan, where it is about 1
+_OVERFLOWING_SQUARE = SufficientStats(
+    n=3, x_bar=0.0, y_bar=0.0, s_xx=1.0, s_yy=1e300, s_xy=1e145, rho=1e-5
 )
-@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
-def test_gradient_refuses_a_subnormal_power_of_the_slope(slope, power, gamma):
-    stats = compute_stats(Dataset.from_points(REFERENCE_POINTS))
-    with pytest.raises(OutOfRange, match=f"slope's {power} underflows"):
-        sse_gradient(stats, 0.0, slope, gamma)
 
 
-def test_gradient_at_a_slope_whose_cube_is_normal_is_finite():
-    stats = compute_stats(Dataset.from_points(REFERENCE_POINTS))
-    for slope in (1e-100, -1e-100):
-        assert all(math.isfinite(g) for g in sse_gradient(stats, 0.0, slope, 0.5))
+def test_objective_that_overflows_raises_out_of_range():
+    with pytest.raises(OutOfRange, match="the objective overflows"):
+        fit_stats(_OVERFLOWING_SQUARE, FitConfig(gamma=0.0))
+    for gamma in (0.0, 0.5, 1.0):
+        with pytest.raises(OutOfRange, match="the objective overflows"):
+            sse(_OVERFLOWING_SQUARE, 0.0, 1e155, gamma)
+
+
+# the reference points with x in units of 1e-77 and y of 1e77: the gamma = 0
+# slope, 1.5e154, squares past float64, and the CLI printed an sse of NaN
+@pytest.mark.parametrize("command", ["fit", "sweep"])
+def test_cli_on_an_overflowing_objective_prints_one_typed_line(command, tmp_path):
+    path = tmp_path / "huge-slope.csv"
+    path.write_text("x,y\n" + "".join(f"{x * 1e-77!r},{y * 1e77!r}\n" for x, y in REFERENCE_POINTS))
+    args = ["--gamma", "0"] if command == "fit" else ["--steps", "11"]
+    result = subprocess.run(
+        [sys.executable, "-m", "dualfit", command, "--input", str(path), "--format", "json", *args],
+        capture_output=True,
+        env={**src_env(), "PYTHONWARNINGS": "error"},
+        timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (3, b"")
+    assert result.stderr.decode().splitlines() == [
+        "OutOfRange: the objective overflows float64; rescale the data"
+    ]
 
 
 # a centred sum in the subnormal range keeps a few bits: with these x, s_xx
@@ -314,8 +328,8 @@ def test_cli_stats_on_subnormal_spread_prints_one_typed_line(tmp_path, block_row
 @pytest.mark.parametrize("s_xx, s_yy", [(1e-300, 1e300), (1e300, 1e-300), (1e160, 1e-160)])
 def test_slope_ratio_out_of_range_raises_out_of_range(s_xx, s_yy):
     # s_yy / s_xx overflows to inf, or underflows to 0 or to the subnormal
-    # 1e-320, so the bounds would be (inf, inf), (0, 0) or inexact; the fit,
-    # the bracketed search and verify_fit build on them
+    # 1e-320, so the bounds would be (inf, inf), (0, 0) or inexact; the fit
+    # and verify_fit build on them, and the quartic on the same ratio
     stats = SufficientStats(n=3, x_bar=1.0, y_bar=2.0, s_xx=s_xx, s_yy=s_yy, s_xy=0.5, rho=0.5)
     # the fit itself refuses these statistics, so verify a line of others
     line = fit_stats(replace(stats, s_xx=1.0, s_yy=1.0), FitConfig(gamma=0.5))
@@ -324,7 +338,7 @@ def test_slope_ratio_out_of_range_raises_out_of_range(s_xx, s_yy):
         for call in (
             lambda: slope_bounds(stats),
             lambda: fit_stats(stats, FitConfig(gamma=0.5)),
-            lambda: minimize_profile(stats, 0.5),
+            lambda: build_quartic(stats, 0.5),
             lambda: verify_fit(stats, line, FitConfig(gamma=0.5)),
         ):
             with pytest.raises(OutOfRange, match="s_yy / s_xx"):

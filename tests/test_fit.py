@@ -18,9 +18,9 @@ from dualfit import (
     fit_stats,
     intercept,
     inverse_predict,
-    minimize_profile,
     predict,
     slope_bounds,
+    verify_fit,
 )
 from dualfit.errors import (
     InvalidInput,
@@ -54,9 +54,11 @@ def test_select_single_collapsed_candidate():
     assert fit_stats(stats, FitConfig(gamma=0.5)).beta1 == 1.0
 
 
-def test_select_matches_search_minimizer(reference_stats):
-    chosen = fit_stats(reference_stats, FitConfig(gamma=0.5)).beta1
-    assert abs(chosen - minimize_profile(reference_stats, 0.5)) <= 1e-6
+def test_select_is_the_certified_minimizer(reference_stats):
+    config = FitConfig(gamma=0.5)
+    line = fit_stats(reference_stats, config)
+    report = verify_fit(reference_stats, line, config)
+    assert report.certified and report.oracle_slope == line.beta1
 
 
 # ---- fit -------------------------------------------------------------------

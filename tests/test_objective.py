@@ -1,10 +1,10 @@
-"""The blended objective and its analytic gradient."""
+"""The blended objective and the intercept."""
 
 from __future__ import annotations
 
 import pytest
 
-from dualfit import Dataset, compute_stats, intercept, sse, sse_gradient
+from dualfit import Dataset, compute_stats, intercept, sse
 from dualfit.errors import SingularSlope
 
 from conftest import rel_err, sse_per_point
@@ -41,39 +41,6 @@ def test_sse_singular_slope(reference_stats):
         sse(reference_stats, 0.0, 0.0, 0.5)
     # at gamma = 1 the horizontal term is absent, so a zero slope is fine
     assert sse(reference_stats, 0.25, 0.0, 1.0) > 0.0
-
-
-def test_gradient_vanishes_at_perfect_fit(line_stats):
-    assert sse_gradient(line_stats, 0.0, 1.0, 0.7) == (0.0, 0.0)
-
-
-def test_gradient_near_zero_at_reference_fit(reference_stats):
-    # fixture values are rounded to 4 decimals, so the gradient is only near 0
-    g0, g1 = sse_gradient(reference_stats, -0.0806, 0.6612, 0.9)
-    assert abs(g0) <= 5e-3
-    assert abs(g1) <= 5e-3
-
-
-def test_gradient_matches_central_differences(reference_stats):
-    beta0, beta1, gamma = 0.1, 0.8, 0.5
-    a0, a1 = sse_gradient(reference_stats, beta0, beta1, gamma)
-    h0 = 1e-6 * (1.0 + abs(beta0))
-    h1 = 1e-6 * (1.0 + abs(beta1))
-    f0 = (
-        sse(reference_stats, beta0 + h0, beta1, gamma)
-        - sse(reference_stats, beta0 - h0, beta1, gamma)
-    ) / (2.0 * h0)
-    f1 = (
-        sse(reference_stats, beta0, beta1 + h1, gamma)
-        - sse(reference_stats, beta0, beta1 - h1, gamma)
-    ) / (2.0 * h1)
-    assert rel_err(a0, f0) <= 1e-6
-    assert rel_err(a1, f1) <= 1e-6
-
-
-def test_gradient_singular_slope(reference_stats):
-    with pytest.raises(SingularSlope):
-        sse_gradient(reference_stats, 0.0, 0.0, 1.0)
 
 
 def test_intercept_reference(reference_stats):

@@ -1,6 +1,9 @@
-"""Independent profile search and gradient checks."""
+"""The profile objective and the certificate of a fit."""
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,23 +11,16 @@ import pytest
 from dualfit import (
     Dataset,
     FitConfig,
+    FittedLine,
     OracleReport,
     SufficientStats,
-    check_gradient,
     compute_stats,
-    fit,
     fit_stats,
     intercept,
-    minimize_profile,
-    profile_sse,
+    sse,
     verify_fit,
 )
-from dualfit.errors import (
-    BracketFailure,
-    InvalidInput,
-    NonPositiveCorrelation,
-    SingularSlope,
-)
+from dualfit.errors import InvalidInput, NonPositiveCorrelation
 
 from conftest import random_dataset, sse_per_point
 
@@ -33,109 +29,137 @@ def _symmetric_unit_stats():
     return SufficientStats(n=2, x_bar=0.0, y_bar=0.0, s_xx=1.0, s_yy=1.0, s_xy=1.0, rho=1.0)
 
 
+def _profile(stats, beta1, gamma):
+    """The objective as a function of the slope, the intercept on the centroid line."""
+    return sse(stats, intercept(stats, beta1), beta1, gamma)
+
+
 # ---- profile objective ------------------------------------------------------
 
 
 def test_profile_zero_on_exact_line():
     stats = compute_stats(Dataset.from_points([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]))
     for gamma in (0.1, 0.5, 0.9):
-        assert profile_sse(stats, 1.0, gamma) == 0.0
+        assert _profile(stats, 1.0, gamma) == 0.0
 
 
 def test_profile_dips_at_fitted_slope(reference_stats):
-    center = profile_sse(reference_stats, 0.6612, 0.9)
-    assert center <= profile_sse(reference_stats, 0.5, 0.9)
-    assert center <= profile_sse(reference_stats, 1.5, 0.9)
+    center = _profile(reference_stats, 0.6612, 0.9)
+    assert center <= _profile(reference_stats, 0.5, 0.9)
+    assert center <= _profile(reference_stats, 1.5, 0.9)
 
 
 def test_profile_agrees_with_per_point_sum(reference_data, reference_stats):
-    got = profile_sse(reference_stats, 1.0, 0.5)
+    got = _profile(reference_stats, 1.0, 0.5)
     want = sse_per_point(reference_data, intercept(reference_stats, 1.0), 1.0, 0.5)
     assert got == pytest.approx(want, rel=1e-10)
     assert intercept(reference_stats, 1.0) == -0.25
 
 
-# ---- golden-section search ---------------------------------------------------
+# ---- the certified minimizer -------------------------------------------------
 
 
-def test_minimize_reference(reference_stats):
-    assert minimize_profile(reference_stats, 0.9) == pytest.approx(0.6612, abs=1e-4)
+def test_certified_reference_minimizer(reference_stats):
+    config = FitConfig(gamma=0.9)
+    report = verify_fit(reference_stats, fit_stats(reference_stats, config), config)
+    assert report.certified
+    assert report.oracle_slope == pytest.approx(0.6612, abs=1e-4)
 
 
-def test_minimize_symmetric_stats():
-    assert minimize_profile(_symmetric_unit_stats(), 0.5) == pytest.approx(1.0, abs=1e-6)
+def test_certified_symmetric_stats():
+    stats = _symmetric_unit_stats()
+    config = FitConfig(gamma=0.5)
+    report = verify_fit(stats, fit_stats(stats, config), config)
+    assert report.certified and report.oracle_slope == 1.0
+    assert report.gradient_max_rel_err == 0.0
 
 
-def test_minimize_matches_quartic_path(reference_stats):
-    line = fit_stats(reference_stats, FitConfig(gamma=0.5))
-    assert abs(minimize_profile(reference_stats, 0.5) - line.beta1) <= 1e-6
-
-
-def test_minimize_rejects_endpoint_gamma(reference_stats):
-    with pytest.raises(InvalidInput):
-        minimize_profile(reference_stats, 0.0)
-    with pytest.raises(InvalidInput):
-        minimize_profile(reference_stats, 1.0)
-    with pytest.raises(InvalidInput):
-        minimize_profile(reference_stats, 0.5, tol=0.0)
-
-
-def test_minimize_needs_positive_correlation():
-    stats = SufficientStats(
-        n=3, x_bar=0.0, y_bar=0.0, s_xx=1.0, s_yy=1.0, s_xy=-0.5, rho=-0.5
-    )
-    with pytest.raises(NonPositiveCorrelation):
-        minimize_profile(stats, 0.5)
-
-
-def test_bracket_failure_on_hostile_objective(reference_stats, monkeypatch):
-    # Concave stand-in for the bound objective pushes the minimum to the
-    # bracket edge.
-    monkeypatch.setattr(
-        "dualfit.oracle._objective",
-        lambda stats, gamma: lambda beta0, beta1: -((beta1 - 1.0) ** 2),
-    )
-    with pytest.raises(BracketFailure):
-        minimize_profile(reference_stats, 0.9)
-
-
-# ---- gradient probe ----------------------------------------------------------
-
-
-def test_gradient_zero_on_exact_line():
+def test_exact_gradient_vanishes_on_exact_line():
+    # y = 1 + 2x: s_xx = 2, s_xy = 4, s_yy = 8, so b^3 P'(b) / 2 is 0 at b = 2
     stats = compute_stats(Dataset.from_points([(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)]))
-    assert check_gradient(stats, 1.0, 2.0, 0.5) <= 1e-9
+    for gamma in (0.0, 0.5, 1.0):
+        config = FitConfig(gamma=gamma)
+        line = fit_stats(stats, config)
+        report = verify_fit(stats, line, config)
+        assert line.beta1 == 2.0 and report.certified
+        assert report.gradient_max_rel_err == 0.0
 
 
-def test_gradient_reference_point(reference_stats):
-    assert check_gradient(reference_stats, 0.1, 0.8, 0.5) <= 1e-6
+# ---- the certificate against rational arithmetic -----------------------------
 
 
-def test_gradient_random_points():
+def _ulps_away(b, ulps):
+    t = b
+    for _ in range(abs(ulps)):
+        t = math.nextafter(t, math.copysign(math.inf, ulps))
+    return t
+
+
+def _rational_report(stats, b, gamma):
+    """verify_fit's bracket, choice and gradient for a positive correlation, in Fractions."""
+    s_xx, s_xy, s_yy, g = (Fraction(v) for v in (stats.s_xx, stats.s_xy, stats.s_yy, gamma))
+    below, above = _ulps_away(b, -8), _ulps_away(b, 8)
+
+    def profile(t):
+        t = Fraction(t)
+        v = s_yy - 2 * t * s_xy + t * t * s_xx
+        if t == 0:
+            return v if g == 1 else math.inf
+        return v * (g + (1 - g) / (t * t))
+
+    best = -b
+    if b > 0.0:
+        best = b
+        for t in (below, above):
+            if profile(t) < profile(best):
+                best = t
+    t = Fraction(b)
+    terms = (g * s_xx * t**4, -g * s_xy * t**3, (1 - g) * s_xy * t, -(1 - g) * s_yy)
+    gradient = abs(sum(terms)) / sum(abs(term) for term in terms)
+    return (below, above), best, float(gradient)
+
+
+def _assert_rational(stats, b, gamma):
+    report = verify_fit(stats, FittedLine(0.0, b, gamma, 1.0), FitConfig(gamma=gamma))
+    bracket, best, gradient = _rational_report(stats, b, gamma)
+    assert (report.bracket, report.oracle_slope, report.gradient_max_rel_err) == (
+        bracket,
+        best,
+        gradient,
+    )
+    return report
+
+
+# the finite-difference gradient refused these slopes, whose square or cube is
+# subnormal, and was finite at 1e-100; the certificate's integers are exact
+# at all of them, and point up towards the minimum near 0.66
+@pytest.mark.parametrize("slope", [1e-170, -1.49e-154, 1e-120, -1.5e-154, 1e-100, -1e-100])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+def test_exact_gradient_where_a_power_of_the_slope_is_subnormal(reference_stats, slope, gamma):
+    report = _assert_rational(reference_stats, slope, gamma)
+    assert not report.certified
+    assert report.oracle_slope == (report.bracket[1] if slope > 0.0 else -slope)
+    assert 0.0 < report.gradient_max_rel_err <= 1.0
+
+
+# the central differences straddled the pole at 0 near these slopes; the
+# 8-ulp bracket of a subnormal slope crosses 0, or (at 4e-323) ends on it
+@pytest.mark.parametrize("slope", [5e-7, -5e-7, 1e-6, -1e-6, 5e-324, -5e-324, 4e-323])
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+def test_exact_comparison_near_a_slope_of_zero(slope, gamma):
+    stats = compute_stats(Dataset.from_points([(0, 0.1), (1, 1.2), (2, 1.9), (3, 3.2)]))
+    report = _assert_rational(stats, slope, gamma)
+    assert report.bracket[0] < slope < report.bracket[1]
+    assert not report.certified and report.oracle_slope != 0.0
+
+
+def test_exact_gradient_at_random_slopes():
     rng = np.random.default_rng(77)
     for _ in range(100):
         stats = compute_stats(random_dataset(rng))
-        beta1 = rng.uniform(0.1, 3.0)
-        beta0 = rng.uniform(-3.0, 3.0)
-        gamma = rng.uniform(0.05, 0.95)
-        assert check_gradient(stats, beta0, beta1, gamma) <= 1e-6
-
-
-def test_gradient_rejects_singular_slope(reference_stats):
-    with pytest.raises(SingularSlope):
-        check_gradient(reference_stats, 0.0, 0.0, 0.5)
-    with pytest.raises(SingularSlope):
-        check_gradient(reference_stats, 0.0, 1e-6, 0.5, step=1e-6)
-
-
-@pytest.mark.parametrize("beta1", [5e-7, -5e-7, 1e-6, -1e-6])
-def test_gradient_rejects_stencil_straddling_zero(beta1):
-    # beta1 - step < 0 < beta1 + step: neither end is exactly zero, yet the
-    # differences cross the pole of the horizontal term
-    stats = compute_stats(Dataset.from_points([(0, 0.1), (1, 1.2), (2, 1.9), (3, 3.2)]))
-    with pytest.raises(SingularSlope, match="straddle"):
-        check_gradient(stats, 0.0, beta1, 0.5, step=1e-6)
-    assert check_gradient(stats, 0.0, 3.0 * beta1, 0.5, step=1e-6) >= 0.0
+        if stats.rho <= 0.0:
+            continue
+        _assert_rational(stats, rng.uniform(0.1, 3.0), rng.uniform(0.05, 0.95))
 
 
 # ---- verify_fit --------------------------------------------------------------
@@ -186,7 +210,7 @@ def test_verify_reflect_policy_fit(reference_data):
         assert report.abs_gap <= 1e-6 * (1.0 + abs(line.beta1))
         assert report.gradient_max_rel_err <= 1e-6
         assert report.bracket[0] < line.beta1 < report.bracket[1]
-        # the search runs on (x, -y) and maps back exactly
+        # the report of (x, -y) is that of (x, y), mirrored exactly
         straight = FitConfig(gamma=gamma)
         expected = verify_fit(straight_stats, fit_stats(straight_stats, straight), straight)
         assert report.oracle_slope == -expected.oracle_slope

@@ -16,7 +16,7 @@ from dualfit import (
     fit_stats,
     slope_bounds,
     sse,
-    sse_gradient,
+    verify_fit,
 )
 from dualfit.errors import DegenerateData, DualFitError, OutOfRange
 
@@ -114,10 +114,9 @@ def test_fitted_slope_is_stationary(base_seed):
         quartic = build_quartic(stats, gamma)
         terms = sum(abs(c) * abs(line.beta1) ** (4 - i) for i, c in enumerate(quartic.coeffs))
         assert abs(quartic(line.beta1)) <= 1e-15 * terms
-        g0, g1 = sse_gradient(stats, line.beta0, line.beta1, gamma)
-        scale = 1.0 + abs(line.sse)
-        assert abs(g0) <= 1e-6 * scale
-        assert abs(g1) <= 1e-6 * scale
+        report = verify_fit(stats, line, config)
+        assert report.certified
+        assert report.gradient_max_rel_err <= 1e-14
 
 
 def test_endpoint_weights_match_closed_forms():

@@ -14,8 +14,8 @@ from dualfit import (
     build_quartic,
     compute_stats,
     fit_stats,
-    minimize_profile,
     slope_bounds,
+    verify_fit,
 )
 from dualfit.errors import (
     DegenerateData,
@@ -166,11 +166,13 @@ def test_bounds_reject_nonpositive_rho():
         slope_bounds(flat)
 
 
-def test_bounds_bracket_the_search_minimizer():
+def test_bounds_bracket_the_certified_minimizer():
     rng = np.random.default_rng(77)
     for _ in range(5):
         stats = compute_stats(random_dataset(rng))
         lower, upper = slope_bounds(stats)
         for gamma in (0.2, 0.5, 0.8):
-            found = minimize_profile(stats, gamma)
-            assert lower * (1.0 - 1e-6) <= found <= upper * (1.0 + 1e-6)
+            config = FitConfig(gamma=gamma)
+            report = verify_fit(stats, fit_stats(stats, config), config)
+            assert report.certified
+            assert lower <= report.oracle_slope <= upper
