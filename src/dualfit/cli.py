@@ -9,10 +9,10 @@ identical inputs.  Exit codes: 0 ok, 2 input error or an output that cannot
 be written, 3 fit error, 4 verification failure; a reader that closes the
 output pipe early ends the command quietly with 0.
 
-Every input is read once, a block of ``_BLOCK_ROWS`` data rows at a time,
-by :func:`_blocks`: by ``np.loadtxt``, or row by row where it refuses a
-block.  Input that ends within the first block is summarised in Python
-floats, so such a command never imports numpy.
+Every input, a pipe included, is read once and forward by :func:`_blocks`,
+a bounded block at a time: by ``np.loadtxt``, or row by row where it
+refuses a block.  Input that ends within the first block is summarised in
+Python floats, so such a command never imports numpy.
 """
 
 from __future__ import annotations
@@ -112,13 +112,6 @@ def _resolve_column(
 _Rows = Iterator[tuple[int, list[str]]]
 
 
-def _lines(fh) -> Iterator[str]:
-    """The lines of a text stream, or of a UTF-8 binary one, from where it stands."""
-    if isinstance(fh, io.TextIOBase):
-        return fh
-    return (line.decode("utf-8") for line in fh)
-
-
 def _csv_rows(lines: Iterable[str], skipped: int = 0) -> _Rows:
     """Yield the 1-based line number and stripped cells of each non-blank row.
 
@@ -128,7 +121,7 @@ def _csv_rows(lines: Iterable[str], skipped: int = 0) -> _Rows:
     Raises
     ------
     ParseError
-        When the csv module rejects the text, naming the line it stopped on.
+        Caused by the csv module rejecting the text, naming the line it stopped on.
     """
     reader = csv.reader(lines)
     try:
@@ -138,7 +131,7 @@ def _csv_rows(lines: Iterable[str], skipped: int = 0) -> _Rows:
                 yield skipped + reader.line_num, list(map(str.strip, cells))
     except csv.Error as exc:
         line = skipped + reader.line_num
-        raise ParseError(f"line {line}: {exc}", line=line) from None
+        raise ParseError(f"line {line}: {exc}", line=line) from exc
 
 
 def _data_rows(rows: _Rows, x_column: str | None, y_column: str | None) -> tuple[int, int, _Rows]:
@@ -195,165 +188,176 @@ def _values(rows: _Rows, x_idx: int, y_idx: int) -> tuple[list[float], list[floa
     return xs, ys, all(map(math.isfinite, chain(xs, ys))), line_num
 
 
-# data rows per block: one np.loadtxt call each, so memory per block is a few
-# hundred kB and the call overhead is spread thin
+# data rows in the first block and lines in each after it: a few hundred kB
+# per np.loadtxt call, which spreads the call overhead thin
 _BLOCK_ROWS = 8192
 
 
-def _cells_within_limit(raw: str | bytes) -> bool:
-    """Whether no cell of the rows in ``raw`` can be longer than
-    ``csv.field_size_limit()``.
-
-    Without a quote, a cell holds no comma, so a cell over the limit leaves a
-    longer run of bytes between commas, which covers a whole stretch of
-    half the limit; a stretch without a comma sends the rows to the row parse.
-    With a quote, the csv module, which enforces the limit, reads the rows.
-    """
+def _cells_within_limit(text: str) -> bool:
+    """Whether no cell of ``text``, which holds no quote, can be longer than
+    ``csv.field_size_limit()``: such a cell, holding no comma, would cover a
+    whole stretch of half the limit, and a stretch without a comma says no."""
     limit = csv.field_size_limit()
-    if len(raw) <= limit:
-        return True
-    if isinstance(raw, str):
-        # searched as UTF-8 bytes, which a lone surrogate cannot spoil
-        raw = raw.encode("utf-8", "surrogatepass")
-    if b'"' in raw:
-        try:
-            for _ in csv.reader(io.StringIO(raw.decode("utf-8", "surrogatepass"))):
-                pass
-        except csv.Error:
-            return False
+    if len(text) <= limit:
         return True
     half = limit // 2
-    return all(raw.find(b",", i, i + half) >= 0 for i in range(0, len(raw) - half + 1, half))
+    return all(text.find(",", i, i + half) >= 0 for i in range(0, len(text) - half + 1, half))
 
 
-def _loadtxt_block(fh, x_idx: int, y_idx: int) -> tuple[np.ndarray, int] | None:
-    """The next ``_BLOCK_ROWS`` rows of a seekable CSV stream as an
-    ``(m, 2)`` array, by one ``np.loadtxt`` call, with the number of lines
-    they span; None, with ``fh`` back where it stood, if ``np.loadtxt``
-    refuses them or a cell may be longer than ``csv.field_size_limit()``.
-    """
+class _Stream:
+    """A CSV stream, text or UTF-8 bytes, read once and forward from where it
+    stands, a line or a block of lines at a time.  Bytes are decoded as they
+    are read; the first that are not UTF-8 end the reading, and that read and
+    every later one raise the error that decoding the whole text gives."""
+
+    def __init__(self, fh) -> None:
+        # a chain reads no more once at its end, which a terminal gives once
+        self._fh = chain(fh)
+        self._offset = 0  # the bytes decoded
+        self._error: InvalidInput | None = None
+
+    def _text(self, raw: str | bytes) -> str:
+        if isinstance(raw, str):
+            return raw
+        if self._error is not None:
+            raise self._error
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            start, end = exc.start + self._offset, exc.end + self._offset
+            where = f"bytes in position {start}-{end - 1}"
+            if end - start == 1:
+                where = f"byte 0x{raw[exc.start]:02x} in position {start}"
+            message = f"'utf-8' codec can't decode {where}: {exc.reason}"
+            self._error = InvalidInput(f"input is not valid UTF-8: {message}")
+            raise self._error from None
+        self._offset += len(raw)
+        return text
+
+    def lines(self) -> Iterator[str]:
+        return map(self._text, self._fh)
+
+    def block(self) -> tuple[list[str] | list[bytes], bool] | None:
+        """The next block's lines as read, and whether ``np.loadtxt`` may read
+        them, no cell being longer than ``csv.field_size_limit()``.  A block is
+        ``_BLOCK_ROWS`` lines, and more while the csv module has read fewer rows
+        from it, so it ends where a row does: only the csv module tells where a
+        quote opens a cell that spans lines (``1,2"3`` opens none)."""
+        lines = list(islice(self._fh, _BLOCK_ROWS))
+        if not lines:
+            return None
+        join = lines[0][:0].join  # of str or of bytes, as the stream gives them
+        # decoded a thousand lines a join, as a join holds an 80-byte buffer per piece
+        texts = (self._text(join(lines[i : i + 1024])) for i in range(0, len(lines), 1024))
+        checks = [('"' in text, _cells_within_limit(text)) for text in texts]
+        if not any(quoted for quoted, _ in checks):
+            return lines, all(fits for _, fits in checks)
+
+        def more() -> Iterator[str]:
+            for line in self._fh:
+                lines.append(line)
+                yield self._text(line)
+
+        # the csv module, which enforces the limit, reads as many rows as the
+        # block has lines, blank ones among them
+        reader = csv.reader(chain(map(_str, lines), more()))
+        try:
+            next(islice(reader, len(lines) - 1, None), None)
+        except csv.Error:
+            return lines, False
+        return lines, True
+
+
+def _str(line: str | bytes) -> str:
+    """A line as text; a :class:`_Stream` has found its bytes UTF-8."""
+    return line if isinstance(line, str) else line.decode("utf-8")
+
+
+def _loadtxt_block(lines: list[str] | list[bytes], x_idx: int, y_idx: int) -> tuple | None:
+    """The x and y columns of ``lines`` by ``np.loadtxt`` and whether all are finite, or None."""
     import numpy as np
 
-    begin = fh.tell()
     try:
         with warnings.catch_warnings():
-            # np.loadtxt warns that a blank line is not counted towards
-            # max_rows, which is what blocks of rows need, and that it read
-            # no data, which is how the last block ends
+            # np.loadtxt warns that it read no data, as from blank lines
             warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
             xy = np.loadtxt(
-                fh,
+                lines,
                 delimiter=",",
                 usecols=(x_idx, y_idx),
                 comments=None,
                 quotechar='"',
                 ndmin=2,
                 encoding="utf-8",
-                max_rows=_BLOCK_ROWS,
             )
     except ValueError:
-        pass
-    else:
-        end = fh.tell()
-        fh.seek(begin)
-        raw = fh.read(end - begin)
-        if _cells_within_limit(raw):
-            return xy, raw.count("\n" if isinstance(raw, str) else b"\n")
-    fh.seek(begin)
-    return None
-
-
-def _parsed_blocks(
-    fh, x_column: str | None, y_column: str | None
-) -> Iterator[tuple[Sequence[float], Sequence[float], bool]]:
-    """Yield the x and y values of a seekable CSV stream, from where it
-    stands, a block of up to ``_BLOCK_ROWS`` data rows at a time, each with
-    whether all its values are finite.
-
-    The row parse reads the header and the first block, and numpy is
-    imported only if a row follows.  ``np.loadtxt`` reads each block after
-    it; a block it refuses is read by the row parse alone, from the line
-    that starts it, and the next block goes back to ``np.loadtxt``.
-    """
-    rows = _csv_rows(_lines(fh))
-    try:
-        x_idx, y_idx, data = _data_rows(rows, x_column, y_column)
-        xs, ys, finite, line = _values(islice(data, _BLOCK_ROWS), x_idx, y_idx)
-        end = fh.tell()
-        if next(data, None) is None:
-            if len(xs) < 2:
-                raise InvalidInput(f"need at least 2 data rows, got {len(xs)}")
-            yield xs, ys, finite
-            return
-        # held as C doubles, a quarter of their size as Python floats, while
-        # numpy is imported
-        xs, ys = array("d", xs), array("d", ys)
-        import numpy as np
-
-        yield xs, ys, finite
-        fh.seek(end)
-        while True:
-            if (block := _loadtxt_block(fh, x_idx, y_idx)) is not None:
-                xy, newlines = block
-                line += newlines
-                x, y = xy.T.copy()  # contiguous columns, as a Dataset holds them
-                finite = np.isfinite(xy).all()
-            else:
-                # np.loadtxt refused the block at fh's offset, whose line
-                # numbers go on from the last one read
-                rows = _csv_rows(_lines(fh), line)
-                x, y, finite, line = _values(islice(rows, _BLOCK_ROWS), x_idx, y_idx)
-            if not len(x):
-                return
-            yield x, y, finite
-    except (InvalidInput, ParseError) as error:
-        # the whole text's order: a later row the csv module rejects is raised
-        # instead, and invalid UTF-8 anywhere after, as UnicodeDecodeError
-        try:
-            for _ in rows:
-                pass
-        finally:
-            for _ in _lines(fh):
-                pass
-        raise error
+        return None
+    x, y = xy.T.copy()  # contiguous columns, as a Dataset holds them
+    return x, y, np.isfinite(xy).all()
 
 
 def _blocks(
     fh, x_column: str | None, y_column: str | None
 ) -> Iterator[tuple[Sequence[float], Sequence[float]]]:
-    """Yield the x and y values of a seekable CSV stream, text or UTF-8
-    bytes, as :func:`_parsed_blocks` reads them.
+    """Yield the x and y values of a CSV stream, text or UTF-8 bytes, from
+    where it stands, a block at a time.
 
-    A non-finite value stops the yielding, not the reading, so that it is
-    raised only when the rest of the input holds no other error.
+    The row parse reads the header and the first ``_BLOCK_ROWS`` data rows
+    line by line; numpy is imported only if text follows.  ``np.loadtxt``
+    reads each :meth:`_Stream.block` after them, and the row parse a block it
+    refuses.  A non-finite value stops the yielding, not the reading, so it
+    is raised only when the rest of the input holds no other error.
     """
-    origin = fh.tell()
-    parsed = _parsed_blocks(fh, x_column, y_column)
+    stream = _Stream(fh)
+    rows = _csv_rows(stream.lines())
+    line = 0  # the lines read
     try:
-        for x, y, finite in parsed:
-            if not finite:
-                for _ in parsed:
-                    pass
-                raise InvalidInput("coordinates must be finite")
-            yield x, y
-    except UnicodeDecodeError as exc:
-        # the message and position of decoding the whole text
-        fh.seek(origin)
+        x_idx, y_idx, data = _data_rows(rows, x_column, y_column)
+        xs, ys, finite, line = _values(islice(data, _BLOCK_ROWS), x_idx, y_idx)
+        rows = iter(())  # the blocks are read from here on
+
+        def parse(block) -> tuple[Sequence[float], Sequence[float], bool]:
+            nonlocal line, rows
+            lines, loadable = block
+            skipped, line = line, line + len(lines)
+            if loadable and (values := _loadtxt_block(lines, x_idx, y_idx)) is not None:
+                return values
+            rows = _csv_rows(map(_str, lines), skipped)
+            return _values(rows, x_idx, y_idx)[:3]
+
+        # held as C doubles, a quarter the size of Python floats, while numpy is imported
+        xs, ys = array("d", xs), array("d", ys)
+        n = 0
+        for xs, ys, block_finite in chain([(xs, ys, finite)], map(parse, iter(stream.block, None))):
+            n += len(xs)
+            finite = finite and block_finite
+            if finite and len(xs):
+                yield xs, ys
+        if n < 2:
+            raise InvalidInput(f"need at least 2 data rows, got {n}")
+        if not finite:
+            raise InvalidInput("coordinates must be finite")
+    except (InvalidInput, ParseError) as error:
+        # the whole text's order: a later row the csv module rejects, unless
+        # this error is one, then invalid UTF-8 after either, is raised instead
         try:
-            fh.read().decode("utf-8")
-        except UnicodeDecodeError as whole:
-            exc = whole
-        raise InvalidInput(f"input is not valid UTF-8: {exc}") from exc
+            if not isinstance(error.__cause__, csv.Error):
+                for _ in chain(rows, _csv_rows(stream.lines(), line)):
+                    pass
+        finally:
+            for _ in stream.lines():
+                pass
+        raise error
 
 
 def parse_csv(source, x_column: str | None = None, y_column: str | None = None) -> Dataset:
     """Parse UTF-8 comma-separated text into a Dataset.
 
-    ``source`` is a str, UTF-8 bytes, or a file object whose ``read()``
-    returns either.  An optional single header row is auto-detected: it is a
-    header iff the cells selected for x and y in the first row fail to parse
-    as numbers.  Columns may be picked by header name or zero-based index,
-    defaulting to "x"/0 and "y"/1.
+    ``source`` is a str, UTF-8 bytes, or an open file object, text or
+    binary, which is read from where it stands.  An optional single header
+    row is auto-detected: it is a header iff the cells selected for x and y
+    in the first row fail to parse as numbers.  Columns may be picked by
+    header name or zero-based index, defaulting to "x"/0 and "y"/1.
 
     Rows are split by the csv module's default dialect: comma-separated,
     ``"``-quoted (a doubled ``""`` is a literal quote, and a quoted cell may
@@ -365,13 +369,12 @@ def parse_csv(source, x_column: str | None = None, y_column: str | None = None) 
     the selected columns are ignored.  A cell longer than
     ``csv.field_size_limit()``, in any column, is a malformed row.
 
-    The text is read in blocks of ``_BLOCK_ROWS`` data rows, which are
-    joined: the header and the first block row by row, the blocks after it
-    by one ``np.loadtxt`` call each.  A block ``np.loadtxt`` does not take
-    (whitespace-only or ``,,`` rows, ``1_0``, non-ASCII digits, a ``\\r``
-    before ``\\r\\n``, or an error) is read row by row, and the block after
-    it by ``np.loadtxt`` again.  One error is raised, the first of these the
-    text holds, in this order: text that is not UTF-8; a row the csv module
+    The text is read once, forward: the header and the first ``_BLOCK_ROWS``
+    data rows row by row, then blocks of ``_BLOCK_ROWS`` lines, each by one
+    ``np.loadtxt`` call, or row by row where it does not take one
+    (whitespace-only or ``,,`` rows, ``1_0``, non-ASCII digits, a ``\\r`` before
+    ``\\r\\n``, or an error).  One error is raised, the first of these the text
+    holds, in this order: text that is not UTF-8; a row the csv module
     rejects; the first other input error; a non-finite value.
 
     The ``dualfit`` command reads the same blocks without a Dataset; its
@@ -385,15 +388,13 @@ def parse_csv(source, x_column: str | None = None, y_column: str | None = None) 
         For text that is not UTF-8, missing columns, non-finite values, or
         fewer than 2 data rows.
     """
-    if hasattr(source, "read"):
-        source = source.read()
     if isinstance(source, str):
-        fh = io.StringIO(source)
+        source = io.StringIO(source)
     elif isinstance(source, (bytes, bytearray)):
-        fh = io.BytesIO(source)
-    else:
+        source = io.BytesIO(source)
+    elif not hasattr(source, "read"):
         raise InvalidInput(f"unsupported CSV source type {type(source).__name__}")
-    xs, ys = zip(*_blocks(fh, x_column, y_column))
+    xs, ys = zip(*_blocks(source, x_column, y_column))
     import numpy as np
 
     from .dataset import Dataset
@@ -525,10 +526,8 @@ def _read_stats(
 
     Returns the step that checks the statistics and builds the record, so
     that a statistics error (exit 3) stays apart from an input error (exit
-    2).  A stream that cannot seek, a pipe or a terminal, is read whole first.
+    2).  Any stream, a pipe too, is read once, forward, in bounded blocks.
     """
-    if not fh.seekable():
-        fh = io.BytesIO(fh.read())
     blocks = _blocks(fh, x_column, y_column)
     xs, ys = next(blocks)
     block = next(blocks, None)

@@ -146,7 +146,7 @@ def test_cli_overlong_field_exits_2_without_traceback(extra_row):
 
 
 def test_cli_reads_a_pipe_named_by_input():
-    # a pipe cannot seek, so it is read whole, as standard input is
+    # a pipe cannot seek; it is read forward in blocks, as any input is
     result = subprocess.run(
         [sys.executable, "-m", "dualfit", "stats", "--input", "/dev/stdin"],
         input=PERFECT_CSV.encode(),
@@ -548,8 +548,8 @@ def test_input_longer_than_one_block_keeps_its_bits_and_imports_numpy(tmp_path):
 
 
 def test_each_row_is_parsed_once(monkeypatch, tmp_path, capsys):
-    # the csv module reads the header, the first block and one row past it;
-    # np.loadtxt reads the rest
+    # the csv module reads the header and the first block; np.loadtxt reads
+    # the rest, and what follows the first block is known from its bytes
     parsed = {"csv": 0, "loadtxt": 0}
     real_reader, real_loadtxt = csv.reader, np.loadtxt
 
@@ -579,8 +579,7 @@ def test_each_row_is_parsed_once(monkeypatch, tmp_path, capsys):
     n = 2 * cli._BLOCK_ROWS + 100  # three blocks
     assert main(["stats", "--input", _write(tmp_path, _table(n))]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[0].split() == ["n", str(n)]
-    assert parsed["loadtxt"] == n - cli._BLOCK_ROWS
-    assert parsed["csv"] + parsed["loadtxt"] <= n + 2, parsed
+    assert parsed == {"csv": cli._BLOCK_ROWS + 1, "loadtxt": n - cli._BLOCK_ROWS}, parsed
     # an input error in the last row of one block: the rows before it are
     # not read again to find an error the text holds before it
     parsed.update(csv=0, loadtxt=0)
@@ -598,8 +597,7 @@ def test_each_row_is_parsed_once(monkeypatch, tmp_path, capsys):
     lines[9000] = "1_0,3\n"  # data row 9000, in the second block
     assert main(["stats", "--input", _write(tmp_path, "".join(lines))]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[0].split() == ["n", str(n)]
-    assert parsed["csv"] <= 2 * cli._BLOCK_ROWS + 2, parsed
-    assert parsed["loadtxt"] == 2 * cli._BLOCK_ROWS, parsed
+    assert parsed == {"csv": 2 * cli._BLOCK_ROWS + 1, "loadtxt": 2 * cli._BLOCK_ROWS}, parsed
 
 
 # ---- argument handling ------------------------------------------------------------
@@ -682,10 +680,39 @@ def test_standard_input_from_a_file_is_read_in_blocks(tmp_path):
     small_csv = _rows_csv(tmp_path / "small.csv", 20_000, 1)
     code, small = dualfit_peak_mb("stats", "--input", str(small_csv))
     assert code == EXIT_OK
-    with open(_rows_csv(tmp_path / "large.csv", 200_000, 2), "rb") as fh:
+    large_csv = _rows_csv(tmp_path / "large.csv", 200_000, 2)
+    with open(large_csv, "rb") as fh:
         code, large = dualfit_peak_mb("stats", stdin=fh)
     assert code == EXIT_OK
     assert large - small <= 2.0, (small, large)
+    # a pipe, which cannot seek, is read in the same blocks
+    writer = subprocess.Popen(["cat", str(large_csv)], stdout=subprocess.PIPE)
+    with writer:
+        code, piped = dualfit_peak_mb("stats", stdin=writer.stdout)
+    assert (code, writer.returncode) == (EXIT_OK, 0)
+    assert piped - small <= 2.0, (small, piped)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_invalid_utf8_in_the_last_row_is_placed_in_flat_memory(tmp_path):
+    # the error names the byte's position in the whole text, which is not
+    # decoded whole to find it
+    clean_csv = _rows_csv(tmp_path / "large.csv", 200_000, 2)
+    raw = clean_csv.read_bytes()
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_bytes(raw[:-2] + b"\xff\n")  # the last digit of the last row
+    with pytest.raises(UnicodeDecodeError) as excinfo:
+        bad_csv.read_bytes().decode("utf-8")
+    assert excinfo.value.start == len(raw) - 2
+    args = [sys.executable, "-m", "dualfit", "stats", "--input", str(bad_csv)]
+    result = subprocess.run(args, capture_output=True, env=src_env(), timeout=120)
+    assert result.returncode == EXIT_INPUT
+    assert result.stderr.decode() == f"InvalidInput: input is not valid UTF-8: {excinfo.value}\n"
+    code, clean = dualfit_peak_mb("stats", "--input", str(clean_csv))
+    assert code == EXIT_OK
+    code, bad = dualfit_peak_mb("stats", "--input", str(bad_csv))
+    assert code == EXIT_INPUT
+    assert bad - clean <= 2.0, (clean, bad)
 
 
 @pytest.mark.parametrize("header", ["", "x,y\n"])
@@ -747,6 +774,25 @@ def test_line_numbers_carry_across_a_refused_block(tmp_path, capsys):
     assert main(["stats", "--input", _write(tmp_path, text)]) == EXIT_INPUT
     error = "ParseError: line 30003: could not parse 'abc' as a number\n"
     assert capsys.readouterr().err == error
+
+
+@pytest.mark.skipif(not hasattr(os, "openpty"), reason="needs a pseudo-terminal")
+def test_a_terminal_is_read_to_its_one_end_of_input():
+    # a terminal ends its input once, at a ^D typed at the start of a line;
+    # a read past it would wait for the user again
+    controller, terminal = os.openpty()
+    args = [sys.executable, "-m", "dualfit", "stats", "--format", "csv"]
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    with subprocess.Popen(args, stdin=terminal, env=src_env(), **pipes) as proc:
+        os.close(terminal)
+        try:
+            os.write(controller, b"x,y\n0,0\n1,2\n2,3\n\x04")
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            os.close(controller)
+    assert (proc.returncode, err) == (EXIT_OK, b"")
+    assert out.decode().splitlines()[1].startswith("3,1,1.666666667,2,")
 
 
 def test_closed_standard_input_exits_2_with_one_line():

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import io
+import tempfile
+from typing import Iterator
 from unittest import mock
 
 import numpy as np
@@ -144,11 +146,42 @@ def _outcome(parser, source, x_column, y_column):
 BLOCK_SIZES = (cli._BLOCK_ROWS, 1, 2, 3)
 
 
+class Unseekable(io.BytesIO):
+    """Bytes that can only be read forward, as from a pipe."""
+
+    def seekable(self) -> bool:
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
+def _sources(text: str) -> Iterator:
+    """``text`` as each source ``parse_csv`` takes: a str, bytes, an open text
+    file, an open binary file, and bytes that cannot be sought, as a pipe's."""
+    raw = text.encode("utf-8", "surrogatepass")
+    yield text
+    yield raw
+    # the text file's lines end where a str source's do: at "\n" alone
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+        fh.seek(0)
+        yield fh
+    with tempfile.TemporaryFile("w+b") as fh:
+        fh.write(raw)
+        fh.seek(0)
+        yield fh
+    yield Unseekable(raw)
+
+
 def _assert_equivalent(text: str, x_column=None, y_column=None) -> None:
     expected = _outcome(_reference_parse, text, x_column, y_column)
     for block_rows in BLOCK_SIZES:
         with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
-            for source in (text, text.encode("utf-8", "surrogatepass")):
+            for source in _sources(text):
                 outcome = _outcome(parse_csv, source, x_column, y_column)
                 assert outcome == expected, (block_rows, source)
 
@@ -221,6 +254,11 @@ CASES = [
     "x,y\n1,inf\n3,4\n5,6\n7,8\n1_0,2\n9,x\n",
     "x,y\n1,2\n3,4\n5,6\n7,8\n1_0,9\n11,12\n13,abc\n",
     'x,y\n1,2\n3,4\n5,6\n7,8\n1_0,9\n11,12\n \n13,"1\n4"\n15,abc\n',
+    # a quoted line break at a block's last line; a stray quote within a cell,
+    # which opens no quoted cell, before one and in a column read
+    'x,y\n1,2\n3,"4\n5"\n6,7\n8,9\n',
+    'x,y,z\n1,2,a"b\n3,"4\n",c\n5,6,d\n7,8,e\n',
+    'x,y\n1,2\n1,2"3\n4,5\n',
 ]
 
 COLUMN_CASES = [

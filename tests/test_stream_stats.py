@@ -37,10 +37,10 @@ from dualfit import cli
 from dualfit.cli import EXIT_INPUT, EXIT_OK, parse_csv
 from dualfit.core import _checked_stats, _fsum_moments
 from dualfit.dataset import _RunningStats
-from dualfit.errors import InvalidInput, ParseError
+from dualfit.errors import DualFitError, InvalidInput, ParseError
 
 from conftest import dualfit_peak_mb
-from test_parse_equivalence import _ALPHABET, _WEIGHTED, CASES, COLUMN_CASES, _cells
+from test_parse_equivalence import _ALPHABET, _WEIGHTED, CASES, COLUMN_CASES, Unseekable, _cells
 
 EPS = sys.float_info.epsilon
 BLOCK_SIZES = (1, 2, 3)
@@ -61,6 +61,11 @@ BOUNDARY_CASES = [
     "x,y\n1,2\n3,5\n4,4\n1_0,9\n",
     "x,y\n0.1,1\n0.1,2\n0.1,4\n0.1,3\n",  # a constant x whose mean is inexact
     "x,y\n1e300,1\n1e300,2\n1e300,4\n",  # a constant x whose sum overflows
+    'x,y\n1,2\n3,"4\n5"\n6,7\n8,9\n',  # a quoted line break at the last line of a block
+    'x,y\n1,"2\n\n\n3"\n4,5\n6,7\n',  # a quoted cell spanning three line breaks
+    'x,y\n"1\n",2\n"3\n",4\n"5\n",6\n',  # a quoted line break in every row
+    'x,y,z\n1,2,a"b\n3,4,c\n5,6,d\n',  # a stray quote within a cell opens none
+    'x,y,z\n1,2,a"b\n3,"4\n",c\n5,6,d\n7,8,e\n',  # and a quoted cell after it
 ]
 
 
@@ -95,7 +100,15 @@ def _whole_then_one_block_stats(fh, x_column, y_column):
     return lambda: _checked_stats(_fsum_moments(xs, ys), lambda: ranges)
 
 
-def _parsed(raw: bytes, columns):
+def _summary(fh, columns):
+    # the statistics _read_stats gives, or the error it raises
+    try:
+        return ("stats", cli._read_stats(fh, *columns)())
+    except DualFitError as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "line", None))
+
+
+def _parsed(raw, columns):
     try:
         data = parse_csv(raw, *columns)
     except (ParseError, InvalidInput) as exc:
@@ -172,6 +185,11 @@ def _assert_streams_like_whole(path, text: str, columns=(None, None)) -> None:
         assert (code, err) == expected[::2], block_rows
         if code == EXIT_OK:
             _assert_within_round_off(_record(out), _record(expected[1]), data)
+    # bytes that cannot be sought, as a pipe's, are read as a file's are
+    for block_rows in (cli._BLOCK_ROWS, *BLOCK_SIZES):
+        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+            assert _summary(Unseekable(raw), columns) == _summary(io.BytesIO(raw), columns)
+            assert _parsed(Unseekable(raw), columns) == parsed
 
 
 @pytest.mark.parametrize("text", CASES + BOUNDARY_CASES)
