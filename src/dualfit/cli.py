@@ -328,7 +328,9 @@ def _blocks(
         # held as C doubles, a quarter the size of Python floats, while numpy is imported
         xs, ys = array("d", xs), array("d", ys)
         n = 0
-        for xs, ys, block_finite in chain([(xs, ys, finite)], map(parse, iter(stream.block, None))):
+        # a list iterator drops the first block once read; chain's list would not
+        first = iter([(xs, ys, finite)])
+        for xs, ys, block_finite in chain(first, map(parse, iter(stream.block, None))):
             n += len(xs)
             finite = finite and block_finite
             if finite and len(xs):
@@ -541,6 +543,7 @@ def _read_stats(
 
     running = _RunningStats()
     running.add(np.asarray(xs), np.asarray(ys))
+    del xs, ys  # taken in, so not held through the read
     while block is not None:  # holding one later block at a time
         running.add(np.asarray(block[0]), np.asarray(block[1]))
         block = next(blocks, None)

@@ -5,19 +5,19 @@ horizontal residuals by ``1 - gamma``, with ``gamma`` in [0, 1].  For any
 weight the optimal intercept keeps the line through the centroid of the data;
 the optimal slope is the one root of a quartic polynomial, built from the
 sufficient statistics, that lies between the two closed-form endpoint slopes.
-On that interval the quartic is increasing and convex, so Newton's method
-started at the upper end falls monotonically onto the root.  The two endpoint
-weights are the classical closed forms: regression of y on x at ``gamma = 1``
-and inverse regression (x on y, re-expressed as a slope in y over x) at
-``gamma = 0``.
+The solve writes the slope as ``b = t*r`` with ``r = sqrt(s_yy/s_xx)``, where
+the quartic over ``(1 - gamma)*r`` is ``f(t) = k*t**3*(t - rho) + rho*t - 1``
+with ``k = gamma/(1 - gamma) * s_yy/s_xx``; its root lies in ``[rho, 1/rho]``,
+where ``f`` is increasing and convex, so Newton's method started above the
+root falls monotonically onto it.  The two endpoint weights are the
+classical closed forms: regression of y on x at ``gamma = 1`` and inverse
+regression (x on y, re-expressed as a slope in y over x) at ``gamma = 0``.
 
 The slope depends on the data only through the sufficient statistics.
 :func:`fit_stats` checks their correlation (``_reflects``) and solves one
-weight (``_solve``) in a straight call, taking the Newton bracket from the
-scalar ``_bounds``; ``_solver`` binds the two to one dataset for ``dualfit
-sweep``.  :func:`build_quartic` and :class:`Quartic` state the paper's
-equation; the solve evaluates the same coefficients, which
-``_coefficients`` writes once for both.
+weight (``_solve``) in a straight call; ``_solver`` binds the two to one
+dataset for ``dualfit sweep``.  :func:`build_quartic` and :class:`Quartic`
+state the paper's equation in the slope itself.
 
 Only positively correlated data has a well-defined fit here.  Negating y
 negates rho and the slope, as ``q(-b; -rho) = q(b; rho)``, so under the
@@ -61,9 +61,9 @@ NegativeCorrelationPolicy = Literal["error", "reflect"]
 # |rho| below this is indistinguishable from zero correlation.
 ZERO_RHO_TOL = 1e-12
 
-# Newton from the upper slope bound needs about log(1/rho^2) / log(4/3) steps
-# when the root sits near the lower bound: some 200 at rho = ZERO_RHO_TOL.
-_MAX_NEWTON_STEPS = 400
+# Newton from _newton_root's start takes at most 9 steps, where k is near
+# rho**-4, for k from 0 past the largest float and rho from ZERO_RHO_TOL to 1
+_MAX_NEWTON_STEPS = 16
 
 _EPS = sys.float_info.epsilon
 # the least normal float64; a power of the slope below it has lost bits
@@ -161,8 +161,9 @@ class Quartic:
 class FittedLine:
     """A fitted line plus the diagnostics of how its slope was found.
 
-    ``selected_root_residual`` is the absolute value of the slope quartic at
-    the fitted slope (zero for the closed-form endpoint weights).  ``notes``
+    ``selected_root_residual`` is ``(1 - gamma)*r*|f(t)|`` of the module
+    docstring, the slope quartic's absolute value at the fitted slope up to
+    round-off (zero for the closed-form endpoint weights).  ``notes``
     carries human-readable flags such as reflection.
     """
 
@@ -441,15 +442,9 @@ def build_quartic(stats: SufficientStats, gamma: float) -> Quartic:
     if not 0.0 < gamma < 1.0:
         raise InvalidInput(f"quartic is defined for 0 < gamma < 1, got {gamma}")
     ratio_yx = math.sqrt(_ratio(s_xx, s_yy))
-    return Quartic(_coefficients(gamma, stats.rho, math.sqrt(s_xx / s_yy), ratio_yx))
-
-
-def _coefficients(
-    gamma: float, rho: float, ratio_xy: float, ratio_yx: float
-) -> tuple[float, float, float, float, float]:
-    """The slope quartic's coefficients, highest degree first; see :func:`build_quartic`."""
-    horizontal = 1.0 - gamma
-    return (gamma * ratio_xy, -gamma * rho, 0.0, horizontal * rho, -horizontal * ratio_yx)
+    rho, horizontal = stats.rho, 1.0 - gamma
+    leading = gamma * math.sqrt(s_xx / s_yy)
+    return Quartic((leading, -gamma * rho, 0.0, horizontal * rho, -horizontal * ratio_yx))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +535,7 @@ def _solver(
 ) -> Callable[[float], FittedLine]:
     """:func:`fit_stats` as ``solve(gamma)``, with the correlation checked once, here.
 
-    The slope bounds' errors are raised by each interior weight's ``solve``.
+    The ``OutOfRange`` of ``s_yy / s_xx`` is raised by each interior weight's ``solve``.
     """
     return partial(_solve, stats, _reflects(stats, policy))
 
@@ -559,9 +554,8 @@ def _solve(stats: SufficientStats, reflect: bool, gamma: float) -> FittedLine:
     """The fit at one weight of statistics ``_reflects`` has passed.
 
     Both signs of rho are solved on ``stats`` themselves: the endpoint
-    closed forms are odd in y, and an interior weight runs Newton at
-    ``|rho|`` inside :func:`slope_bounds` and negates the root under
-    ``reflect``.
+    closed forms are odd in y, and an interior weight runs Newton on ``f(t)``
+    at ``|rho|`` and negates the slope under ``reflect``.
     """
     residual = 0.0
     if gamma == 1.0:
@@ -569,49 +563,47 @@ def _solve(stats: SufficientStats, reflect: bool, gamma: float) -> FittedLine:
     elif gamma == 0.0:
         beta1 = stats.s_yy / stats.s_xy
     else:
-        s_xx, s_yy = stats.s_xx, stats.s_yy
-        rho = -stats.rho if reflect else stats.rho
-        # with s_yy / s_xx normal, s_xx / s_yy cannot overflow either
-        lower, upper = _bounds(s_xx, s_yy, rho)
-        # in Python floats whatever gamma's type
-        coeffs = _coefficients(float(gamma), rho, math.sqrt(s_xx / s_yy), math.sqrt(s_yy / s_xx))
-        root, value = _newton_root(coeffs, lower, upper)
-        beta1, residual = -root if reflect else root, abs(value)
+        ratio = _ratio(stats.s_xx, stats.s_yy)
+        ratio_yx = math.sqrt(ratio)
+        weight = float(gamma)  # a Python float whatever gamma's type
+        horizontal = 1.0 - weight
+        t, value = _newton_root(weight / horizontal * ratio, abs(stats.rho))
+        root = t * ratio_yx
+        beta1, residual = -root if reflect else root, horizontal * ratio_yx * abs(value)
     beta0 = intercept(stats, beta1)
     notes = ("fitted on (x, -y) and negated the slope",) if reflect else ()
     return FittedLine(beta0, beta1, gamma, sse(stats, beta0, beta1, gamma), residual, notes)
 
 
-def _newton_root(
-    coeffs: tuple[float, float, float, float, float], lower: float, upper: float
-) -> tuple[float, float]:
-    """The quartic's root in ``[lower, upper]``, and the quartic's value there.
+def _newton_root(k: float, rho: float) -> tuple[float, float]:
+    """The root of ``f(t) = k*t**3*(t - rho) + rho*t - 1`` in ``[rho, 1/rho]``, and ``f`` there.
 
-    ``coeffs`` run highest degree first, as in :class:`Quartic`, and the value
-    is its Horner sum to the bit.  The b**2 coefficient is the slope
-    quartic's 0.0 and is not read: adding it changes nothing but the sign of
-    a zero, which the nonzero b coefficient ``(1 - gamma) * rho`` then absorbs.
+    On ``t >= rho``, ``t**3*(t - rho) >= (t - rho)**4``, so ``f`` is positive
+    at ``rho + k**-0.25``, and Newton starts at the lesser of that and
+    ``1/rho``.  Where rounding leaves ``f`` there no more than 0, the start is
+    within rounding of the root and is returned, as any iterate is.
+    ``k*t*t`` is formed first and ``4*k`` never, so that for a finite ``k``
+    nothing overflows below the start.
     """
-    # q(lower) <= 0 <= q(upper), and q is increasing and convex in between, so
-    # Newton from the upper end descends onto the root without overshooting
-    c4, c3, _, c1, c0 = coeffs
-    d4, d3 = 4.0 * c4, 3.0 * c3
-    isfinite = math.isfinite
-    b = upper
+    if k == math.inf:
+        # (t - rho) / rho <= 1 / (k * rho**4), below 1e-260: the root is rho
+        return rho, rho * rho - 1.0
+    # f(rho) <= 0 < f(t), and f is increasing and convex in between, so
+    # Newton descends onto the root without overshooting
+    t = min(1.0 / rho, rho + k**-0.25) if k else 1.0 / rho
     for _ in range(_MAX_NEWTON_STEPS):
-        value = ((c4 * b + c3) * b * b + c1) * b + c0
-        if not isfinite(value):
-            raise SolverFailure(f"slope quartic overflows at {b!r}")
+        kt2 = k * t * t
+        value = kt2 * t * (t - rho) + (rho * t - 1.0)
         if value <= 0.0:
-            return b, value
-        step_to = b - value / ((d4 * b + d3) * b * b + c1)
-        if not step_to > lower:  # a NaN step too
-            step_to = lower
-        if not step_to < b:
-            return b, value
-        b = step_to
+            return t, value
+        step_to = t - value / (kt2 * (4.0 * t - 3.0 * rho) + rho)
+        if not step_to > rho:  # a NaN step too
+            step_to = rho
+        if not step_to < t:
+            return t, value
+        t = step_to
     raise SolverFailure(
-        f"Newton did not settle in [{lower!r}, {upper!r}] within {_MAX_NEWTON_STEPS} steps"
+        f"Newton did not settle in [{rho!r}, {1.0 / rho!r}] within {_MAX_NEWTON_STEPS} steps"
     )
 
 
@@ -634,8 +626,8 @@ def fit(data: Dataset, config: FitConfig) -> FittedLine:
         Slope, intercept, achieved objective, and the quartic's residual at
         the slope.  The intercept always equals ``y_bar - beta1 * x_bar``.
         For ``0 < gamma < 1`` the slope is the root of :func:`build_quartic`
-        inside :func:`slope_bounds`, found by Newton's method from the upper
-        bound; the endpoint weights use their closed forms.
+        inside :func:`slope_bounds`, found by Newton's method on ``f(t)`` of
+        the module docstring; the endpoint weights use their closed forms.
 
     Raises
     ------
@@ -651,8 +643,8 @@ def fit(data: Dataset, config: FitConfig) -> FittedLine:
         slope's square underflows to a zero or subnormal float64 while
         ``gamma < 1``, or the objective overflows, as in :func:`sse`.
     SolverFailure
-        If the quartic overflows at the upper bound or Newton's method does
-        not settle within its step cap (not expected for valid data).
+        If Newton's method does not settle within its step cap (not expected
+        for valid data).
     """
     return fit_stats(compute_stats(data), config)
 

@@ -1,10 +1,12 @@
-"""Shared fixtures: the reference dataset and seeded random-data factories."""
+"""Shared fixtures: the reference dataset, seeded random-data factories and the exact root check."""
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -94,3 +96,33 @@ def sse_per_point(data: Dataset, beta0: float, beta1: float, gamma: float) -> fl
 
 def rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def assert_near_exact_root(stats, line, ulps: int = 3) -> None:
+    """Assert that an interior fit's slope lies within ``ulps`` ulps of the exact root.
+
+    ``Q(b) = gamma*s_xx*b**4 - gamma*s_xy*b**3 + (1-gamma)*(s_xy*b - s_yy)`` is
+    the slope quartic times ``sqrt(s_xx*s_yy)``, with rational coefficients,
+    so its signs are exact in ``Fraction``; it increases through the root on
+    the slopes of the sign of ``s_xy``, where it must change sign within
+    ``ulps`` ulps of the slope.  The line's ``selected_root_residual`` must be
+    ``|Q(b)| / sqrt(s_xx*s_yy)`` up to 16 eps of the sum of its terms'
+    magnitudes.
+    """
+    b = line.beta1
+    sign = 1 if b > 0.0 else -1  # a negative slope is the reflected data's, negated
+    s_xx, s_yy, g = Fraction(stats.s_xx), Fraction(stats.s_yy), Fraction(line.gamma)
+    s_xy = sign * Fraction(stats.s_xy)
+
+    def terms(t):
+        t = Fraction(t)
+        return g * s_xx * t**4, -g * s_xy * t**3, (1 - g) * s_xy * t, -(1 - g) * s_yy
+
+    below = above = abs(b)
+    for _ in range(ulps):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+    assert sum(terms(below)) <= 0 <= sum(terms(above)), (stats, line)
+    at_b = terms(abs(b))
+    scale = Fraction(math.sqrt(stats.s_xx * stats.s_yy))
+    gap = abs(Fraction(line.selected_root_residual) * scale - abs(sum(at_b)))
+    assert gap <= 16 * Fraction(sys.float_info.epsilon) * sum(map(abs, at_b)), (stats, line)

@@ -532,7 +532,7 @@ _TWO_BLOCK_FIT = """{
   "sse": 1.030406045e-05,
   "bound_lower": 0.4999989804,
   "bound_upper": 0.5000123338,
-  "root_residual": 0.0
+  "root_residual": 2.597307688e-17
 }
 """
 

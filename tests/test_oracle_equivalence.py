@@ -1,14 +1,14 @@
-"""The objective and the slope solve against frozen copies.
+"""The objective and the fit against frozen copies, the slope against its exact root.
 
-The ``_ref_*`` functions are ``sse``, ``_newton_root`` (with
-``Quartic.__call__``), the fit around it and ``reflected``, as they were
-before the fit stopped building reflected statistics.  ``_newton_root`` now
-takes a quartic's coefficients and returns its value at the root too;
-``_ref_newton_pair`` puts the frozen root finder in that form.  It also
-leaves out the quartic's 0.0 ``b**2`` coefficient, which is held to the
-frozen sums where the ``b`` coefficient is least and where a partial sum is
-a negative zero.  ``sse`` now raises ``OutOfRange`` where the frozen copy
-returns an objective that is not finite; no input here reaches that.
+The ``_ref_*`` functions are ``sse``, the fit and ``reflected`` as they were
+before the fit stopped building reflected statistics.  An interior weight's
+slope is not frozen: the fit solves the quartic in reduced coordinates, and
+each slope must lie within 3 ulps of the root of the exact quartic of its
+statistics (``assert_near_exact_root``), with ``selected_root_residual`` its
+absolute value there up to round-off.  ``_ref_fit_stats`` then builds the
+rest of the line around that slope.  ``sse`` now raises ``OutOfRange``
+where the frozen copy returns an objective that is not finite; no input
+here reaches that.
 
 ``verify_fit`` is held to an exact reference instead, ``_ref_verify``: the
 profile objective evaluated in ``fractions.Fraction`` at the fitted slope
@@ -19,10 +19,10 @@ mantissa is within 8 of either end of its binade, where the bracket read off
 the slope's mantissa gives way to the ulp-by-ulp walk.  A bracket end of
 exactly 0, where ``_ref_profile`` divides by zero, is held to its own exact
 ``V(t)`` at ``gamma = 1``.  Where ``s_yy / s_xx`` leaves float64 the fit
-raises the ``OutOfRange`` of ``slope_bounds``, and so does the reference,
-through ``build_quartic``.
+raises the ``OutOfRange`` of ``slope_bounds``, and so does the reference.
 
-On every input the two must agree exactly: ``==`` and the same ``repr`` on
+On every input the two must agree exactly, the interior slope and its
+residual taken from the fit once checked: ``==`` and the same ``repr`` on
 every field of ``FittedLine`` and ``OracleReport`` (so signed zeros and
 float types count too), or the same exception type and message.
 """
@@ -43,28 +43,26 @@ from dualfit import (
     FitConfig,
     FittedLine,
     OracleReport,
-    Quartic,
     SufficientStats,
-    build_quartic,
     compute_stats,
     fit_stats,
     slope_bounds,
     sse,
     verify_fit,
 )
-from dualfit.core import ZERO_RHO_TOL, _newton_root
+from dualfit.core import ZERO_RHO_TOL
 from dualfit.errors import (
     DualFitError,
     NonPositiveCorrelation,
     OutOfRange,
     SingularSlope,
-    SolverFailure,
     ZeroCorrelation,
 )
 
+from conftest import assert_near_exact_root
+
 # ---- the frozen reference ----------------------------------------------------
 
-_REF_MAX_NEWTON_STEPS = 400
 _REF_ULPS = 8
 
 
@@ -130,34 +128,6 @@ def _ref_verify(stats, line, config):
     )
 
 
-def _ref_newton_root(q, lower, upper):
-    c4, c3, c2, c1, _ = q.coeffs
-    b = upper
-    for _ in range(_REF_MAX_NEWTON_STEPS):
-        value = 0.0
-        for c in q.coeffs:  # Quartic.__call__
-            value = value * b + c
-        if not math.isfinite(value):
-            raise SolverFailure(f"slope quartic overflows at {b!r}")
-        if value <= 0.0:
-            return b
-        dq = ((4.0 * c4 * b + 3.0 * c3) * b + 2.0 * c2) * b + c1
-        step_to = max(lower, b - value / dq)
-        if not step_to < b:
-            return b
-        b = step_to
-    raise SolverFailure(
-        f"Newton did not settle in [{lower!r}, {upper!r}] within {_REF_MAX_NEWTON_STEPS} steps"
-    )
-
-
-def _ref_newton_pair(coeffs, lower, upper):
-    # _newton_root takes the coefficients and returns the quartic's value too
-    quartic = Quartic(coeffs)
-    root = _ref_newton_root(quartic, lower, upper)
-    return root, quartic(root)
-
-
 def _ref_closed_form(stats, beta1, gamma):
     beta0 = stats.y_bar - beta1 * stats.x_bar
     return FittedLine(
@@ -165,25 +135,27 @@ def _ref_closed_form(stats, beta1, gamma):
     )
 
 
-def _ref_fit_positive(stats, config):
+def _ref_fit_positive(stats, config, root):
     gamma = config.gamma
     if gamma == 1.0:
         return _ref_closed_form(stats, stats.s_xy / stats.s_xx, gamma)
     if gamma == 0.0:
         return _ref_closed_form(stats, stats.s_yy / stats.s_xy, gamma)
-    quartic = build_quartic(stats, gamma)
-    beta1 = _ref_newton_root(quartic, *slope_bounds(stats))
+    slope_bounds(stats)  # raises as the fit does
+    assert root is not None, "the fit raised where the reference solves"
+    beta1, residual = root
     beta0 = stats.y_bar - beta1 * stats.x_bar
     return FittedLine(
         beta0=beta0,
         beta1=beta1,
         gamma=gamma,
         sse=_ref_sse(stats, beta0, beta1, gamma),
-        selected_root_residual=abs(quartic(beta1)),
+        selected_root_residual=residual,
     )
 
 
-def _ref_fit_stats(stats, config):
+def _ref_fit_stats(stats, config, root=None):
+    """The frozen fit; at an interior weight ``root`` is the positive slope and its residual."""
     if abs(stats.rho) < ZERO_RHO_TOL:
         raise ZeroCorrelation(f"correlation {stats.rho:.3g} is numerically zero")
     if stats.rho < 0.0:
@@ -191,7 +163,7 @@ def _ref_fit_stats(stats, config):
             raise NonPositiveCorrelation(
                 f"rho = {stats.rho:.6g} < 0; pass the reflect policy to fit anyway"
             )
-        mirrored = _ref_fit_positive(_ref_reflected(stats), config)
+        mirrored = _ref_fit_positive(_ref_reflected(stats), config, root)
         beta1 = -mirrored.beta1
         return FittedLine(
             beta0=stats.y_bar - beta1 * stats.x_bar,
@@ -201,7 +173,7 @@ def _ref_fit_stats(stats, config):
             selected_root_residual=mirrored.selected_root_residual,
             notes=("fitted on (x, -y) and negated the slope",),
         )
-    return _ref_fit_positive(stats, config)
+    return _ref_fit_positive(stats, config, root)
 
 
 # ---- comparison ----------------------------------------------------------------
@@ -221,13 +193,26 @@ def _assert_same(new_fn, ref_fn, *args):
     return want
 
 
+def _assert_fit(stats: SufficientStats, config: FitConfig):
+    """``fit_stats`` against the frozen fit, an interior slope against the exact root."""
+    got = _outcome(fit_stats, stats, config)
+    kind, line = got
+    root = None
+    if kind == "ok" and 0.0 < config.gamma < 1.0:
+        assert_near_exact_root(stats, line)
+        root = abs(line.beta1), line.selected_root_residual
+    want = _outcome(_ref_fit_stats, stats, config, root)
+    assert got == want and repr(got) == repr(want), (stats, config, got, want)
+    return got
+
+
 def _assert_case(stats: SufficientStats, gamma: float, policy: str) -> None:
     config = FitConfig(gamma=gamma, negative_correlation_policy=policy)
-    kind, line = _assert_same(fit_stats, _ref_fit_stats, stats, config)
+    kind, line = _assert_fit(stats, config)
     if kind != "ok":
         # verify a reflect-policy fit of the same data under this config
         reflect = FitConfig(gamma=gamma, negative_correlation_policy="reflect")
-        kind, line = _outcome(_ref_fit_stats, stats, reflect)
+        kind, line = _assert_fit(stats, reflect)
     if kind == "ok":
         _assert_same(verify_fit, _ref_verify, stats, line, config)
         # half a bracket off the fit, where about half the slopes are certified
@@ -237,10 +222,6 @@ def _assert_case(stats: SufficientStats, gamma: float, policy: str) -> None:
         moved_line = dataclasses.replace(line, beta1=moved)
         _assert_same(verify_fit, _ref_verify, stats, moved_line, config)
         _assert_same(sse, _ref_sse, stats, line.beta0, line.beta1, gamma)
-    positive = _ref_reflected(stats) if stats.rho < 0.0 else stats
-    if 0.0 < gamma < 1.0 and positive.rho > 0.0:
-        quartic = build_quartic(positive, gamma)
-        _assert_same(_newton_root, _ref_newton_pair, quartic.coeffs, *slope_bounds(positive))
 
 
 # ---- inputs ----------------------------------------------------------------------
@@ -276,7 +257,8 @@ def test_extreme_weights_match_reference(gamma):
 @pytest.mark.parametrize(
     "stats",
     [
-        # the quartic overflows at the upper bound: SolverFailure
+        # y in 1e125 units of x, where the quartic in the slope overflowed
+        # at its upper bound; its reduced form does not
         SufficientStats(n=3, x_bar=0.0, y_bar=0.0, s_xx=1.0, s_yy=1e250, s_xy=5e124, rho=0.5),
         # exactly collinear: the slope bounds are one point
         SufficientStats(n=2, x_bar=0.0, y_bar=0.0, s_xx=1.0, s_yy=1.0, s_xy=1.0, rho=1.0),
@@ -396,8 +378,8 @@ def test_a_bracket_end_at_zero_competes_where_its_objective_is_finite(s_xy):
 
 @pytest.mark.parametrize("gamma", [5e-324, 0.3, 1.0 - 1e-16])
 def test_overflowing_ratio_matches_reference(gamma):
-    # s_yy / s_xx overflows; the fit, and the reference through build_quartic,
-    # refuse it as slope_bounds does, with OutOfRange
+    # s_yy / s_xx overflows; the fit, and the reference through slope_bounds,
+    # refuse it with OutOfRange
     stats = SufficientStats(n=3, x_bar=1.0, y_bar=2.0, s_xx=1e-300, s_yy=1e300, s_xy=0.5, rho=0.5)
     refused = _outcome(slope_bounds, stats)
     assert refused[0] is OutOfRange
@@ -409,43 +391,6 @@ def test_overflowing_ratio_matches_reference(gamma):
                 assert got == want
             else:
                 assert got == want == refused
-
-
-# _newton_root sums the slope quartic without its 0.0 b**2 term, which can only
-# turn a -0.0 partial sum into +0.0 before the b term (1 - gamma) * rho is
-# added; that term is least at the extreme interior weights and at the least
-# correlation a fit accepts, and it must still give the Horner sums' bits
-_LEAST_RHOS = (ZERO_RHO_TOL, math.nextafter(ZERO_RHO_TOL, 1.0), 2.0 * ZERO_RHO_TOL, 1e-9)
-
-
-@pytest.mark.parametrize("rho", _LEAST_RHOS)
-@pytest.mark.parametrize("gamma", [2.0**-53, 1.0 - 2.0**-53])
-def test_newton_at_the_least_b_coefficient_matches_reference(gamma, rho):
-    for e in range(-120, 121, 8):  # s_yy / s_xx from 1e-120 to 1e120
-        s_yy = 10.0**e
-        stats = SufficientStats(
-            n=3, x_bar=1.0, y_bar=-2.0, s_xx=1.0, s_yy=s_yy, s_xy=rho * math.sqrt(s_yy), rho=rho
-        )
-        quartic = build_quartic(stats, gamma)
-        assert quartic.coeffs[2] == 0.0 and quartic.coeffs[3] != 0.0
-        _assert_same(_newton_root, _ref_newton_pair, quartic.coeffs, *slope_bounds(stats))
-        for case in (stats, _ref_reflected(stats)):
-            for policy in ("error", "reflect"):
-                config = FitConfig(gamma=gamma, negative_correlation_policy=policy)
-                _assert_same(fit_stats, _ref_fit_stats, case, config)
-
-
-@pytest.mark.parametrize(
-    "coeffs, lower, upper",
-    [
-        # c4*b underflows to 0, so (c4*b + c3)*b and its derivative's
-        # (4*c4*b + 3*c3)*b are -0.0 at every step of the two
-        ((5e-324, -1e-320, 0.0, 1.0, -1e-10), 5e-11, 2e-10),
-        ((5e-324, -1e-320, 0.0, 2.0**-53 * ZERO_RHO_TOL, -1e-50), 1e-23, 1e-21),
-    ],
-)
-def test_newton_through_a_negative_zero_partial_sum_matches_reference(coeffs, lower, upper):
-    _assert_same(_newton_root, _ref_newton_pair, coeffs, lower, upper)
 
 
 @st.composite

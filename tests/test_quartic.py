@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from dualfit import (
     slope_bounds,
     verify_fit,
 )
+from dualfit import core
+from dualfit.core import ZERO_RHO_TOL, reflected
 from dualfit.errors import (
     DegenerateData,
     InvalidInput,
@@ -24,7 +27,7 @@ from dualfit.errors import (
     SolverFailure,
 )
 
-from conftest import random_dataset
+from conftest import assert_near_exact_root, random_dataset
 
 
 def _scan_roots(coeffs, lo=-1000.0, hi=1000.0, steps=400_001):
@@ -132,16 +135,81 @@ def test_root_residuals_meet_contract(reference_stats):
 
 
 def test_step_cap_raises_solver_failure(reference_stats, monkeypatch):
+    # the start in reduced coordinates, rho + 0.75**-0.25 = 1.65, is not the root
     monkeypatch.setattr("dualfit.core._MAX_NEWTON_STEPS", 1)
-    with pytest.raises(SolverFailure):
+    with pytest.raises(SolverFailure, match="within 1 steps"):
         fit_stats(reference_stats, FitConfig(gamma=0.5))
 
 
-def test_overflowing_quartic_raises_solver_failure():
-    # y in units 1e125 x: b^4 at the upper bound is past the float range
-    huge = SufficientStats(n=3, x_bar=0.0, y_bar=0.0, s_xx=1.0, s_yy=1e250, s_xy=5e124, rho=0.5)
-    with pytest.raises(SolverFailure):
-        fit_stats(huge, FitConfig(gamma=0.5))
+def _certified(stats, gamma):
+    """The fit of ``stats`` at ``gamma``, certified and within 3 ulps of the exact root."""
+    for case, policy in ((stats, "error"), (reflected(stats), "reflect")):
+        config = FitConfig(gamma, policy)
+        line = fit_stats(case, config)
+        assert verify_fit(case, line, config).certified, (case, gamma)
+        assert_near_exact_root(case, line)
+    return line
+
+
+def _line_stats(s_yy, rho, s_xx=1.0):
+    s_xy = rho * math.sqrt(s_xx * s_yy)
+    return SufficientStats(n=3, x_bar=0.0, y_bar=0.0, s_xx=s_xx, s_yy=s_yy, s_xy=s_xy, rho=rho)
+
+
+@pytest.mark.parametrize("s_yy", [1e250, 1e300])
+@pytest.mark.parametrize("gamma", [1e-300, 0.5, 1.0 - 1e-16])
+def test_y_in_huge_units_of_x_is_certified(s_yy, gamma):
+    # y in 1e125 and 1e150 units of x: the quartic in the slope overflows at
+    # the slope's upper bound, its reduced form at no slope
+    _certified(_line_stats(s_yy, 0.5), gamma)
+
+
+def test_a_weight_whose_leading_coefficient_underflows_is_certified():
+    # gamma * sqrt(s_xx / s_yy) underflows to 0 while the b**4 term still
+    # matters; k = gamma / (1 - gamma) * s_yy / s_xx = 1e7 keeps it
+    line = _certified(_line_stats(1e307, 0.5), 1e-300)
+    assert abs(line.beta1) == pytest.approx(0.5 * math.sqrt(1e307), rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "s_yy, gamma, k_is",
+    [
+        # 4 * k overflows
+        (1e300, 1.0 - 1e-8, lambda k: sys.float_info.max / 4.0 < k < math.inf),
+        # k overflows: the root is rho to the bit
+        (1e300, 1.0 - 3e-9, lambda k: k == math.inf),
+        # the root is 1 / rho, and 0.0**-0.25 raises
+        (0.25, 5e-324, lambda k: k == 0.0),
+        (1e4, 5e-324, lambda k: 0.0 < k < sys.float_info.min),
+    ],
+)
+def test_extreme_k_is_certified(s_yy, gamma, k_is):
+    assert k_is(gamma / (1.0 - gamma) * s_yy)
+    _certified(_line_stats(s_yy, 0.5), gamma)
+
+
+@pytest.mark.parametrize("rho", [1e-6, ZERO_RHO_TOL])
+def test_a_start_rounded_onto_rho_is_the_root(rho):
+    # rho + k**-0.25 rounds to rho, where f is not positive: Newton from 1/rho
+    # would take some log(1/rho**2) / log(4/3) steps, past the cap
+    stats = _line_stats(1e200, rho)
+    assert rho + 1e200**-0.25 == rho
+    line = _certified(stats, 0.5)
+    assert abs(line.beta1) == rho * math.sqrt(stats.s_yy / stats.s_xx)
+
+
+def test_least_correlation_settles_within_the_step_cap():
+    # at rho = ZERO_RHO_TOL Newton takes the most steps, 9, where k is near
+    # rho**-4 = 1e48; k runs here from 0 through 1e48 to past the largest
+    # float, on slopes whose objective stays finite
+    assert core._MAX_NEWTON_STEPS <= 16
+    for e in range(-250, 251, 25):
+        stats = _line_stats(10.0 ** (e / 2), ZERO_RHO_TOL, s_xx=10.0 ** (-e / 2))
+        for gamma in (5e-324, 1e-300, 1e-100, 1e-20, 0.5, 1.0 - 1e-9, 1.0 - 2.0**-53):
+            _certified(stats, gamma)
+    for ratio in (1e47, 1e48, 1e49):
+        _certified(_line_stats(ratio, ZERO_RHO_TOL), 0.5)
+    _certified(_line_stats(1e150, ZERO_RHO_TOL, s_xx=1e-150), 1.0 - 2.0**-53)  # k = inf
 
 
 # ---- slope_bounds ----------------------------------------------------------

@@ -4,11 +4,12 @@
 ``_emit_rows`` as they were before the sweep bound one solver to the
 statistics and wrote its rows as they were solved: a ``FitConfig`` and a fit
 per weight of ``np.linspace(0, 1, steps)``, every row kept as floats, then
-printed whole.  The fit they call is the frozen ``_ref_fit_stats`` of
-``test_oracle_equivalence``, and ``_RefConfig`` and ``_ref_load_and_guard``
-are the CLI's parsed invocation and its load-and-guard step of that time.
-On every input the two must print the same bytes, exit with the same code
-and write the same error line.
+printed whole.  They call the live ``fit_stats``, so that what is compared
+is the streaming and the byte format; ``test_oracle_equivalence`` checks the
+fit.  ``_RefConfig`` and ``_ref_load_and_guard`` are the CLI's parsed
+invocation and its load-and-guard step of that time.  On every input the
+two must print the same bytes, exit with the same code and write the same
+error line.
 
 The streamed sweep departs from the reference in one place, checked on its
 own below: a fit error part-way through leaves the rows solved before it on
@@ -36,7 +37,6 @@ from dualfit.core import _solver
 from dualfit.errors import DualFitError, InvalidInput, ParseError, SolverFailure
 
 from conftest import dualfit_peak_mb, src_env
-from test_oracle_equivalence import _ref_fit_stats
 
 HERE = Path(__file__).parent
 REFERENCE_CSV = HERE / "data" / "reference.csv"
@@ -112,7 +112,7 @@ def _ref_run_sweep(config):
         base = FitConfig(gamma=cfg.gamma, negative_correlation_policy=policy)
         rows = []
         for gamma in np.linspace(0.0, 1.0, cfg.gamma_steps):
-            line = _ref_fit_stats(stats, replace(base, gamma=float(gamma)))
+            line = fit_stats(stats, replace(base, gamma=float(gamma)))
             rows.append(
                 [float(gamma), line.beta1, line.beta0, line.sse, line.selected_root_residual]
             )
@@ -209,7 +209,7 @@ def test_long_sweep_matches_reference(paths, dataset, reflect, fmt):
 @pytest.mark.parametrize("policy", ["error", "reflect"])
 def test_one_solver_matches_reference_at_every_weight(dataset, policy):
     # weights in any order, endpoints and extreme weights among them, solved
-    # by one solver bound to the statistics
+    # by one solver bound to the statistics as fit_stats solves each
     raw = np.loadtxt(io.StringIO(DATASETS[dataset]), delimiter=",", skiprows=1)
     stats = compute_stats(Dataset(raw[:, 0], raw[:, 1]))
     gammas = [0.3, 0.0, 0.7, 1.0, 5e-324, 1.0 - 1e-16, 0.3, 0.5]
@@ -217,10 +217,10 @@ def test_one_solver_matches_reference_at_every_weight(dataset, policy):
         solve = _solver(stats, policy)
     except DualFitError as exc:
         with pytest.raises(type(exc), match=str(exc)):
-            _ref_fit_stats(stats, FitConfig(gamma=0.5, negative_correlation_policy=policy))
+            fit_stats(stats, FitConfig(gamma=0.5, negative_correlation_policy=policy))
         return
     for gamma in gammas:
-        want = _ref_fit_stats(stats, FitConfig(gamma=gamma, negative_correlation_policy=policy))
+        want = fit_stats(stats, FitConfig(gamma=gamma, negative_correlation_policy=policy))
         got = solve(gamma)
         assert got == want and repr(got) == repr(want), gamma
 
@@ -277,28 +277,38 @@ def test_grid_is_linspace_to_the_bit_for_large_steps(steps):
 # ---- a fit error part-way through ----------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def overflow_data(tmp_path_factory):
-    # y in 3e102 units of x: the quartic overflows at its upper bound for
-    # weights from about 0.79, so the sweep fails after some hundred rows
-    rng = np.random.default_rng(41)
-    x = rng.uniform(-5.0, 5.0, 100)
-    y = (x + rng.normal(0.0, 3.0, 100)) * 3e102
-    path = tmp_path_factory.mktemp("overflow") / "data.csv"
-    path.write_text(_csv_text(x, y))
-    # the statistics the CLI fits: its one-block sums can differ from
-    # compute_stats in the last bits, and the quartic's residual with them
-    with path.open("rb") as fh:
-        return path, cli._read_stats(fh, None, None)()
+# no data is known to fail part-way through a grid since the slope is solved
+# in reduced coordinates (y in 3e102 units of x did, on an overflowing
+# quartic), so the failure is put into the solver that cli._solver binds,
+# from the weight 0.7 on
+_FAILS_FROM = 0.7
+
+
+@pytest.fixture
+def failing_solver(monkeypatch):
+    bind = cli._solver
+
+    def solver(stats, policy):
+        solve = bind(stats, policy)
+
+        def failing(gamma):
+            if gamma >= _FAILS_FROM:
+                raise SolverFailure(f"failed at gamma = {gamma!r}")
+            return solve(gamma)
+
+        return failing
+
+    monkeypatch.setattr(cli, "_solver", solver)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_fit_error_midway_keeps_the_rows_before_it(overflow_data, fmt):
-    path, stats = overflow_data
+def test_fit_error_midway_keeps_the_rows_before_it(paths, failing_solver, fmt):
+    path = paths["seeded"]
+    grid = np.linspace(0.0, 1.0, 1001).tolist()
+    first_failure = next(i for i, gamma in enumerate(grid) if gamma >= _FAILS_FROM)
     code, out, err = _streamed(path, 1001, fmt, False)
-    assert (code, err) == _reference(path, 1001, fmt, False)[::2]
     assert code == EXIT_FIT
-    assert err.startswith("SolverFailure: slope quartic overflows") and err.count("\n") == 1
+    assert err == f"SolverFailure: failed at gamma = {grid[first_failure]!r}\n"
     if fmt == "table":
         # the first pass, which only measures widths, meets the error
         assert out == ""
@@ -308,21 +318,17 @@ def test_fit_error_midway_keeps_the_rows_before_it(overflow_data, fmt):
         return
     header, *rows = out.splitlines()
     assert header == "gamma,beta1,beta0,sse,root_residual" and out.endswith("\n")
-    grid = np.linspace(0.0, 1.0, 1001).tolist()
+    # the statistics the CLI fits: its one-block sums can differ from
+    # compute_stats in the last bits
+    with path.open("rb") as fh:
+        stats = cli._read_stats(fh, None, None)()
     for gamma, row in zip(grid, rows):
-        line = _ref_fit_stats(stats, FitConfig(gamma=gamma))
+        line = fit_stats(stats, FitConfig(gamma=gamma))
         values = [gamma, line.beta1, line.beta0, line.sse, line.selected_root_residual]
         assert row == ",".join(map(_ref_fmt, values))
     # rows go out a chunk at a time, so the first weight that fails lies in
     # the chunk after the last one written
-    first_failure = len(rows)
-    while True:
-        try:
-            _ref_fit_stats(stats, FitConfig(gamma=grid[first_failure]))
-        except SolverFailure:
-            break
-        first_failure += 1
-    assert len(rows) > 0 and first_failure < len(rows) + cli._SWEEP_CHUNK
+    assert 0 < len(rows) <= first_failure < len(rows) + cli._SWEEP_CHUNK
 
 
 # ---- memory, closed pipes and huge grids --------------------------------------------
