@@ -1,38 +1,13 @@
 """Line fitting that balances squared vertical against squared horizontal errors.
 
-``import dualfit`` loads the numpy-free kernel (:mod:`dualfit.core`) and the
-errors.  :class:`Dataset` lives in the data layer, :mod:`dualfit.dataset`,
-which imports numpy, and the certificate of a fit in :mod:`dualfit.oracle`;
-each is imported on first use of one of its names, such as
-``dualfit.Dataset`` or ``dualfit.verify_fit``.
+``import dualfit`` loads nothing but this module: each public name is
+imported on first use (PEP 562).  The records and the public functions live
+in :mod:`dualfit.core`, which builds its records on the numbers of the
+kernel, :mod:`dualfit._kernel`, and of the certificate, :mod:`dualfit.oracle`;
+:class:`Dataset` lives in the data layer, :mod:`dualfit.dataset`, which
+imports numpy; the errors in :mod:`dualfit.errors`.  The ``dualfit``
+command runs on the kernel alone and never builds a record.
 """
-
-from .core import (
-    FitConfig,
-    FittedLine,
-    Quartic,
-    SufficientStats,
-    build_quartic,
-    compute_stats,
-    fit,
-    fit_stats,
-    intercept,
-    inverse_predict,
-    predict,
-    slope_bounds,
-    sse,
-)
-from .errors import (
-    DegenerateData,
-    DualFitError,
-    InvalidInput,
-    NonPositiveCorrelation,
-    OutOfRange,
-    ParseError,
-    SingularSlope,
-    SolverFailure,
-    ZeroCorrelation,
-)
 
 __version__ = "0.1.0"
 
@@ -64,12 +39,43 @@ __all__ = [
     "verify_fit",
 ]
 
-# name -> module of the names resolved on first use: the data layer imports
-# numpy, and only verify needs the oracle
+# name -> the module it is imported from on first use
 _LAZY = {
     "Dataset": "dataset",
-    "OracleReport": "oracle",
-    "verify_fit": "oracle",
+    **dict.fromkeys(
+        (
+            "FitConfig",
+            "FittedLine",
+            "OracleReport",
+            "Quartic",
+            "SufficientStats",
+            "build_quartic",
+            "compute_stats",
+            "fit",
+            "fit_stats",
+            "intercept",
+            "inverse_predict",
+            "predict",
+            "slope_bounds",
+            "sse",
+            "verify_fit",
+        ),
+        "core",
+    ),
+    **dict.fromkeys(
+        (
+            "DegenerateData",
+            "DualFitError",
+            "InvalidInput",
+            "NonPositiveCorrelation",
+            "OutOfRange",
+            "ParseError",
+            "SingularSlope",
+            "SolverFailure",
+            "ZeroCorrelation",
+        ),
+        "errors",
+    ),
 }
 
 
@@ -82,3 +88,7 @@ def __getattr__(name: str):
     module = import_module(f".{_LAZY[name]}", __name__)
     value = globals()[name] = getattr(module, name)
     return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

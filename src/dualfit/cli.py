@@ -2,8 +2,10 @@
 
 Subcommands: fit, sweep, predict, inverse, stats, verify.  Each is a function
 of argparse's namespace and the input's sufficient statistics, looked up in
-``_RUNNERS``; argparse checks the arguments, and :class:`FitConfig` the
-weight and the policy the library is given.  All numeric output is printed
+``_RUNNERS``; argparse checks the arguments.  The commands run on the
+kernel's plain floats and tuples (:mod:`dualfit._kernel`, and for verify
+:mod:`dualfit.oracle`) and build none of the library's records, so a command
+imports neither ``dataclasses`` nor ``typing``.  All numeric output is printed
 with 10 significant digits so json and csv output is byte-stable for
 identical inputs.  Exit codes: 0 ok, 2 input error or an output that cannot
 be written, 3 fit error, 4 verification failure; a reader that closes the
@@ -27,29 +29,27 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import fields
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .core import (
-    FitConfig,
-    FittedLine,
-    SufficientStats,
+from ._kernel import (
     _checked_stats,
     _fsum_moments,
+    _inverse,
+    _predict,
     _slope_interval,
     _solver,
-    fit_stats,
-    inverse_predict,
-    predict,
+    _Stats,
 )
 from .errors import DualFitError, InvalidInput, ParseError
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
-    import numpy as np
+    from typing import Callable, Iterable, Iterator, Sequence
 
     from .dataset import Dataset
-    from .oracle import OracleReport
+
+    # the 1-based line number and stripped cells of each non-blank row
+    _Rows = Iterator[tuple[int, list[str]]]
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -106,10 +106,6 @@ def _resolve_column(
         raise InvalidInput(
             f"column {selector!r} is a name but the file has no header row"
         ) from None
-
-
-# the 1-based line number and stripped cells of each non-blank row
-_Rows = Iterator[tuple[int, list[str]]]
 
 
 def _csv_rows(lines: Iterable[str], skipped: int = 0) -> _Rows:
@@ -455,6 +451,8 @@ def _json_number(value: float) -> str:
 
 _SWEEP_COLUMNS = ("gamma", "beta1", "beta0", "sse", "root_residual")
 _SWEEP_JSON_KEYS = tuple(f"      {json.dumps(name)}: " for name in _SWEEP_COLUMNS)
+# a csv row, each value as _fmt writes it
+_SWEEP_CSV_ROW = "%.10g,%.10g,%.10g,%.10g,%.10g\n"
 
 # sweep rows per write: a write per line costs a system call each when
 # standard output is unbuffered
@@ -472,17 +470,14 @@ def _gamma_grid(steps: int) -> Iterator[float]:
     yield 1.0
 
 
-def _sweep_cells(
-    solve: Callable[[float], FittedLine], steps: int, cell: Callable[[float], str]
-) -> Iterator[list[str]]:
-    """Each weight of the grid, solved, as its row's cells."""
+def _sweep_rows(solve: Callable[[float], tuple], steps: int) -> Iterator[tuple[float, ...]]:
+    """Each weight of the grid, solved, as its row's values in ``_SWEEP_COLUMNS`` order."""
     for gamma in _gamma_grid(steps):
-        line = solve(gamma)
-        values = (gamma, line.beta1, line.beta0, line.sse, line.selected_root_residual)
-        yield [cell(v) for v in values]
+        beta0, beta1, _, sse, residual, _ = solve(gamma)
+        yield gamma, beta1, beta0, sse, residual
 
 
-def _sweep_text(solve: Callable[[float], FittedLine], steps: int, fmt: str) -> Iterator[str]:
+def _sweep_text(solve: Callable[[float], tuple], steps: int, fmt: str) -> Iterator[str]:
     """The sweep's output in pieces, a row each, solving a row per piece.
 
     json is the text of ``json.dumps({"rows": [...]}, indent=2)``.  The
@@ -491,21 +486,22 @@ def _sweep_text(solve: Callable[[float], FittedLine], steps: int, fmt: str) -> I
     """
     if fmt == "csv":
         yield ",".join(_SWEEP_COLUMNS) + "\n"
-        for cells in _sweep_cells(solve, steps, _fmt):
-            yield ",".join(cells) + "\n"
+        for row in _sweep_rows(solve, steps):
+            yield _SWEEP_CSV_ROW % row
     elif fmt == "json":
         yield '{\n  "rows": ['
         separator = "\n"
-        for cells in _sweep_cells(solve, steps, _json_number):
-            pairs = ",\n".join(map(str.__add__, _SWEEP_JSON_KEYS, cells))
+        for row in _sweep_rows(solve, steps):
+            pairs = ",\n".join(map(str.__add__, _SWEEP_JSON_KEYS, map(_json_number, row)))
             yield f"{separator}    {{\n{pairs}\n    }}"
             separator = ",\n"
         yield "\n  ]\n}\n"
     else:
         widths = [len(name) for name in _SWEEP_COLUMNS]
-        for cells in _sweep_cells(solve, steps, _fmt):
-            widths = list(map(max, widths, map(len, cells)))
-        for cells in chain([_SWEEP_COLUMNS], _sweep_cells(solve, steps, _fmt)):
+        for row in _sweep_rows(solve, steps):
+            widths = list(map(max, widths, map(len, map(_fmt, row))))
+        rows = (map(_fmt, row) for row in _sweep_rows(solve, steps))
+        for cells in chain([_SWEEP_COLUMNS], rows):
             yield "  ".join(map(str.ljust, cells, widths)) + "\n"
 
 
@@ -523,11 +519,11 @@ def _emit_scalar(value: float, fmt: str) -> None:
 
 def _read_stats(
     fh, x_column: str | None, y_column: str | None
-) -> Callable[[], SufficientStats]:
+) -> Callable[[], _Stats]:
     """Summarise a binary CSV stream: one block in Python floats, more block by block.
 
-    Returns the step that checks the statistics and builds the record, so
-    that a statistics error (exit 3) stays apart from an input error (exit
+    Returns the step that checks the statistics and adds their correlation,
+    so that a statistics error (exit 3) stays apart from an input error (exit
     2).  Any stream, a pipe too, is read once, forward, in bounded blocks.
     """
     blocks = _blocks(fh, x_column, y_column)
@@ -539,7 +535,7 @@ def _read_stats(
         )
     import numpy as np
 
-    from .dataset import _RunningStats
+    from ._columns import _RunningStats
 
     running = _RunningStats()
     running.add(np.asarray(xs), np.asarray(ys))
@@ -550,7 +546,7 @@ def _read_stats(
     return running.stats
 
 
-def _load_stats(args: argparse.Namespace) -> Callable[[], SufficientStats]:
+def _load_stats(args: argparse.Namespace) -> Callable[[], _Stats]:
     columns = args.x_col, args.y_col
     if args.input != STDIN_MARKER:
         with open(args.input, "rb") as fh:
@@ -560,35 +556,35 @@ def _load_stats(args: argparse.Namespace) -> Callable[[], SufficientStats]:
     return _read_stats(sys.stdin.buffer, *columns)
 
 
-def _stats_pairs(stats: SufficientStats) -> list[tuple[str, object]]:
-    return [(field.name, getattr(stats, field.name)) for field in fields(stats)]
+def _stats_pairs(stats: _Stats) -> list[tuple[str, object]]:
+    return [(name, getattr(stats, name)) for name in _Stats._fields]
 
 
-def _fit(args: argparse.Namespace, stats: SufficientStats) -> int:
+def _fit(args: argparse.Namespace, stats: _Stats) -> int:
     """Fit once and print the statistics, the line and the slope bounds."""
-    line = fit_stats(stats, FitConfig(args.gamma, args.policy))
+    beta0, beta1, gamma, sse, residual, _ = _solver(stats, args.policy)(args.gamma)
     # a fit of negatively correlated data succeeds only under the reflect policy
     lower, upper = _slope_interval(stats, stats.rho < 0.0)
     report = _stats_pairs(stats) + [
-        ("gamma", line.gamma),
-        ("beta0", line.beta0),
-        ("beta1", line.beta1),
-        ("sse", line.sse),
+        ("gamma", gamma),
+        ("beta0", beta0),
+        ("beta1", beta1),
+        ("sse", sse),
         ("bound_lower", lower),
         ("bound_upper", upper),
-        ("root_residual", line.selected_root_residual),
+        ("root_residual", residual),
     ]
     _emit_record(report, args.format)
     return EXIT_OK
 
 
-def _stats(args: argparse.Namespace, stats: SufficientStats) -> int:
+def _stats(args: argparse.Namespace, stats: _Stats) -> int:
     """Print sufficient statistics without fitting."""
     _emit_record(_stats_pairs(stats), args.format)
     return EXIT_OK
 
 
-def _sweep(args: argparse.Namespace, stats: SufficientStats) -> int:
+def _sweep(args: argparse.Namespace, stats: _Stats) -> int:
     """Fit on a uniform gamma grid over [0, 1] and print one row per weight.
 
     Rows are written as they are solved, so memory stays flat in the number
@@ -601,57 +597,54 @@ def _sweep(args: argparse.Namespace, stats: SufficientStats) -> int:
     return EXIT_OK
 
 
-def _point(args: argparse.Namespace, stats: SufficientStats) -> int:
+def _point(args: argparse.Namespace, stats: _Stats) -> int:
     """Fit, then print the line's y at x = value, or for inverse its x at y = value.
 
     A result that overflows float64 raises the library's :class:`OutOfRange`
     (exit 3), whose message names the command and the value.
     """
-    line = fit_stats(stats, FitConfig(args.gamma, args.policy))
-    at = inverse_predict if args.command == "inverse" else predict
-    _emit_scalar(at(line, args.value), args.format)
+    beta0, beta1, *_ = _solver(stats, args.policy)(args.gamma)
+    at = _inverse if args.command == "inverse" else _predict
+    _emit_scalar(at(beta0, beta1, args.value), args.format)
     return EXIT_OK
 
 
-def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> OracleReport:
-    """:func:`dualfit.oracle.verify_fit`; only ``verify`` imports the oracle, on its first call."""
-    from .oracle import verify_fit
-
-    return verify_fit(stats, line, config)
-
-
-def _verify(args: argparse.Namespace, stats: SufficientStats) -> int:
+def _verify(args: argparse.Namespace, stats: _Stats) -> int:
     """Fit, then certify the slope by an exact comparison of the objective.
 
-    Exits 0 when the report is certified (no slope a few ulps either side of
+    Exits 0 when the slope is certified (no slope a few ulps either side of
     the fitted one has a lower objective); exits 4 otherwise, with both
-    slopes on the diagnostic line.
+    slopes on the diagnostic line.  Only this command imports the oracle.
     """
-    config = FitConfig(args.gamma, args.policy)
-    report = verify_fit(stats, fit_stats(stats, config), config)
+    from .oracle import certify
+
+    _, beta1, gamma, *_ = _solver(stats, args.policy)(args.gamma)
+    report = certify(stats, beta1, gamma, args.policy)
+    oracle_slope, quartic_slope, abs_gap, evals, (lower, upper), gradient = report
+    certified = oracle_slope == quartic_slope
     pairs = [
-        ("oracle_slope", report.oracle_slope),
-        ("quartic_slope", report.quartic_slope),
-        ("abs_gap", report.abs_gap),
-        ("profile_evals", report.profile_evals),
-        ("bracket_lower", report.bracket[0]),
-        ("bracket_upper", report.bracket[1]),
-        ("gradient_max_rel_err", report.gradient_max_rel_err),
-        ("status", "ok" if report.certified else "fail"),
+        ("oracle_slope", oracle_slope),
+        ("quartic_slope", quartic_slope),
+        ("abs_gap", abs_gap),
+        ("profile_evals", evals),
+        ("bracket_lower", lower),
+        ("bracket_upper", upper),
+        ("gradient_max_rel_err", gradient),
+        ("status", "ok" if certified else "fail"),
     ]
     _emit_record(pairs, args.format)
-    if report.certified:
+    if certified:
         return EXIT_OK
     print(
-        f"VerificationFailure: quartic slope {_fmt(report.quartic_slope)} is not certified: "
-        f"oracle slope {_fmt(report.oracle_slope)} has a lower objective",
+        f"VerificationFailure: quartic slope {_fmt(quartic_slope)} is not certified: "
+        f"oracle slope {_fmt(oracle_slope)} has a lower objective",
         file=sys.stderr,
     )
     return EXIT_VERIFY
 
 
 # in the order --help lists
-_RUNNERS: dict[str, Callable[[argparse.Namespace, SufficientStats], int]] = {
+_RUNNERS: dict[str, Callable[[argparse.Namespace, _Stats], int]] = {
     "fit": _fit,
     "sweep": _sweep,
     "predict": _point,

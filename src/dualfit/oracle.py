@@ -4,7 +4,7 @@ With the intercept on the centroid line the objective is a function of the
 slope, ``P(t) = V(t) * (gamma + (1 - gamma) / t**2)`` with
 ``V(t) = s_yy - 2*t*s_xy + t**2*s_xx``, whose one critical point on the
 slopes of the correlation's sign is its minimum (README, "Why exactly one
-root").  :func:`verify_fit` compares ``P`` exactly at the fitted slope and a
+root").  :func:`certify` compares ``P`` exactly at the fitted slope and a
 few ulps either side, in integers: the three slopes share one power of two,
 so ``t**2 * P(t)`` has one exponent for all three.
 """
@@ -12,12 +12,11 @@ so ``t**2 * P(t)`` has one exponent for all three.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import FitConfig, FittedLine, SufficientStats, _bounds
+from ._kernel import _bounds
 from .errors import InvalidInput, OutOfRange
 
-# verify_fit compares the profile at the fitted slope with the profile this
+# certify compares the profile at the fitted slope with the profile this
 # many ulps either side of it; measured on 6015 fits, 4 ulps left 20 of them
 # uncertified and 8 none, while every slope moved by 1e-12 of itself failed
 _CERTIFIED_ULPS = 8
@@ -25,82 +24,15 @@ _CERTIFIED_ULPS = 8
 _NARROWEST, _WIDEST = 2**52 + _CERTIFIED_ULPS, 2**53 - 1 - _CERTIFIED_ULPS
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    """What :func:`verify_fit` found around a fitted slope ``b`` (``quartic_slope``).
+def certify(stats, b: float, gamma: float, policy: str) -> tuple:
+    """The fields of :class:`dualfit.OracleReport` on a slope ``b`` fitted at ``gamma``.
 
-    ``oracle_slope`` is the one of ``bracket[0]``, ``b`` and ``bracket[1]``
-    with the least exact objective (ties go to ``b``; the 3 ``profile_evals``),
-    or ``-b`` when ``b`` has the wrong sign; ``abs_gap`` is its distance from
-    ``b``.  ``gradient_max_rel_err`` is ``b**3 * P'(b) / 2`` over the sum of
-    its four terms' magnitudes, both exact.
+    ``(oracle_slope, b, abs_gap, profile_evals, (below, above),
+    gradient_max_rel_err)``, as :func:`dualfit.verify_fit` documents them,
+    errors included; ``b`` is certified when ``oracle_slope == b``.
     """
-
-    oracle_slope: float
-    quartic_slope: float
-    abs_gap: float
-    profile_evals: int
-    bracket: tuple[float, float]
-    gradient_max_rel_err: float
-
-    # the checks, then the fields stored by key as in FittedLine; replace() checks too
-    def __init__(
-        self,
-        oracle_slope: float,
-        quartic_slope: float,
-        abs_gap: float,
-        profile_evals: int,
-        bracket: tuple[float, float],
-        gradient_max_rel_err: float,
-    ):
-        if bracket[0] >= bracket[1]:
-            raise InvalidInput(f"bracket must be increasing, got {bracket}")
-        if profile_evals < 0:
-            raise InvalidInput("evaluation count cannot be negative")
-        if abs_gap != abs(oracle_slope - quartic_slope):
-            raise InvalidInput("abs_gap must equal |oracle_slope - quartic_slope|")
-        if gradient_max_rel_err < 0.0:
-            raise InvalidInput("gradient error cannot be negative")
-        fields = vars(self)
-        fields["oracle_slope"] = oracle_slope
-        fields["quartic_slope"] = quartic_slope
-        fields["abs_gap"] = abs_gap
-        fields["profile_evals"] = profile_evals
-        fields["bracket"] = bracket
-        fields["gradient_max_rel_err"] = gradient_max_rel_err
-
-    @property
-    def certified(self) -> bool:
-        """No slope of the bracket beats the fitted one, so the minimum lies in the bracket."""
-        return self.oracle_slope == self.quartic_slope
-
-
-def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> OracleReport:
-    """Certify a fitted slope by one exact comparison of the profile objective.
-
-    ``P`` (see the module docstring) is evaluated exactly at the fitted slope
-    ``b`` and at ``b - h`` and ``b + h``, ``h`` being 8 ulps.  The three are
-    integers ``m`` times one power of two ``2**k``, so ``t**2 * P(t)`` is an
-    integer polynomial in ``m`` times a power of two they share.  If neither
-    has a lower ``P``, the minimum lies in ``[b - h, b + h]``: the report is
-    :attr:`~OracleReport.certified`.  ``P`` keeps its value when ``s_xy`` and
-    ``t`` are both negated, so mirrored data gets the mirrored report, bit for
-    bit.  A slope of the wrong sign loses to its negation.  Of ``config`` only
-    the negative-correlation policy is read.
-
-    Raises
-    ------
-    NonPositiveCorrelation
-        If the correlation is negative and the policy is ``"error"``.
-    OutOfRange
-        If ``s_yy / s_xx`` leaves float64, as in :func:`dualfit.slope_bounds`,
-        or the slope's 8-ulp bracket does.
-    InvalidInput
-        If the fitted slope is zero or not finite.
-    """
-    reflect = stats.rho < 0.0 and config.negative_correlation_policy == "reflect"
+    reflect = stats.rho < 0.0 and policy == "reflect"
     _bounds(stats.s_xx, stats.s_yy, -stats.rho if reflect else stats.rho)  # for its errors
-    b = line.beta1
     if not (math.isfinite(b) and b != 0.0):
         raise InvalidInput(f"a fitted slope is finite and nonzero, got {b!r}")
     # b = n * 2**k; for a normal b (k >= -1074) whose bracket stays in its
@@ -126,7 +58,7 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
     fa, ea = math.frexp(stats.s_xx)
     fc, ec = math.frexp(stats.s_xy)
     fy, ey = math.frexp(stats.s_yy)
-    fg, eg = math.frexp(line.gamma)
+    fg, eg = math.frexp(gamma)
     g = int(fg * 2.0**53)
     h = (1 << (53 - eg)) - g  # 1 - gamma = h * 2**(eg - 53)
     ev, ew = min(ea + 2 * k, ec + k, ey), min(2 * k, 0)
@@ -156,4 +88,4 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
     # both sums come out at one exponent
     t4, t3, t1, t0 = 2 * gnn * ann, -gnn * cn, h * cn, -2 * h * y
     gradient = abs(t4 + t3 + t1 + t0) / (abs(t4) + abs(t3) + abs(t1) + abs(t0))
-    return OracleReport(best, b, abs(best - b), evals, (below, above), gradient)
+    return best, b, abs(best - b), evals, (below, above), gradient

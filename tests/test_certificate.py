@@ -95,13 +95,18 @@ def test_a_slope_moved_by_1e_minus_12_of_itself_fails(
 
     path = _write_csv(tmp_path / "line.csv", x, y)
     assert main(["verify", "--input", path]) == EXIT_OK
-    fitted = cli.fit_stats
+    bind = cli._solver
 
-    def moved_fit(stats, config):
-        line = fitted(stats, config)
-        return dataclasses.replace(line, beta1=line.beta1 * (1.0 + moved_by))
+    def moved_solver(stats, policy):
+        solve = bind(stats, policy)
 
-    monkeypatch.setattr(cli, "fit_stats", moved_fit)
+        def moved(gamma):
+            beta0, beta1, *rest = solve(gamma)
+            return (beta0, beta1 * (1.0 + moved_by), *rest)
+
+        return moved
+
+    monkeypatch.setattr(cli, "_solver", moved_solver)
     capsys.readouterr()
     assert main(["verify", "--input", path]) == EXIT_VERIFY
     err = capsys.readouterr().err

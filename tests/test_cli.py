@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualfit import Dataset, FitConfig, OracleReport, compute_stats, fit
+from dualfit import Dataset, FitConfig, OracleReport, SufficientStats, compute_stats, fit
 from dualfit import cli
 from dualfit.cli import EXIT_FIT, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main, parse_csv
 from dualfit.errors import InvalidInput, ParseError
@@ -364,7 +365,8 @@ def test_run_verify_failure_exits_4(monkeypatch, capsys):
         bracket=(0.4, 1.6),
         gradient_max_rel_err=0.5,
     )
-    monkeypatch.setattr("dualfit.cli.verify_fit", lambda stats, line, cfg: doctored)
+    # the command reads the certificate's fields, as the report holds them
+    monkeypatch.setattr("dualfit.oracle.certify", lambda *args: dataclasses.astuple(doctored))
     argv = ["verify", "--input", str(REFERENCE_CSV), "--gamma", "0.9", "--format", "json"]
     assert main(argv) == EXIT_VERIFY
     captured = capsys.readouterr()
@@ -377,12 +379,17 @@ def test_run_verify_failure_exits_4(monkeypatch, capsys):
 
 
 def test_commands_look_up_the_traced_names(monkeypatch, tmp_path, capsys):
-    # bench/layers.py spans these module globals of dualfit.cli, so every
-    # command must still call them through the module at call time
-    calls = dict.fromkeys(["parse_csv", "fit_stats", "verify_fit"], 0)
+    # bench/layers.py spans module globals of dualfit.cli.  The commands run
+    # on the kernel, so its spans on cli.fit_stats and cli.verify_fit find
+    # no call; every command still looks up the kernel's solver, and verify
+    # the certificate, through their modules at call time
+    from dualfit import oracle
 
-    def counting(name):
-        original = getattr(cli, name)
+    assert not hasattr(cli, "fit_stats") and not hasattr(cli, "verify_fit")
+    calls = dict.fromkeys(["parse_csv", "_solver", "certify"], 0)
+
+    def counting(module, name):
+        original = getattr(module, name)
 
         def stand_in(*args, **kwargs):
             calls[name] += 1
@@ -391,7 +398,8 @@ def test_commands_look_up_the_traced_names(monkeypatch, tmp_path, capsys):
         return stand_in
 
     for name in calls:
-        monkeypatch.setattr(cli, name, counting(name))
+        module = oracle if name == "certify" else cli
+        monkeypatch.setattr(module, name, counting(module, name))
     built = []
     real_post_init = Dataset.__post_init__
 
@@ -409,7 +417,7 @@ def test_commands_look_up_the_traced_names(monkeypatch, tmp_path, capsys):
     ):
         assert main(argv) == EXIT_OK, argv
     capsys.readouterr()
-    assert calls["fit_stats"] == 4 and calls["verify_fit"] == 1
+    assert calls["_solver"] == 4 and calls["certify"] == 1
     # a 1_0 cell in the second block is refused by np.loadtxt, and the
     # command reads that block row by row itself, building no Dataset
     rows = "".join(f"{i},{i % 7}\n" for i in range(cli._BLOCK_ROWS))
@@ -511,6 +519,89 @@ def test_only_verify_imports_the_oracle(command, imported):
     assert result.stderr == f"oracle imported: False {imported}\n".encode()
 
 
+# ---- no records, dataclasses or typing on the command's path ----------------------
+
+# runs dualfit in a fresh process in which importing dataclasses raises ImportError
+_MAIN_WITHOUT_DATACLASSES = """
+import sys
+sys.modules["dataclasses"] = None
+from dualfit.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("source", ["2 rows", "one block", "one block from a pipe"])
+@pytest.mark.parametrize("command", _COMMANDS, ids=lambda command: command[0])
+def test_every_command_runs_without_dataclasses(tmp_path, capsys, command, source):
+    text = _table(2 if source == "2 rows" else cli._BLOCK_ROWS)
+    path = _write(tmp_path, text)
+    assert main([*command, "--input", path]) == EXIT_OK
+    printed = capsys.readouterr().out
+    argv = [sys.executable, "-c", _MAIN_WITHOUT_DATACLASSES, *command]
+    if source.endswith("pipe"):
+        stdin = text.encode()
+    else:
+        argv, stdin = [*argv, "--input", path], None
+    result = subprocess.run(argv, input=stdin, capture_output=True, env=src_env(), timeout=120)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout.decode() == printed
+
+
+# imports dualfit in a fresh process, reports which of these modules that
+# loaded, then resolves public names the three ways a caller can
+_IMPORT_REPORTING_MODULES = """
+import sys
+import dualfit
+print(sorted(m for m in ("dataclasses", "dualfit.core", "dualfit.oracle") if m in sys.modules))
+print(dualfit.fit.__module__, dualfit.FittedLine.__module__)
+from dualfit import *
+print(all(name in globals() for name in dualfit.__all__))
+print(set(dualfit.__all__) <= set(dir(dualfit)))
+"""
+
+
+def test_import_dualfit_loads_no_records_until_a_name_is_used():
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_REPORTING_MODULES],
+        capture_output=True,
+        env=src_env(),
+        timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout.decode().splitlines() == [
+        "[]",
+        "dualfit.core dualfit.core",
+        "True",
+        "True",
+    ]
+
+
+# runs dualfit under python -S, which imports no site module: a .pth file
+# in site-packages may import typing itself
+_MAIN_REPORTING_TYPING = """
+import sys
+from dualfit.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write(f"typing imported: {'typing' in sys.modules}\\n")
+sys.exit(code)
+"""
+
+
+def test_a_one_block_fit_imports_no_typing(tmp_path):
+    path = _write(tmp_path, _table(cli._BLOCK_ROWS))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", _MAIN_REPORTING_TYPING, "fit", "--input", path],
+        capture_output=True,
+        env=src_env(),
+        timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, b"typing imported: False\n")
+    assert result.stdout.startswith(b"n ")
+
+
 # the statistics and output of the block path on _table(8193), frozen from the
 # code before input of one block was read without numpy
 _TWO_BLOCK_STATS = (
@@ -541,7 +632,7 @@ def test_input_longer_than_one_block_keeps_its_bits_and_imports_numpy(tmp_path):
     assert cli._BLOCK_ROWS + 1 == 8193
     path = _write(tmp_path, _table(cli._BLOCK_ROWS + 1))
     with open(path, "rb") as fh:
-        assert repr(cli._read_stats(fh, None, None)()) == _TWO_BLOCK_STATS
+        assert repr(SufficientStats(*cli._read_stats(fh, None, None)())) == _TWO_BLOCK_STATS
     result = _main_reporting_numpy("with-numpy", "fit", "--input", path, "--format", "json")
     assert (result.returncode, result.stderr) == (0, b"numpy imported: True\n")
     assert result.stdout.decode() == _TWO_BLOCK_FIT

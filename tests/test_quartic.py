@@ -18,7 +18,7 @@ from dualfit import (
     slope_bounds,
     verify_fit,
 )
-from dualfit import core
+from dualfit import _kernel
 from dualfit.core import ZERO_RHO_TOL, reflected
 from dualfit.errors import (
     DegenerateData,
@@ -136,7 +136,7 @@ def test_root_residuals_meet_contract(reference_stats):
 
 def test_step_cap_raises_solver_failure(reference_stats, monkeypatch):
     # the start in reduced coordinates, rho + 0.75**-0.25 = 1.65, is not the root
-    monkeypatch.setattr("dualfit.core._MAX_NEWTON_STEPS", 1)
+    monkeypatch.setattr("dualfit._kernel._MAX_NEWTON_STEPS", 1)
     with pytest.raises(SolverFailure, match="within 1 steps"):
         fit_stats(reference_stats, FitConfig(gamma=0.5))
 
@@ -202,7 +202,7 @@ def test_least_correlation_settles_within_the_step_cap():
     # at rho = ZERO_RHO_TOL Newton takes the most steps, 9, where k is near
     # rho**-4 = 1e48; k runs here from 0 through 1e48 to past the largest
     # float, on slopes whose objective stays finite
-    assert core._MAX_NEWTON_STEPS <= 16
+    assert _kernel._MAX_NEWTON_STEPS <= 16
     for e in range(-250, 251, 25):
         stats = _line_stats(10.0 ** (e / 2), ZERO_RHO_TOL, s_xx=10.0 ** (-e / 2))
         for gamma in (5e-324, 1e-300, 1e-100, 1e-20, 0.5, 1.0 - 1e-9, 1.0 - 2.0**-53):

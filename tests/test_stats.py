@@ -134,3 +134,12 @@ def test_stats_type_refuses_a_correlation_without_spread(s_xx, s_yy):
     with pytest.raises(InvalidInput, match="rho must be 0"):
         SufficientStats(n=3, x_bar=0.0, y_bar=0.0, s_xx=s_xx, s_yy=s_yy, s_xy=0.0, rho=0.5)
     SufficientStats(n=3, x_bar=0.0, y_bar=0.0, s_xx=s_xx, s_yy=s_yy, s_xy=0.0, rho=0.0)
+
+
+def test_stats_type_holds_a_small_rho_to_its_sums():
+    # the sums imply rho = 3.2e-75; a tolerance of 1e-9 of rho's size, not
+    # an absolute 1e-9, tells it from 1e-12
+    sums = dict(n=3, x_bar=0.0, y_bar=0.0, s_xx=1e125, s_yy=1e-125, s_xy=3.1622776601683794e-75)
+    with pytest.raises(InvalidInput, match="disagrees"):
+        SufficientStats(**sums, rho=1e-12)
+    SufficientStats(**sums, rho=3.1622776601683794e-75)

@@ -32,11 +32,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualfit import Dataset, compute_stats
+from dualfit import Dataset, SufficientStats, compute_stats
 from dualfit import cli
 from dualfit.cli import EXIT_INPUT, EXIT_OK, parse_csv
-from dualfit.core import _checked_stats, _fsum_moments
-from dualfit.dataset import _RunningStats
+from dualfit._columns import _RunningStats
+from dualfit._kernel import _checked_stats, _fsum_moments
 from dualfit.errors import DualFitError, InvalidInput, ParseError
 
 from conftest import dualfit_peak_mb
@@ -368,7 +368,7 @@ def test_single_block_is_compute_stats_to_the_bit(n):
     rng = np.random.default_rng(n)
     x = rng.normal(5.0, 2.0, n)
     y = 0.5 * x + rng.normal(0.0, 1.0, n)
-    assert _streamed(x, y, 8192) == compute_stats(Dataset(x, y))
+    assert SufficientStats(*_streamed(x, y, 8192)) == compute_stats(Dataset(x, y))
 
 
 def test_two_points_at_a_large_offset_are_exact():

@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,11 +30,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from dualfit import Dataset, FitConfig, SufficientStats, compute_stats, fit_stats
+from dualfit import Dataset, FitConfig, FittedLine, SufficientStats, compute_stats, fit_stats
 from dualfit import cli
 from dualfit.cli import EXIT_FIT, EXIT_INPUT, EXIT_OK, _gamma_grid
-from dualfit.core import _solver
+from dualfit._kernel import _solver
 from dualfit.errors import DualFitError, InvalidInput, ParseError, SolverFailure
 
 from conftest import dualfit_peak_mb, src_env
@@ -221,7 +224,7 @@ def test_one_solver_matches_reference_at_every_weight(dataset, policy):
         return
     for gamma in gammas:
         want = fit_stats(stats, FitConfig(gamma=gamma, negative_correlation_policy=policy))
-        got = solve(gamma)
+        got = FittedLine(*solve(gamma))
         assert got == want and repr(got) == repr(want), gamma
 
 
@@ -252,7 +255,7 @@ def test_fit_stats_is_one_call_of_the_bound_solver():
     for stats in [*_seeded_stats(7), subnormal_ratio]:
         for policy in ("error", "reflect"):
             for gamma in (0.0, 1.0, 5e-324, 1.0 - 1e-16, 0.5, float(rng.uniform())):
-                got = _fit_outcome(lambda g: _solver(stats, policy)(g), gamma)
+                got = _fit_outcome(lambda g: FittedLine(*_solver(stats, policy)(g)), gamma)
                 want = _fit_outcome(lambda g: fit_stats(stats, FitConfig(g, policy)), gamma)
                 assert got == want, (stats, gamma, policy)
 
@@ -272,6 +275,16 @@ def test_grid_is_linspace_to_the_bit_for_small_steps():
 @pytest.mark.parametrize("steps", [10001, 99991, 100001, 10**6, 1234567])
 def test_grid_is_linspace_to_the_bit_for_large_steps(steps):
     assert _grid_bytes(steps) == np.linspace(0.0, 1.0, steps).tobytes()
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@given(st.tuples(*[_ANY_FLOAT] * 5))
+@example((0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308))
+@example((math.inf, -math.inf, math.nan, 1e-320, 0.1))
+def test_a_csv_row_is_each_value_formatted_alone(row):
+    assert cli._SWEEP_CSV_ROW % row == ",".join(format(v, ".10g") for v in row) + "\n"
 
 
 # ---- a fit error part-way through ----------------------------------------------------
