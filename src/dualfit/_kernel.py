@@ -155,32 +155,48 @@ def _fsum(values: Iterable[float]) -> float:
         return math.nan
 
 
-def _fsum_moments(xs: Sequence[float], ys: Sequence[float]) -> _Moments:
-    """Corrected two-pass moments of rows held as Python floats.
+def _fsum_moments(
+    xs: Sequence[float], ys: Sequence[float], x_shift: float = 0.0, y_shift: float = 0.0
+) -> _Moments:
+    """Corrected two-pass moments of rows held as Python floats, the means
+    less ``x_shift`` and ``y_shift``.
 
-    The means are correctly rounded sums over ``n``.  Each centred sum is
-    ``sum(d*d) - sum(d)**2 / n`` over the deviations ``d`` from the rounded
-    mean: the corrected two-pass algorithm of Chan, Golub & LeVeque (1983),
-    "Algorithms for computing the sample variance", whose second term takes
-    out what the rounding of the mean leaves in the first.  Every sum is a
-    ``math.fsum``, so the figures are within about an ulp of exact, and
-    they can differ in the last bits from numpy's pairwise sums.  Nothing is
-    checked here; :func:`_checked_stats` checks the figures.
+    Each centred sum is ``sum(d*d) - sum(d)**2 / n`` over the deviations
+    ``d`` from ``c``, the float sum of the values over ``n``: the corrected
+    two-pass algorithm of Chan, Golub & LeVeque (1983), "Algorithms for
+    computing the sample variance", whose second term takes out what the
+    rounding of ``c`` leaves in the first.  The mean is
+    ``(c - shift) + sum(d) / n``, the same correction, so a mean taken from
+    a shift close to it keeps the bits that the rounding of ``c`` drops;
+    each ``d`` is exact where the values lie within a factor of 2 of ``c``,
+    as at a large offset.  The other sums are ``math.fsum``, so the figures
+    are within about an ulp of exact, and they can differ in the last bits
+    from numpy's pairwise sums.  Nothing is checked here;
+    :func:`_checked_stats` checks the figures.
     """
     n = len(xs)
-    x_bar = _fsum(xs) / n
-    y_bar = _fsum(ys) / n
+    x_bar = sum(xs) / n
+    y_bar = sum(ys) / n
     dx = [v - x_bar for v in xs]
     dy = [v - y_bar for v in ys]
     sum_dx, sum_dy = _fsum(dx), _fsum(dy)
     return _Moments(
         n,
-        x_bar,
-        y_bar,
+        (x_bar - x_shift) + sum_dx / n,
+        (y_bar - y_shift) + sum_dy / n,
         _fsum(map(operator.mul, dx, dx)) - sum_dx * sum_dx / n,
         _fsum(map(operator.mul, dy, dy)) - sum_dy * sum_dy / n,
         _fsum(map(operator.mul, dx, dy)) - sum_dx * sum_dy / n,
     )
+
+
+def _could_be_constant(n: int, mean: float, s: float) -> bool:
+    """Whether ``s``, the centred sum of squares of ``n`` values of this mean,
+    is at most the round-off that identical values ``v`` leave in it, up to
+    ``(n * eps * v)**2`` a row, or is not finite."""
+    # float ** would raise on overflow, * gives inf
+    round_off = n * _EPS * mean
+    return not s > n * round_off * round_off
 
 
 def _checked_stats(
@@ -188,8 +204,9 @@ def _checked_stats(
 ) -> _Stats:
     """Check moments and add their correlation; the checks of :func:`dualfit.compute_stats`.
 
-    ``ranges()`` returns the least and greatest x, then y.  It is called only
-    when a column's figures could be those of identical values, so that a
+    ``ranges()`` returns the least and greatest x, then y; only whether the
+    two are equal is read.  It is called only when a column's figures could
+    be those of identical values (:func:`_could_be_constant`), so that a
     caller holding the data scans it only then.  The statistics then pass
     :func:`_check_stats`, as a record of them would.
 
@@ -205,13 +222,8 @@ def _checked_stats(
         If the figures fail :func:`_check_stats`.
     """
     n, x_bar, y_bar, s_xx, s_yy, s_xy = m
-    # n identical values v leave round-off of at most (n * eps * v)^2 per row
-    # in the centred sum, so only a sum at or below that (or not finite) can
-    # be a constant column's; float ** would raise on overflow, * gives inf
-    round_off_x = n * _EPS * x_bar
-    round_off_y = n * _EPS * y_bar
-    suspect_x = not s_xx > n * round_off_x * round_off_x
-    suspect_y = not s_yy > n * round_off_y * round_off_y
+    suspect_x = _could_be_constant(n, x_bar, s_xx)
+    suspect_y = _could_be_constant(n, y_bar, s_yy)
     if suspect_x or suspect_y:
         x_min, x_max, y_min, y_max = ranges()
         for suspect, low, high, name in (

@@ -12,15 +12,15 @@ be written, 3 fit error, 4 verification failure; a reader that closes the
 output pipe early ends the command quietly with 0.
 
 Every input, a pipe included, is read once and forward by :func:`_blocks`,
-a bounded block at a time: by ``np.loadtxt``, or row by row where it
-refuses a block.  Input that ends within the first block is summarised in
-Python floats, so such a command never imports numpy.
+a bounded block at a time: split into cells, each column read by one
+``float`` per cell, or row by row where a block's rows are not all of one
+width.  :func:`_read_stats` sums each run of rows by ``math.fsum`` and
+merges the runs pairwise, so no command imports numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-from array import array
 import csv
 import io
 import json
@@ -28,13 +28,15 @@ import math
 import os
 import re
 import sys
-import warnings
 from itertools import chain, islice
 
 from ._kernel import (
     _checked_stats,
+    _could_be_constant,
     _fsum_moments,
     _inverse,
+    _merge,
+    _Moments,
     _predict,
     _slope_interval,
     _solver,
@@ -44,7 +46,7 @@ from .errors import DualFitError, InvalidInput, ParseError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Callable, Iterable, Iterator, Sequence
+    from typing import Callable, Iterable, Iterator
 
     from .dataset import Dataset
 
@@ -130,13 +132,15 @@ def _csv_rows(lines: Iterable[str], skipped: int = 0) -> _Rows:
         raise ParseError(f"line {line}: {exc}", line=line) from exc
 
 
-def _data_rows(rows: _Rows, x_column: str | None, y_column: str | None) -> tuple[int, int, _Rows]:
-    """The x and y column indices, and the data rows of ``rows``.
+def _data_rows(
+    rows: _Rows, x_column: str | None, y_column: str | None
+) -> tuple[int, int, tuple[int, list[str]]]:
+    """The x and y column indices, and the first data row of ``rows``.
 
     The first row is a header iff its cells at the x and y probe indices fail
     to parse as numbers; the first data row must hold both columns.  This and
     :func:`_values` decide the grammar: the rules that name the line of a
-    malformed row, and the forms ``np.loadtxt`` does not take.
+    malformed row.
     """
     first = next(rows, None)
     if first is None:
@@ -156,17 +160,14 @@ def _data_rows(rows: _Rows, x_column: str | None, y_column: str | None) -> tuple
             raise InvalidInput(
                 f"{label} column index {idx} is out of range for {width} column(s)"
             )
-    return x_idx, y_idx, chain([first_data], rows)
+    return x_idx, y_idx, first_data
 
 
-def _values(rows: _Rows, x_idx: int, y_idx: int) -> tuple[list[float], list[float], bool, int]:
-    """The x and y values of ``rows``, read one by one by Python's ``float``,
-    whether they are all finite, and the line number of the last row (0 if
-    there is none)."""
+def _values(rows: _Rows, x_idx: int, y_idx: int) -> tuple[list[float], list[float]]:
+    """The x and y values of ``rows``, read one by one by Python's ``float``."""
     xs: list[float] = []
     ys: list[float] = []
     needed = max(x_idx, y_idx) + 1
-    line_num = 0
     for line_num, cells in rows:
         if len(cells) < needed:
             raise ParseError(
@@ -181,11 +182,11 @@ def _values(rows: _Rows, x_idx: int, y_idx: int) -> tuple[list[float], list[floa
                     f"line {line_num}: could not parse {cells[idx]!r} as a number",
                     line=line_num,
                 ) from None
-    return xs, ys, all(map(math.isfinite, chain(xs, ys))), line_num
+    return xs, ys
 
 
-# data rows in the first block and lines in each after it: a few hundred kB
-# per np.loadtxt call, which spreads the call overhead thin
+# lines in a block, a few hundred kB of text, which spreads the work of a
+# block thin; and data rows in a run of the statistics
 _BLOCK_ROWS = 8192
 
 
@@ -233,108 +234,139 @@ class _Stream:
     def lines(self) -> Iterator[str]:
         return map(self._text, self._fh)
 
-    def block(self) -> tuple[list[str] | list[bytes], bool] | None:
-        """The next block's lines as read, and whether ``np.loadtxt`` may read
-        them, no cell being longer than ``csv.field_size_limit()``.  A block is
-        ``_BLOCK_ROWS`` lines, and more while the csv module has read fewer rows
-        from it, so it ends where a row does: only the csv module tells where a
-        quote opens a cell that spans lines (``1,2"3`` opens none)."""
+    def block(self) -> tuple[str, int, list[list[str]] | None] | None:
+        """The next block: its text, its number of lines and, if it holds a
+        quote, its rows as the csv module reads them, or None where it
+        rejects them.  A block is ``_BLOCK_ROWS`` lines, and more while the
+        csv module has read fewer rows from it, so it ends where a row does:
+        only the csv module tells where a quote opens a cell that spans lines
+        (``1,2"3`` opens none)."""
         lines = list(islice(self._fh, _BLOCK_ROWS))
         if not lines:
             return None
+        count = len(lines)
         join = lines[0][:0].join  # of str or of bytes, as the stream gives them
         # decoded a thousand lines a join, as a join holds an 80-byte buffer per piece
-        texts = (self._text(join(lines[i : i + 1024])) for i in range(0, len(lines), 1024))
-        checks = [('"' in text, _cells_within_limit(text)) for text in texts]
-        if not any(quoted for quoted, _ in checks):
-            return lines, all(fits for _, fits in checks)
+        text = "".join([self._text(join(lines[i : i + 1024])) for i in range(0, count, 1024)])
+        del lines  # the block is held once, as its text
+        if '"' not in text:
+            return text, count, None
+        more: list[str] = []
 
-        def more() -> Iterator[str]:
+        def extra() -> Iterator[str]:
             for line in self._fh:
-                lines.append(line)
-                yield self._text(line)
+                more.append(self._text(line))
+                yield more[-1]
 
-        # the csv module, which enforces the limit, reads as many rows as the
-        # block has lines, blank ones among them
-        reader = csv.reader(chain(map(_str, lines), more()))
+        # as many rows as the block has lines, blank ones among them; the csv
+        # module enforces its field limit
+        reader = csv.reader(chain(io.StringIO(text), extra()))
         try:
-            next(islice(reader, len(lines) - 1, None), None)
+            rows = list(islice(reader, count))
         except csv.Error:
-            return lines, False
-        return lines, True
+            rows = None
+        return text + "".join(more), count + len(more), rows
 
 
-def _str(line: str | bytes) -> str:
-    """A line as text; a :class:`_Stream` has found its bytes UTF-8."""
-    return line if isinstance(line, str) else line.decode("utf-8")
+def _block_columns(
+    text: str, lines: int, rows: list[list[str]] | None, x_idx: int, y_idx: int
+) -> tuple[list[float], list[float]] | None:
+    """The x and y columns of a block whose rows are all of one width, by
+    ``float`` over every ``width``-th cell, or None for the row parse to read.
 
-
-def _loadtxt_block(lines: list[str] | list[bytes], x_idx: int, y_idx: int) -> tuple | None:
-    """The x and y columns of ``lines`` by ``np.loadtxt`` and whether all are finite, or None."""
-    import numpy as np
-
+    A quoted block's cells are the csv module's ``rows``.  Any other block's
+    are its text split at each comma and after each line end: the csv
+    module's reading of text with no NUL, no ``\\r`` but before ``\\n``, and no
+    cell longer than ``csv.field_size_limit()``.  Python's ``float`` strips
+    only what ``str.strip`` does, so where it takes every cell read and each
+    row holds both columns, the values are the row parse's.  None is
+    returned for any other block: one with a blank or whitespace-only row,
+    rows of two widths, or a cell ``float`` refuses.
+    """
+    if rows is not None:
+        widths = set(map(len, rows))
+        width = widths.pop() if len(widths) == 1 else 0
+        cells = list(chain.from_iterable(rows))
+    elif (
+        '"' in text
+        or "\0" in text
+        or ("\r" in text and text.count("\r") != text.count("\r\n"))
+        or not _cells_within_limit(text)
+    ):
+        return None
+    else:
+        # each line end stays at the end of its row's last cell
+        cells = text.replace("\n", "\n,").split(",")
+        # every line ends in "\n" but maybe the input's last
+        line_ends = lines - (not text.endswith("\n"))
+        if line_ends == lines:
+            cells.pop()  # the empty cell after the last line end
+        width = len(cells) // lines
+        # every line end in a row's last cell, so every row of one width
+        ends = "".join(cells[width - 1 :: width]).count("\n")
+        if len(cells) != width * lines or ends != line_ends:
+            return None
+    if width <= max(x_idx, y_idx):
+        return None
     try:
-        with warnings.catch_warnings():
-            # np.loadtxt warns that it read no data, as from blank lines
-            warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
-            xy = np.loadtxt(
-                lines,
-                delimiter=",",
-                usecols=(x_idx, y_idx),
-                comments=None,
-                quotechar='"',
-                ndmin=2,
-                encoding="utf-8",
-            )
+        return list(map(float, cells[x_idx::width])), list(map(float, cells[y_idx::width]))
     except ValueError:
         return None
-    x, y = xy.T.copy()  # contiguous columns, as a Dataset holds them
-    return x, y, np.isfinite(xy).all()
 
 
 def _blocks(
     fh, x_column: str | None, y_column: str | None
-) -> Iterator[tuple[Sequence[float], Sequence[float]]]:
+) -> Iterator[tuple[list[float], list[float]]]:
     """Yield the x and y values of a CSV stream, text or UTF-8 bytes, from
-    where it stands, a block at a time.
+    where it stands, ``_BLOCK_ROWS`` data rows at a time, the last fewer.
 
-    The row parse reads the header and the first ``_BLOCK_ROWS`` data rows
-    line by line; numpy is imported only if text follows.  ``np.loadtxt``
-    reads each :meth:`_Stream.block` after them, and the row parse a block it
-    refuses.  A non-finite value stops the yielding, not the reading, so it
-    is raised only when the rest of the input holds no other error.
+    The row parse reads the header and the first data row, which decide the
+    columns.  :func:`_block_columns` reads each :meth:`_Stream.block` after
+    them, and the row parse a block it returns None for.  The values are
+    yielded in runs of ``_BLOCK_ROWS`` rows whatever the blocks hold, so that
+    blank lines move no run.  A non-finite value stops the yielding, not the
+    reading, so it is raised only when the rest of the input holds no other
+    error.
     """
     stream = _Stream(fh)
     rows = _csv_rows(stream.lines())
     line = 0  # the lines read
     try:
-        x_idx, y_idx, data = _data_rows(rows, x_column, y_column)
-        xs, ys, finite, line = _values(islice(data, _BLOCK_ROWS), x_idx, y_idx)
-        rows = iter(())  # the blocks are read from here on
+        x_idx, y_idx, first = _data_rows(rows, x_column, y_column)
 
-        def parse(block) -> tuple[Sequence[float], Sequence[float], bool]:
+        def parsed() -> Iterator[tuple[list[float], list[float]]]:
             nonlocal line, rows
-            lines, loadable = block
-            skipped, line = line, line + len(lines)
-            if loadable and (values := _loadtxt_block(lines, x_idx, y_idx)) is not None:
-                return values
-            rows = _csv_rows(map(_str, lines), skipped)
-            return _values(rows, x_idx, y_idx)[:3]
+            values = _values([first], x_idx, y_idx)
+            line, rows = first[0], iter(())  # the blocks are read from here on
+            yield values
+            for text, count, block_rows in iter(stream.block, None):
+                skipped, line = line, line + count
+                values = _block_columns(text, count, block_rows, x_idx, y_idx)
+                if values is None:
+                    rows = _csv_rows(io.StringIO(text), skipped)
+                    values = _values(rows, x_idx, y_idx)
+                yield values
 
-        # held as C doubles, a quarter the size of Python floats, while numpy is imported
-        xs, ys = array("d", xs), array("d", ys)
-        n = 0
-        # a list iterator drops the first block once read; chain's list would not
-        first = iter([(xs, ys, finite)])
-        for xs, ys, block_finite in chain(first, map(parse, iter(stream.block, None))):
-            n += len(xs)
-            finite = finite and block_finite
-            if finite and len(xs):
-                yield xs, ys
+        xs: list[float] = []
+        ys: list[float] = []
+        n, finite = 0, True
+        for block_xs, block_ys in parsed():
+            n += len(block_xs)
+            # the sums are finite unless a value is not, or they overflow
+            if finite and not math.isfinite(sum(block_xs) + sum(block_ys)):
+                finite = all(map(math.isfinite, chain(block_xs, block_ys)))
+            if finite:
+                xs += block_xs
+                ys += block_ys
+                while len(xs) >= _BLOCK_ROWS:
+                    yield xs[:_BLOCK_ROWS], ys[:_BLOCK_ROWS]
+                    del xs[:_BLOCK_ROWS], ys[:_BLOCK_ROWS]
         if n < 2:
             raise InvalidInput(f"need at least 2 data rows, got {n}")
         if not finite:
             raise InvalidInput("coordinates must be finite")
+        if xs:
+            yield xs, ys
     except (InvalidInput, ParseError) as error:
         # the whole text's order: a later row the csv module rejects, unless
         # this error is one, then invalid UTF-8 after either, is raised instead
@@ -367,16 +399,20 @@ def parse_csv(source, x_column: str | None = None, y_column: str | None = None) 
     the selected columns are ignored.  A cell longer than
     ``csv.field_size_limit()``, in any column, is a malformed row.
 
-    The text is read once, forward: the header and the first ``_BLOCK_ROWS``
-    data rows row by row, then blocks of ``_BLOCK_ROWS`` lines, each by one
-    ``np.loadtxt`` call, or row by row where it does not take one
-    (whitespace-only or ``,,`` rows, ``1_0``, non-ASCII digits, a ``\\r`` before
-    ``\\r\\n``, or an error).  One error is raised, the first of these the text
-    holds, in this order: text that is not UTF-8; a row the csv module
-    rejects; the first other input error; a non-finite value.
+    The text is read once, forward: the header and the first data row row by
+    row, then blocks of ``_BLOCK_ROWS`` lines.  A block whose rows are all of
+    one width is split into cells, at its commas and line ends or by the csv
+    module where it holds a quote, and each column read by one ``float`` per
+    cell; any other block (a blank or whitespace-only row, rows of two
+    widths, a cell ``float`` refuses, or an error) is read row by row.  Each
+    block is turned into float64 arrays as it is read.  One error is raised,
+    the first of these the text holds, in this order: text that is not
+    UTF-8; a row the csv module rejects; the first other input error; a
+    non-finite value.
 
-    The ``dualfit`` command reads the same blocks without a Dataset; its
-    statistics can differ from ``compute_stats(parse_csv(...))`` in the last bits.
+    The ``dualfit`` command reads the same blocks without a Dataset or numpy,
+    summing them by ``math.fsum``; ``compute_stats`` sums a Dataset with
+    numpy, so the two can differ in the last bits.
 
     Raises
     ------
@@ -392,12 +428,14 @@ def parse_csv(source, x_column: str | None = None, y_column: str | None = None) 
         source = io.BytesIO(source)
     elif not hasattr(source, "read"):
         raise InvalidInput(f"unsupported CSV source type {type(source).__name__}")
-    xs, ys = zip(*_blocks(source, x_column, y_column))
     import numpy as np
 
     from .dataset import Dataset
 
-    return Dataset(np.concatenate(xs), np.concatenate(ys))
+    # each run as float64 as it is read, never the whole file as Python floats
+    runs = ((np.array(xs), np.array(ys)) for xs, ys in _blocks(source, x_column, y_column))
+    x, y = zip(*runs)
+    return Dataset(np.concatenate(x), np.concatenate(y))
 
 
 # ---------------------------------------------------------------------------
@@ -520,30 +558,49 @@ def _emit_scalar(value: float, fmt: str) -> None:
 def _read_stats(
     fh, x_column: str | None, y_column: str | None
 ) -> Callable[[], _Stats]:
-    """Summarise a binary CSV stream: one block in Python floats, more block by block.
+    """Summarise a binary CSV stream, ``_BLOCK_ROWS`` data rows at a time.
+
+    Each run of rows is summed by :func:`_fsum_moments`, its means taken
+    from the first run's, so that they stay small and the merge loses
+    nothing to an offset in the data.  The runs merge pairwise by
+    :func:`_merge` (Chan, Golub & LeVeque, 1979), as a binary counter
+    carries, so memory stays flat in the number of rows; one run alone gives
+    ``_fsum_moments`` of its rows to the bit.  A run's least and greatest
+    values are scanned only where its own sum could be a constant column's.
 
     Returns the step that checks the statistics and adds their correlation,
     so that a statistics error (exit 3) stays apart from an input error (exit
     2).  Any stream, a pipe too, is read once, forward, in bounded blocks.
     """
-    blocks = _blocks(fh, x_column, y_column)
-    xs, ys = next(blocks)
-    block = next(blocks, None)
-    if block is None:
-        return lambda: _checked_stats(
-            _fsum_moments(xs, ys), lambda: (min(xs), max(xs), min(ys), max(ys))
-        )
-    import numpy as np
-
-    from ._columns import _RunningStats
-
-    running = _RunningStats()
-    running.add(np.asarray(xs), np.asarray(ys))
-    del xs, ys  # taken in, so not held through the read
-    while block is not None:  # holding one later block at a time
-        running.add(np.asarray(block[0]), np.asarray(block[1]))
-        block = next(blocks, None)
-    return running.stats
+    runs = _blocks(fh, x_column, y_column)
+    xs, ys = next(runs)
+    shift_x, shift_y = sum(xs) / len(xs), sum(ys) / len(ys)
+    # (runs merged, moments), the run counts decreasing down the list
+    partial: list[tuple[int, _Moments]] = []
+    x_low = y_low = math.inf
+    x_high = y_high = -math.inf
+    # a list iterator drops the first run once read; chain's list would not
+    for xs, ys in chain(iter([(xs, ys)]), runs):
+        moments = _fsum_moments(xs, ys, shift_x, shift_y)
+        # a column that is not constant in one run is not constant
+        if _could_be_constant(moments.n, shift_x + moments.x_bar, moments.s_xx):
+            x_low, x_high = min(x_low, min(xs)), max(x_high, max(xs))
+        else:
+            x_low, x_high = -math.inf, math.inf
+        if _could_be_constant(moments.n, shift_y + moments.y_bar, moments.s_yy):
+            y_low, y_high = min(y_low, min(ys)), max(y_high, max(ys))
+        else:
+            y_low, y_high = -math.inf, math.inf
+        count = 1
+        while partial and partial[-1][0] == count:
+            earlier_count, earlier = partial.pop()
+            count, moments = count + earlier_count, _merge(earlier, moments)
+        partial.append((count, moments))
+    _, moments = partial.pop()
+    while partial:
+        moments = _merge(partial.pop()[1], moments)
+    moments = moments._replace(x_bar=shift_x + moments.x_bar, y_bar=shift_y + moments.y_bar)
+    return lambda: _checked_stats(moments, lambda: (x_low, x_high, y_low, y_high))
 
 
 def _load_stats(args: argparse.Namespace) -> Callable[[], _Stats]:

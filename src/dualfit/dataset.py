@@ -1,10 +1,10 @@
 """The data layer: paired observations as numpy arrays.
 
 :class:`Dataset` holds two read-only float64 columns and works out their
-sufficient statistics once, by the corrected two-pass
-:func:`~dualfit._columns._moments`, checked by the kernel's
-:func:`~dualfit._kernel._checked_stats`; everything after the statistics
-(the fit, the oracle, the command line) runs without numpy.
+sufficient statistics once, by the corrected two-pass :func:`_moments`,
+checked by the kernel's :func:`~dualfit._kernel._checked_stats`; everything
+after the statistics (the fit, the oracle, the command line) runs without
+numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._columns import _moments
-from ._kernel import _checked_stats
+from ._kernel import _checked_stats, _Moments
 from .core import SufficientStats
 from .errors import InvalidInput
 
@@ -86,6 +85,38 @@ class Dataset:
         x, y = self.x, self.y
         stats = _checked_stats(_moments(x, y), lambda: (x.min(), x.max(), y.min(), y.max()))
         return SufficientStats(*stats)
+
+
+def _moments(x: np.ndarray, y: np.ndarray) -> _Moments:
+    """Corrected two-pass moments: means first, then centred sums of squares
+    and products.
+
+    Each centred sum is ``sum(d*d) - sum(d)**2 / n`` over the deviations
+    ``d`` from the rounded mean, the rule of
+    :func:`~dualfit._kernel._fsum_moments` (Chan, Golub & LeVeque, 1983): the
+    second term takes out what the rounding of the mean leaves in the first,
+    which is all there is of a column nearly constant at a large offset.
+
+    Nothing is checked here; :func:`~dualfit._kernel._checked_stats` checks the
+    figures.
+    """
+    n = int(x.size)
+    # numpy's overflow warnings are muted because the figures are checked
+    # later; sum / n is x.mean() to the bit, at a fraction of its call overhead
+    with np.errstate(all="ignore"):
+        x_bar = float(x.sum()) / n
+        y_bar = float(y.sum()) / n
+        dx = x - x_bar
+        dy = y - y_bar
+        sum_dx, sum_dy = float(dx.sum()), float(dy.sum())
+        return _Moments(
+            n,
+            x_bar,
+            y_bar,
+            float(dx @ dx) - sum_dx * sum_dx / n,
+            float(dy @ dy) - sum_dy * sum_dy / n,
+            float(dx @ dy) - sum_dx * sum_dy / n,
+        )
 
 
 def _column(values) -> np.ndarray:

@@ -418,17 +418,17 @@ def test_commands_look_up_the_traced_names(monkeypatch, tmp_path, capsys):
         assert main(argv) == EXIT_OK, argv
     capsys.readouterr()
     assert calls["_solver"] == 4 and calls["certify"] == 1
-    # a 1_0 cell in the second block is refused by np.loadtxt, and the
+    # a row wider than the rest leaves its block to the row parse, and the
     # command reads that block row by row itself, building no Dataset
     rows = "".join(f"{i},{i % 7}\n" for i in range(cli._BLOCK_ROWS))
-    text = "x,y\n" + rows + "1_0,1\n"
+    text = "x,y\n" + rows + "1,1,z\n"
     assert main(["stats", "--input", _write(tmp_path, text)]) == EXIT_OK
     n = cli._BLOCK_ROWS + 1
     assert capsys.readouterr().out.splitlines()[0].split() == ["n", str(n)]
     assert calls["parse_csv"] == len(built) == 0
 
 
-# ---- numpy only for input longer than one block -----------------------------------
+# ---- no command imports numpy -------------------------------------------------------
 
 # runs dualfit in a fresh process and reports whether numpy was imported;
 # with "without-numpy" first, importing numpy raises ImportError
@@ -602,11 +602,12 @@ def test_a_one_block_fit_imports_no_typing(tmp_path):
     assert result.stdout.startswith(b"n ")
 
 
-# the statistics and output of the block path on _table(8193), frozen from the
-# code before input of one block was read without numpy
+# the statistics and output of _table(8193), read as a run of 8192 rows and
+# one of 1: each mean is within 0.2 ulps of the largest |x| or |y| of its
+# exact value, s_xx and s_yy are 1 ulp below theirs and s_xy is exact
 _TWO_BLOCK_STATS = (
-    "SufficientStats(n=8193, x_bar=-5.49249359209079e-05, y_bar=-2.746969739646405e-05, "
-    "s_xx=0.6173238552074071, s_yy=0.1543344560765797, s_xy=0.30866129819661114, "
+    "SufficientStats(n=8193, x_bar=-5.492493592090782e-05, y_bar=-2.7469697396464004e-05, "
+    "s_xx=0.617323855207407, s_yy=0.1543344560765797, s_xy=0.30866129819661114, "
     "rho=0.999986646829223)"
 )
 _TWO_BLOCK_FIT = """{
@@ -623,26 +624,43 @@ _TWO_BLOCK_FIT = """{
   "sse": 1.030406045e-05,
   "bound_lower": 0.4999989804,
   "bound_upper": 0.5000123338,
-  "root_residual": 2.597307688e-17
+  "root_residual": 2.597286512e-17
 }
 """
 
 
-def test_input_longer_than_one_block_keeps_its_bits_and_imports_numpy(tmp_path):
+def test_input_longer_than_one_block_keeps_its_bits_without_numpy(tmp_path):
     assert cli._BLOCK_ROWS + 1 == 8193
     path = _write(tmp_path, _table(cli._BLOCK_ROWS + 1))
     with open(path, "rb") as fh:
         assert repr(SufficientStats(*cli._read_stats(fh, None, None)())) == _TWO_BLOCK_STATS
     result = _main_reporting_numpy("with-numpy", "fit", "--input", path, "--format", "json")
-    assert (result.returncode, result.stderr) == (0, b"numpy imported: True\n")
+    assert (result.returncode, result.stderr) == (0, b"numpy imported: False\n")
     assert result.stdout.decode() == _TWO_BLOCK_FIT
 
 
+@pytest.mark.parametrize("source", ["file", "pipe"])
+@pytest.mark.parametrize(
+    "command", [["fit"], ["stats"], ["sweep", "--steps", "101"]], ids=lambda command: command[0]
+)
+def test_three_blocks_run_without_numpy(tmp_path, command, source):
+    text = _table(2 * cli._BLOCK_ROWS + 100)
+    modes = ("without-numpy", "with-numpy")
+    if source == "pipe":
+        runs = [_main_reporting_numpy(mode, *command, stdin=text.encode()) for mode in modes]
+    else:
+        path = _write(tmp_path, text)
+        runs = [_main_reporting_numpy(mode, *command, "--input", path) for mode in modes]
+    for result in runs:
+        assert (result.returncode, result.stderr) == (0, b"numpy imported: False\n")
+    assert runs[0].stdout and runs[0].stdout == runs[1].stdout
+
+
 def test_each_row_is_parsed_once(monkeypatch, tmp_path, capsys):
-    # the csv module reads the header and the first block; np.loadtxt reads
-    # the rest, and what follows the first block is known from its bytes
-    parsed = {"csv": 0, "loadtxt": 0}
-    real_reader, real_loadtxt = csv.reader, np.loadtxt
+    # the csv module reads the header and the first data row; the split path
+    # reads the rest
+    parsed = {"csv": 0, "split": 0}
+    real_reader, real_block_columns = csv.reader, cli._block_columns
 
     class CountingReader:
         def __init__(self, *args, **kwargs):
@@ -660,35 +678,36 @@ def test_each_row_is_parsed_once(monkeypatch, tmp_path, capsys):
         def line_num(self):
             return self._reader.line_num
 
-    def counting_loadtxt(*args, **kwargs):
-        rows = real_loadtxt(*args, **kwargs)
-        parsed["loadtxt"] += len(rows)
-        return rows
+    def counting_block_columns(*args):
+        values = real_block_columns(*args)
+        parsed["split"] += 0 if values is None else len(values[0])
+        return values
 
     monkeypatch.setattr(csv, "reader", CountingReader)
-    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    monkeypatch.setattr(cli, "_block_columns", counting_block_columns)
     n = 2 * cli._BLOCK_ROWS + 100  # three blocks
     assert main(["stats", "--input", _write(tmp_path, _table(n))]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[0].split() == ["n", str(n)]
-    assert parsed == {"csv": cli._BLOCK_ROWS + 1, "loadtxt": n - cli._BLOCK_ROWS}, parsed
-    # an input error in the last row of one block: the rows before it are
-    # not read again to find an error the text holds before it
-    parsed.update(csv=0, loadtxt=0)
+    assert parsed == {"csv": 2, "split": n - 1}, parsed
+    # an input error in the last row of one block: the split path refuses
+    # the block, and the rows before the error are not read again to find
+    # an error the text holds before it
+    parsed.update(csv=0, split=0)
     n = 8001
     text = _table(n - 1) + "1,abc\n"
     assert main(["stats", "--input", _write(tmp_path, text)]) == EXIT_INPUT
     error = f"ParseError: line {n + 1}: could not parse 'abc' as a number\n"
     assert capsys.readouterr().err == error
-    assert parsed == {"csv": n + 1, "loadtxt": 0}, parsed
-    # a block np.loadtxt refuses is read by the row parse alone: np.loadtxt
-    # reads the two blocks after it
-    parsed.update(csv=0, loadtxt=0)
+    assert parsed == {"csv": n + 1, "split": 0}, parsed
+    # a block the split path refuses, for a row wider than the rest, is read
+    # by the row parse alone: the split path reads the blocks around it
+    parsed.update(csv=0, split=0)
     n = 4 * cli._BLOCK_ROWS
     lines = _table(n).splitlines(keepends=True)
-    lines[9000] = "1_0,3\n"  # data row 9000, in the second block
+    lines[9000] = "1,3,z\n"  # data row 9000, in the second block
     assert main(["stats", "--input", _write(tmp_path, "".join(lines))]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[0].split() == ["n", str(n)]
-    assert parsed == {"csv": 2 * cli._BLOCK_ROWS + 1, "loadtxt": 2 * cli._BLOCK_ROWS}, parsed
+    assert parsed == {"csv": cli._BLOCK_ROWS + 2, "split": n - cli._BLOCK_ROWS - 1}, parsed
 
 
 # ---- argument handling ------------------------------------------------------------
@@ -807,8 +826,8 @@ def test_invalid_utf8_in_the_last_row_is_placed_in_flat_memory(tmp_path):
 
 
 @pytest.mark.parametrize("header", ["", "x,y\n"])
-# the row parse takes 1_0, which np.loadtxt refuses
-@pytest.mark.parametrize("cell", ["3", "1_0"])
+# a row wider than the rest leaves its block to the row parse
+@pytest.mark.parametrize("cell", ["3", "1_0", "4,z"])
 def test_standard_input_is_read_from_its_offset(tmp_path, header, cell):
     # rows before the offset would change every statistic if they were read
     skipped = "50,-50\n" * 3
@@ -833,27 +852,28 @@ def test_standard_input_is_read_from_its_offset(tmp_path, header, cell):
 
 
 def test_refused_block_is_read_again_from_the_offset(tmp_path):
-    # the row parse takes 1_0 in its look past the first block; np.loadtxt
-    # then refuses the second block, which the row parse reads alone from
-    # that block's offset, where np.loadtxt reads it when the cell is written 10
+    # a row wider than the rest leaves the block after the first data row to
+    # the row parse, which reads it from the block's text, read from the
+    # offset: to the statistics of the block the split path reads when the
+    # row is as wide as the rest, its x written 10 or 1_0
     skipped = "50,-50\n" * 3
     stats = {}
-    for cell in ("1_0", "10"):
-        whole = tmp_path / f"{cell}.csv"
-        whole.write_text(skipped + _table(cli._BLOCK_ROWS) + f"{cell},5\n")
+    for row in ("10,5,z", "1_0,5", "10,5"):
+        whole = tmp_path / "whole.csv"
+        whole.write_text(skipped + _table(cli._BLOCK_ROWS) + f"{row}\n")
         with open(whole, "rb") as fh:
             fh.seek(len(skipped))
-            stats[cell] = cli._read_stats(fh, None, None)()
-    assert stats["1_0"] == stats["10"]
-    assert stats["1_0"].n == cli._BLOCK_ROWS + 1
+            stats[row] = cli._read_stats(fh, None, None)()
+    assert stats["10,5,z"] == stats["1_0,5"] == stats["10,5"]
+    assert stats["10,5"].n == cli._BLOCK_ROWS + 1
 
 
 def test_line_numbers_carry_across_a_refused_block(tmp_path, capsys):
-    # np.loadtxt refuses the second block (1_0) and reads the third, whose
-    # \r\n row, blank line and quoted line break the line count must take in;
-    # the row parse finds abc in the fourth
+    # the split path refuses the second block (a row wider than the rest)
+    # and the third (a blank line), whose \r\n row and quoted line break the
+    # line count must take in; the row parse finds abc in the fourth
     lines = _table(40_000).splitlines(keepends=True)
-    lines[9000] = "1_0,3\n"
+    lines[9000] = "1_0,3,z\n"
     lines[20_000] = "5,6\r\n"
     lines[20_001] = "\n" + lines[20_001]
     lines[20_002] = '7,8,"multi\nline"\n'

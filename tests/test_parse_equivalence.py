@@ -1,7 +1,7 @@
 """``parse_csv`` against a frozen copy of the row-by-row parser it replaced.
 
-``_reference_parse`` is the parser as it was before data rows went through
-one ``np.loadtxt`` call, with one deliberate change: a ``csv.Error`` becomes
+``_reference_parse`` is the parser as it was before blocks of data rows
+were read in one call each, with one deliberate change: a ``csv.Error`` becomes
 a ``ParseError`` naming ``reader.line_num``.  On every input the two must
 agree: bit-identical ``x`` and ``y`` arrays, or the same exception type,
 message and ``.line``.
@@ -250,9 +250,12 @@ CASES = [
     "1,2\n3,4\n" * 50 + "5,x\n",
     # an input error, then in a later block a row the csv module rejects
     "x,y\n1,2\n3,abc\n5,6\n7,8\n9,10\n11,1\r2\n",
-    # a non-finite value, a block np.loadtxt refuses, then an input error
+    # a non-finite value, a 1_0 cell, then an input error
     "x,y\n1,inf\n3,4\n5,6\n7,8\n1_0,2\n9,x\n",
     "x,y\n1,2\n3,4\n5,6\n7,8\n1_0,9\n11,12\n13,abc\n",
+    # the same with a block the split path refuses, a row wider than the rest
+    "x,y\n1,inf\n3,4\n5,6\n7,8\n1,2,z\n9,x\n",
+    "x,y\n1,2\n3,4\n5,6\n7,8\n1,9,z\n11,12\n13,abc\n",
     'x,y\n1,2\n3,4\n5,6\n7,8\n1_0,9\n11,12\n \n13,"1\n4"\n15,abc\n',
     # a quoted line break at a block's last line; a stray quote within a cell,
     # which opens no quoted cell, before one and in a column read
@@ -297,6 +300,9 @@ WELL_FORMED = [
     "\xa01\xa0,\t2\n3 , 4\n",
     "\n\nx,y\n\n1e5,-2.5\n+3,.5\n",
 ]
+# the one-line blocks the split path leaves to the row parse, 0 where not
+# named: a block holding only a blank line, which only the row parse skips
+ROW_PARSED = {"x,y\r\n\r\n0,0\r\n1,2\r\n\r\n": 1}
 
 
 @pytest.mark.parametrize("text", WELL_FORMED)
@@ -304,21 +310,26 @@ def test_well_formed_text_skips_row_loop(text, monkeypatch):
     expected = _outcome(_reference_parse, text, None, None)
     assert expected[0] == "data"
 
-    loaded = []
-    real_loadtxt = np.loadtxt
+    split, refused = [], []
+    real_block_columns = cli._block_columns
 
-    def counting_loadtxt(*args, **kwargs):
-        rows = real_loadtxt(*args, **kwargs)
-        loaded.append(len(rows))
-        return rows
+    def counting_block_columns(*args):
+        values = real_block_columns(*args)
+        if values is None:
+            refused.append(args[0])
+        else:
+            split.append(len(values[0]))
+        return values
 
-    # blocks of one row make every text span blocks; np.loadtxt reads every
-    # block after the first
-    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    # blocks of one line make every text span blocks; the split path reads
+    # every data row after the first, which the row parse reads with the header
+    monkeypatch.setattr(cli, "_block_columns", counting_block_columns)
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 1)
     assert _outcome(parse_csv, text, None, None) == expected
     data_rows = len(expected[1]) // 8  # the bytes of the float64 x column
-    assert sum(loaded) == data_rows - 1, loaded
+    assert sum(split) == data_rows - 1, split
+    assert len(refused) == ROW_PARSED.get(text, 0), refused
+    assert all(not block.strip() for block in refused), refused
 
 
 def test_invalid_utf8_matches_reference():

@@ -1,9 +1,9 @@
 """The CLI's streamed statistics against parsing whole, then ``compute_stats``.
 
-``dualfit`` sums input of at most ``cli._BLOCK_ROWS`` data rows in Python
-floats, and reads longer input that many rows at a time, merging each
-block's statistics; it never builds a ``Dataset``.  Here the block size is
-cut to 1, 2 and 3 rows so that small texts span many blocks, and every
+``dualfit`` reads its input in blocks of ``cli._BLOCK_ROWS`` lines and sums
+each run of that many data rows in Python floats, merging the runs'
+statistics; it never builds a ``Dataset``.  Here the block size is cut to
+1, 2 and 3 so that small texts span many blocks and runs, and every
 ``dualfit stats`` run is held to the same run made the way the CLI worked
 before: ``parse_csv`` on the whole text, then ``compute_stats``.
 
@@ -32,11 +32,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualfit import Dataset, SufficientStats, compute_stats
+from dualfit import Dataset, compute_stats
 from dualfit import cli
 from dualfit.cli import EXIT_INPUT, EXIT_OK, parse_csv
-from dualfit._columns import _RunningStats
-from dualfit._kernel import _checked_stats, _fsum_moments
+from dualfit._kernel import _checked_stats, _fsum_moments, _solver
 from dualfit.errors import DualFitError, InvalidInput, ParseError
 
 from conftest import dualfit_peak_mb
@@ -293,11 +292,10 @@ def _exact(x: np.ndarray, y: np.ndarray) -> tuple[float, ...]:
     return float(mean_x), float(mean_y), centred(xs, xs), centred(ys, ys), centred(xs, ys)
 
 
-def _streamed(x: np.ndarray, y: np.ndarray, block_rows: int):
-    running = _RunningStats()
-    for start in range(0, x.size, block_rows):
-        running.add(x[start : start + block_rows].copy(), y[start : start + block_rows].copy())
-    return running.stats()
+def _streamed(x: np.ndarray, y: np.ndarray):
+    # the CLI's statistics of the rows written as round-trip text
+    text = "x,y\n" + "".join(map("{!r},{!r}\n".format, x.tolist(), y.tolist()))
+    return cli._read_stats(io.BytesIO(text.encode()), None, None)()
 
 
 def _dataset(kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -325,10 +323,28 @@ def _dataset(kind: str) -> tuple[np.ndarray, np.ndarray]:
 )
 def test_merged_stats_within_4_ulp_of_exact(kind):
     x, y = _dataset(kind)
-    stats = _streamed(x, y, cli._BLOCK_ROWS)
+    stats = _streamed(x, y)
     assert stats.n == x.size
     ulps = _ulps_from_exact(stats, x, y)
     assert max(ulps.values()) <= 4.0, ulps
+
+
+@pytest.mark.parametrize("power", [-200, -60, 7, 200])
+def test_a_common_power_of_two_scales_the_statistics_exactly(power):
+    # a power of two changes no rounding of the sums, within a run or in the
+    # merge, while every value and product stays normal: the means scale by
+    # it, the sums by its square, and rho and the slope keep their bits
+    x, y = _dataset("three blocks")
+    scale = 2.0**power
+    base, scaled = _streamed(x, y), _streamed(x * scale, y * scale)
+    assert (scaled.n, scaled.rho) == (base.n, base.rho)
+    assert (scaled.x_bar, scaled.y_bar) == (base.x_bar * scale, base.y_bar * scale)
+    squares = (scaled.s_xx, scaled.s_yy, scaled.s_xy)
+    assert squares == (base.s_xx * scale**2, base.s_yy * scale**2, base.s_xy * scale**2)
+    for gamma in (0.0, 0.3, 1.0):
+        beta0, beta1, _, sse, *_ = _solver(scaled, "error")(gamma)
+        base_beta0, base_beta1, _, base_sse, *_ = _solver(base, "error")(gamma)
+        assert (beta1, beta0, sse) == (base_beta1, base_beta0 * scale, base_sse * scale**2)
 
 
 def _ulps_from_exact(stats, x: np.ndarray, y: np.ndarray) -> dict[str, float]:
@@ -361,14 +377,6 @@ def test_one_block_stats_within_1_ulp_of_exact(n, offset):
     assert stats.n == n
     ulps = _ulps_from_exact(stats, x, y)
     assert max(ulps.values()) <= 1.0, ulps
-
-
-@pytest.mark.parametrize("n", [2, 3, 100, 8192])
-def test_single_block_is_compute_stats_to_the_bit(n):
-    rng = np.random.default_rng(n)
-    x = rng.normal(5.0, 2.0, n)
-    y = 0.5 * x + rng.normal(0.0, 1.0, n)
-    assert SufficientStats(*_streamed(x, y, 8192)) == compute_stats(Dataset(x, y))
 
 
 def test_two_points_at_a_large_offset_are_exact():
@@ -422,18 +430,20 @@ def test_peak_memory_does_not_grow_with_rows(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_peak_memory_stays_flat_past_a_refused_block(tmp_path):
-    # np.loadtxt refuses the 1_0 cell at data row 9000, in the second block;
-    # the rest of the file is still read a block at a time
+    # the split path refuses the block of data row 9000, the second, where
+    # that row is wider than the rest; the rest of the file is still read a
+    # block at a time
     rng = np.random.default_rng(8)
     x = rng.integers(-(10**6), 10**6, 200_000).tolist()
     y = rng.integers(-(10**6), 10**6, 200_000).tolist()
     x[8999] = 10
     peaks = {}
-    for cell in ("10", "1_0"):
+    for row in (f"10,{y[8999]}", f"1_0,{y[8999]}", f"10,{y[8999]},z"):
         rows = [f"{a},{b}\n" for a, b in zip(x, y)]
-        rows[8999] = f"{cell},{y[8999]}\n"
-        path = tmp_path / f"cell-{cell}.csv"
+        rows[8999] = f"{row}\n"
+        path = tmp_path / "cells.csv"
         path.write_text("x,y\n" + "".join(rows))
-        code, peaks[cell] = dualfit_peak_mb("stats", "--input", str(path))
+        code, peaks[row] = dualfit_peak_mb("stats", "--input", str(path))
         assert code == EXIT_OK
-    assert peaks["1_0"] - peaks["10"] <= 2.0, peaks
+    plain = peaks.pop(f"10,{y[8999]}")
+    assert max(peaks.values()) - plain <= 2.0, (plain, peaks)
