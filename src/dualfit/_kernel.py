@@ -3,20 +3,21 @@
 The objective weighs squared vertical residuals by ``gamma`` and squared
 horizontal residuals by ``1 - gamma``, with ``gamma`` in [0, 1].  For any
 weight the optimal intercept keeps the line through the centroid of the data;
-the optimal slope is the one root of a quartic polynomial, built from the
-sufficient statistics, that lies between the two closed-form endpoint slopes.
-The solve writes the slope as ``b = t*r`` with ``r = sqrt(s_yy/s_xx)``, where
-the quartic over ``(1 - gamma)*r`` is ``f(t) = k*t**3*(t - rho) + rho*t - 1``
-with ``k = gamma/(1 - gamma) * s_yy/s_xx``; its root lies in ``[rho, 1/rho]``,
+the optimal slope is the one root of the quartic
+``Q(b) = gamma*s_xx*b**4 - gamma*s_xy*b**3 + (1 - gamma)*(s_xy*b - s_yy)``
+that lies between the two closed-form endpoint slopes.  The solve writes the
+slope as ``b = t*r`` with ``r = sqrt(s_yy/s_xx)``, where
+``Q(t*r) = (1 - gamma)*s_yy*f(t)`` with ``f(t) = k*t**3*(t - rho) + rho*t - 1``
+and ``k = gamma/(1 - gamma) * s_yy/s_xx``; its root lies in ``[rho, 1/rho]``,
 where ``f`` is increasing and convex, so Newton's method started above the
 root falls monotonically onto it.  The two endpoint weights are the
 classical closed forms: regression of y on x at ``gamma = 1`` and inverse
 regression (x on y, re-expressed as a slope in y over x) at ``gamma = 0``.
 
 Only positively correlated data has a well-defined fit here.  Negating y
-negates rho and the slope, as ``q(-b; -rho) = q(b; rho)``, so under the
-reflect policy negatively correlated data is solved at ``|rho|`` and the
-slope takes the sign of rho.
+negates ``s_xy``, rho and the slope, as ``Q(-b; -s_xy) = Q(b; s_xy)``, so
+under the reflect policy negatively correlated data is solved at ``|rho|``
+and the slope takes the sign of rho.
 
 The statistics are read by field name, so a kernel :data:`_Stats` tuple and
 a :class:`dualfit.SufficientStats` record serve alike; a fit is the tuple of
@@ -265,6 +266,8 @@ def sse(stats, beta0: float, beta1: float, gamma: float) -> float:
 
     Raises
     ------
+    InvalidInput
+        If ``gamma`` does not lie in [0, 1].
     SingularSlope
         If ``beta1 == 0`` while ``gamma < 1``.
     OutOfRange
@@ -273,6 +276,8 @@ def sse(stats, beta0: float, beta1: float, gamma: float) -> float:
         finite float64 (a square that overflows gives ``0 * inf`` or
         ``inf / inf``).
     """
+    if not 0.0 <= gamma <= 1.0:
+        raise InvalidInput(f"gamma must lie in [0, 1], got {gamma}")
     # the vertical and horizontal sums share these products
     misfit = stats.y_bar - beta0 - beta1 * stats.x_bar
     offset = stats.n * misfit * misfit

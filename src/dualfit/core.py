@@ -2,9 +2,10 @@
 
 The objective weighs squared vertical residuals by ``gamma`` and squared
 horizontal residuals by ``1 - gamma``, with ``gamma`` in [0, 1].  The line
-keeps the centroid of the data, and its slope is the one root of a quartic
-in the slope, built from the sufficient statistics, between the two
-closed-form endpoint slopes (see :mod:`dualfit._kernel`).
+keeps the centroid of the data, and its slope is the one root of the
+quartic ``Q`` of :func:`build_quartic`, whose coefficients are the
+sufficient statistics times the weights, between the two closed-form
+endpoint slopes (see :mod:`dualfit._kernel`).
 
 This module is the library's boundary: its records are frozen dataclasses,
 :class:`SufficientStats`, :class:`FitConfig`, :class:`Quartic`,
@@ -36,7 +37,6 @@ from ._kernel import (
     _check_stats,
     _inverse,
     _predict,
-    _ratio,
     _reflects,
     _solve,
     intercept,
@@ -128,10 +128,11 @@ class Quartic:
 class FittedLine:
     """A fitted line plus the diagnostics of how its slope was found.
 
-    ``selected_root_residual`` is ``(1 - gamma)*r*|f(t)|`` of the module
-    docstring, the slope quartic's absolute value at the fitted slope up to
-    round-off (zero for the closed-form endpoint weights).  ``notes``
-    carries human-readable flags such as reflection.
+    ``selected_root_residual`` is ``|Q(b)| / sqrt(s_xx*s_yy)`` up to
+    round-off, ``Q`` being :func:`build_quartic` and ``b`` the fitted slope;
+    the solve works it out as ``(1 - gamma)*r*|f(t)|`` of
+    :mod:`dualfit._kernel` (zero for the closed-form endpoint weights).
+    ``notes`` carries human-readable flags such as reflection.
     """
 
     beta0: float
@@ -246,19 +247,6 @@ def compute_stats(data: Dataset) -> SufficientStats:
     return data._stats
 
 
-def reflected(stats: SufficientStats) -> SufficientStats:
-    """Statistics of the data ``(x, -y)``; negation is exact in floating point."""
-    return SufficientStats(
-        n=stats.n,
-        x_bar=stats.x_bar,
-        y_bar=-stats.y_bar,
-        s_xx=stats.s_xx,
-        s_yy=stats.s_yy,
-        s_xy=-stats.s_xy,
-        rho=-stats.rho,
-    )
-
-
 # ---------------------------------------------------------------------------
 # the slope quartic and its bounds
 # ---------------------------------------------------------------------------
@@ -267,10 +255,12 @@ def reflected(stats: SufficientStats) -> SufficientStats:
 def build_quartic(stats: SufficientStats, gamma: float) -> Quartic:
     """Quartic in the slope whose root inside the slope bounds minimizes the objective.
 
-    Coefficients, highest degree first:
-    ``(gamma*sqrt(s_xx/s_yy), -gamma*rho, 0, (1-gamma)*rho,
-    -(1-gamma)*sqrt(s_yy/s_xx))``.  Negating y negates rho, and
-    ``q(-b; -rho) = q(b; rho)``, so the fit solves this quartic at ``|rho|``.
+    ``Q(b) = gamma*s_xx*b**4 - gamma*s_xy*b**3 + (1-gamma)*s_xy*b - (1-gamma)*s_yy``,
+    which is ``b**3 * P'(b) / 2`` for the objective ``P`` along the centroid
+    line (see :mod:`dualfit.oracle`).  Each coefficient is one rounded product
+    of the statistics, so it is finite whenever they are.  Negating y negates
+    ``s_xy``, and ``Q(-b; -s_xy) = Q(b; s_xy)``, so the fit solves this
+    quartic at ``|rho|``.
 
     Only interior weights go through the quartic; the endpoint weights have
     closed-form slopes and raise InvalidInput here.
@@ -281,18 +271,14 @@ def build_quartic(stats: SufficientStats, gamma: float) -> Quartic:
         If ``s_xx`` or ``s_yy`` is not positive.
     InvalidInput
         If ``gamma`` is not strictly between 0 and 1.
-    OutOfRange
-        If ``s_yy / s_xx`` leaves float64, as in :func:`slope_bounds`.
     """
-    s_xx, s_yy = stats.s_xx, stats.s_yy
+    s_xx, s_yy, s_xy = stats.s_xx, stats.s_yy, stats.s_xy
     if s_xx <= 0.0 or s_yy <= 0.0:
         raise DegenerateData("slope quartic needs positive spread in x and y")
     if not 0.0 < gamma < 1.0:
         raise InvalidInput(f"quartic is defined for 0 < gamma < 1, got {gamma}")
-    ratio_yx = math.sqrt(_ratio(s_xx, s_yy))
-    rho, horizontal = stats.rho, 1.0 - gamma
-    leading = gamma * math.sqrt(s_xx / s_yy)
-    return Quartic((leading, -gamma * rho, 0.0, horizontal * rho, -horizontal * ratio_yx))
+    horizontal = 1.0 - gamma
+    return Quartic((gamma * s_xx, -gamma * s_xy, 0.0, horizontal * s_xy, -horizontal * s_yy))
 
 
 def slope_bounds(stats: SufficientStats) -> tuple[float, float]:
@@ -391,7 +377,8 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
         If ``s_yy / s_xx`` leaves float64, as in :func:`dualfit.slope_bounds`,
         or the slope's 8-ulp bracket does.
     InvalidInput
-        If the fitted slope is zero or not finite.
+        If the fitted slope is zero or not finite, or the line's ``gamma``
+        does not lie in [0, 1].
     """
     policy = config.negative_correlation_policy
     return OracleReport(*certify(stats, line.beta1, line.gamma, policy))

@@ -4,9 +4,12 @@ With the intercept on the centroid line the objective is a function of the
 slope, ``P(t) = V(t) * (gamma + (1 - gamma) / t**2)`` with
 ``V(t) = s_yy - 2*t*s_xy + t**2*s_xx``, whose one critical point on the
 slopes of the correlation's sign is its minimum (README, "Why exactly one
-root").  :func:`certify` compares ``P`` exactly at the fitted slope and a
-few ulps either side, in integers: the three slopes share one power of two,
-so ``t**2 * P(t)`` has one exponent for all three.
+root").  Its derivative is the slope quartic of :func:`dualfit.build_quartic`,
+``t**3 * P'(t) / 2 = Q(t)``.  :func:`certify` compares ``P`` exactly at the
+fitted slope and a few ulps either side, in integers: the three slopes share
+one power of two, so ``t**2 * P(t)`` has one exponent for all three.  It
+weighs ``Q`` at the fitted slope against its terms' magnitudes in the same
+integers.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ def certify(stats, b: float, gamma: float, policy: str) -> tuple:
     _bounds(stats.s_xx, stats.s_yy, -stats.rho if reflect else stats.rho)  # for its errors
     if not (math.isfinite(b) and b != 0.0):
         raise InvalidInput(f"a fitted slope is finite and nonzero, got {b!r}")
+    if not 0.0 <= gamma <= 1.0:
+        raise InvalidInput(f"gamma must lie in [0, 1], got {gamma}")
     # b = n * 2**k; for a normal b (k >= -1074) whose bracket stays in its
     # binade the bracket is (n -+ 8) * 2**k, else it is walked ulp by ulp and
     # k is the lesser binade's
@@ -83,9 +88,9 @@ def certify(stats, b: float, gamma: float, policy: str) -> tuple:
                 # t = 0 at gamma = 1, where P = V * gamma: q / mm is y * g
                 best, p, pp = t, y * g, 1
 
-    # b**3 * P'(b) / 2 = gamma*s_xx*b^4 - gamma*s_xy*b^3 + (1-gamma)*(s_xy*b - s_yy),
-    # over the sum of its terms' magnitudes (t4 is the b^4 term, and so on);
-    # both sums come out at one exponent
+    # b**3 * P'(b) / 2 = Q(b), over the sum of its terms' magnitudes: t4, t3,
+    # t1 and t0 are Q's terms gamma*s_xx*b^4, -gamma*s_xy*b^3, (1-gamma)*s_xy*b
+    # and -(1-gamma)*s_yy at b, all at one exponent
     t4, t3, t1, t0 = 2 * gnn * ann, -gnn * cn, h * cn, -2 * h * y
     gradient = abs(t4 + t3 + t1 + t0) / (abs(t4) + abs(t3) + abs(t1) + abs(t0))
     return best, b, abs(best - b), evals, (below, above), gradient

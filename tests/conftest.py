@@ -1,4 +1,5 @@
-"""Shared fixtures: the reference dataset, seeded random-data factories and the exact root check."""
+"""Shared fixtures: the reference dataset, seeded random-data factories, and the
+exact quartic, profile and root check."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualfit import Dataset, compute_stats
+from dualfit import Dataset, SufficientStats, compute_stats
 from dualfit.errors import DegenerateData
 
 SRC = Path(__file__).parent.parent / "src"
@@ -98,31 +99,62 @@ def rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def reflected(stats):
+    """Statistics of the data ``(x, -y)``; negation is exact in floating point."""
+    return SufficientStats(
+        n=stats.n,
+        x_bar=stats.x_bar,
+        y_bar=-stats.y_bar,
+        s_xx=stats.s_xx,
+        s_yy=stats.s_yy,
+        s_xy=-stats.s_xy,
+        rho=-stats.rho,
+    )
+
+
+def exact_quartic_terms(stats, gamma, t) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The four terms of the slope quartic ``Q`` at ``t``, highest degree first, exactly.
+
+    ``Q(t) = gamma*s_xx*t**4 - gamma*s_xy*t**3 + (1-gamma)*s_xy*t - (1-gamma)*s_yy``
+    is ``t**3 * P'(t) / 2`` for the profile ``P`` of :func:`exact_profile`.
+    """
+    s_xx, s_xy, s_yy, g, t = map(Fraction, (stats.s_xx, stats.s_xy, stats.s_yy, gamma, t))
+    return g * s_xx * t**4, -g * s_xy * t**3, (1 - g) * s_xy * t, -(1 - g) * s_yy
+
+
+def exact_profile(stats, gamma, t) -> Fraction | float:
+    """The objective on the centroid line at slope ``t``, exactly.
+
+    ``P(t) = V(t) * (gamma + (1 - gamma) / t**2)`` with
+    ``V(t) = s_yy - 2*t*s_xy + t**2*s_xx``; at ``t = 0`` it is ``V(0)`` for
+    ``gamma = 1`` and ``math.inf`` otherwise.
+    """
+    s_xx, s_xy, s_yy, g, t = map(Fraction, (stats.s_xx, stats.s_xy, stats.s_yy, gamma, t))
+    v = s_yy - 2 * t * s_xy + t * t * s_xx
+    if t == 0:
+        return v if g == 1 else math.inf
+    return v * (g + (1 - g) / (t * t))
+
+
 def assert_near_exact_root(stats, line, ulps: int = 3) -> None:
     """Assert that an interior fit's slope lies within ``ulps`` ulps of the exact root.
 
-    ``Q(b) = gamma*s_xx*b**4 - gamma*s_xy*b**3 + (1-gamma)*(s_xy*b - s_yy)`` is
-    the slope quartic times ``sqrt(s_xx*s_yy)``, with rational coefficients,
-    so its signs are exact in ``Fraction``; it increases through the root on
+    ``Q`` (:func:`exact_quartic_terms`) has rational coefficients, so its signs
+    are exact in ``Fraction``; it increases through the root away from 0 on
     the slopes of the sign of ``s_xy``, where it must change sign within
     ``ulps`` ulps of the slope.  The line's ``selected_root_residual`` must be
     ``|Q(b)| / sqrt(s_xx*s_yy)`` up to 16 eps of the sum of its terms'
     magnitudes.
     """
-    b = line.beta1
-    sign = 1 if b > 0.0 else -1  # a negative slope is the reflected data's, negated
-    s_xx, s_yy, g = Fraction(stats.s_xx), Fraction(stats.s_yy), Fraction(line.gamma)
-    s_xy = sign * Fraction(stats.s_xy)
-
-    def terms(t):
-        t = Fraction(t)
-        return g * s_xx * t**4, -g * s_xy * t**3, (1 - g) * s_xy * t, -(1 - g) * s_yy
-
-    below = above = abs(b)
+    b, gamma = line.beta1, line.gamma
+    # Q(-b; -s_xy) = Q(b; s_xy): on a negative slope Q rises away from 0 too
+    toward = away = b
+    outward = math.copysign(math.inf, b)
     for _ in range(ulps):
-        below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
-    assert sum(terms(below)) <= 0 <= sum(terms(above)), (stats, line)
-    at_b = terms(abs(b))
+        toward, away = math.nextafter(toward, 0.0), math.nextafter(away, outward)
+    q_toward, q_away = (sum(exact_quartic_terms(stats, gamma, t)) for t in (toward, away))
+    assert q_toward <= 0 <= q_away, (stats, line)
+    at_b = exact_quartic_terms(stats, gamma, b)
     scale = Fraction(math.sqrt(stats.s_xx * stats.s_yy))
     gap = abs(Fraction(line.selected_root_residual) * scale - abs(sum(at_b)))
     assert gap <= 16 * Fraction(sys.float_info.epsilon) * sum(map(abs, at_b)), (stats, line)

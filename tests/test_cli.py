@@ -253,6 +253,8 @@ def test_run_sweep_stays_inside_bounds(capsys):
     assert slopes[0] == 1.5 and slopes[-1] == 0.5
     for beta1 in slopes:
         assert 0.5 * (1.0 - 1e-6) <= beta1 <= 1.5 * (1.0 + 1e-6)
+    # and they fall as gamma rises
+    assert all(a >= b for a, b in zip(slopes, slopes[1:]))
 
 
 # ---- predict / inverse ----------------------------------------------------------

@@ -329,7 +329,7 @@ def test_cli_stats_on_subnormal_spread_prints_one_typed_line(tmp_path, block_row
 def test_slope_ratio_out_of_range_raises_out_of_range(s_xx, s_yy):
     # s_yy / s_xx overflows to inf, or underflows to 0 or to the subnormal
     # 1e-320, so the bounds would be (inf, inf), (0, 0) or inexact; the fit
-    # and verify_fit build on them, and the quartic on the same ratio
+    # and verify_fit build on them
     stats = SufficientStats(n=3, x_bar=1.0, y_bar=2.0, s_xx=s_xx, s_yy=s_yy, s_xy=0.5, rho=0.5)
     # the fit itself refuses these statistics, so verify a line of others
     line = fit_stats(replace(stats, s_xx=1.0, s_yy=1.0), FitConfig(gamma=0.5))
@@ -338,11 +338,13 @@ def test_slope_ratio_out_of_range_raises_out_of_range(s_xx, s_yy):
         for call in (
             lambda: slope_bounds(stats),
             lambda: fit_stats(stats, FitConfig(gamma=0.5)),
-            lambda: build_quartic(stats, 0.5),
             lambda: verify_fit(stats, line, FitConfig(gamma=0.5)),
         ):
             with pytest.raises(OutOfRange, match="s_yy / s_xx"):
                 call()
+        # the quartic takes no ratio: its coefficients are the sums times the weights
+        quartic = build_quartic(stats, 0.5)
+    assert quartic.coeffs == (0.5 * s_xx, -0.5 * 0.5, 0.0, 0.5 * 0.5, -0.5 * s_yy)
 
 
 def _cli_stats_without_warnings(path: Path) -> tuple[int, str, str]:

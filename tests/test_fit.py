@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 
@@ -133,9 +134,10 @@ def test_fit_random_records_diagnostics():
     line = fit_stats(stats, config)
     quartic = build_quartic(stats, 0.37)
     terms = sum(abs(c) * line.beta1 ** (4 - i) for i, c in enumerate(quartic.coeffs))
-    # |q(b)|, up to the round-off of a sum of terms this size
-    assert abs(line.selected_root_residual - abs(quartic(line.beta1))) <= 4e-16 * terms
-    assert line.selected_root_residual <= 1e-15 * terms
+    # |Q(b)| / sqrt(s_xx*s_yy), up to the round-off of a sum of terms this size
+    scaled = line.selected_root_residual * math.sqrt(stats.s_xx * stats.s_yy)
+    assert abs(scaled - abs(quartic(line.beta1))) <= 4e-16 * terms
+    assert scaled <= 1e-15 * terms
     lower, upper = slope_bounds(stats)
     assert lower <= line.beta1 <= upper
     assert line.beta0 == intercept(stats, line.beta1)

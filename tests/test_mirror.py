@@ -1,6 +1,6 @@
 """Mirroring the data to ``(x, -y)`` mirrors the fit, bit for bit.
 
-The slope quartic obeys ``q(-b; -rho) = q(b; rho)`` and both endpoint
+The slope quartic obeys ``Q(-b; -s_xy) = Q(b; s_xy)`` and both endpoint
 slopes are odd in y, so under the reflect policy the fit of ``(x, -y)`` is
 the fit of ``(x, y)`` with the slope and the intercept negated, the same
 bits for the objective and the quartic's residual.  The slope solve rests on
@@ -23,9 +23,8 @@ import numpy as np
 
 from dualfit import Dataset, FitConfig, SufficientStats, compute_stats, fit, fit_stats, verify_fit
 from dualfit import cli
-from dualfit.core import reflected
 
-from conftest import src_env
+from conftest import reflected, src_env
 
 NOTE = "fitted on (x, -y) and negated the slope"
 

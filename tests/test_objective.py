@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from dualfit import Dataset, compute_stats, intercept, sse
-from dualfit.errors import SingularSlope
+from dualfit.errors import InvalidInput, SingularSlope
 
 from conftest import rel_err, sse_per_point
 
@@ -41,6 +43,14 @@ def test_sse_singular_slope(reference_stats):
         sse(reference_stats, 0.0, 0.0, 0.5)
     # at gamma = 1 the horizontal term is absent, so a zero slope is fine
     assert sse(reference_stats, 0.25, 0.0, 1.0) > 0.0
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, -0.5, 2.0])
+def test_sse_refuses_a_gamma_that_is_not_a_weight(reference_stats, gamma):
+    # a weight outside [0, 1] counts one residual negatively, and a NaN one
+    # is no overflow of the data
+    with pytest.raises(InvalidInput, match=rf"^gamma must lie in \[0, 1\], got {gamma}$"):
+        sse(reference_stats, 0.0, 1.0, gamma)
 
 
 def test_intercept_reference(reference_stats):

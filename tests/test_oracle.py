@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from dualfit import (
 )
 from dualfit.errors import InvalidInput, NonPositiveCorrelation
 
-from conftest import random_dataset, sse_per_point
+from conftest import exact_profile, exact_quartic_terms, random_dataset, sse_per_point
 
 
 def _symmetric_unit_stats():
@@ -97,24 +96,14 @@ def _ulps_away(b, ulps):
 
 def _rational_report(stats, b, gamma):
     """verify_fit's bracket, choice and gradient for a positive correlation, in Fractions."""
-    s_xx, s_xy, s_yy, g = (Fraction(v) for v in (stats.s_xx, stats.s_xy, stats.s_yy, gamma))
     below, above = _ulps_away(b, -8), _ulps_away(b, 8)
-
-    def profile(t):
-        t = Fraction(t)
-        v = s_yy - 2 * t * s_xy + t * t * s_xx
-        if t == 0:
-            return v if g == 1 else math.inf
-        return v * (g + (1 - g) / (t * t))
-
     best = -b
     if b > 0.0:
         best = b
         for t in (below, above):
-            if profile(t) < profile(best):
+            if exact_profile(stats, gamma, t) < exact_profile(stats, gamma, best):
                 best = t
-    t = Fraction(b)
-    terms = (g * s_xx * t**4, -g * s_xy * t**3, (1 - g) * s_xy * t, -(1 - g) * s_yy)
+    terms = exact_quartic_terms(stats, gamma, b)
     gradient = abs(sum(terms)) / sum(abs(term) for term in terms)
     return (below, above), best, float(gradient)
 
@@ -223,6 +212,15 @@ def test_verify_negative_data_needs_reflect_policy(reference_data):
     line = fit_stats(stats, FitConfig(gamma=0.5, negative_correlation_policy="reflect"))
     with pytest.raises(NonPositiveCorrelation):
         verify_fit(stats, line, FitConfig(gamma=0.5))
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, -0.5, 2.0])
+def test_verify_refuses_a_line_whose_gamma_is_not_a_weight(reference_stats, gamma):
+    # a weight outside [0, 1] counts one residual negatively, and a NaN or an
+    # infinite one has no integer frame
+    line = FittedLine(0.0, 0.6612043117, gamma, 1.0)
+    with pytest.raises(InvalidInput, match=rf"^gamma must lie in \[0, 1\], got {gamma}$"):
+        verify_fit(reference_stats, line, FitConfig(gamma=0.9))
 
 
 def test_oracle_report_validation():

@@ -1,24 +1,25 @@
 """The objective and the fit against frozen copies, the slope against its exact root.
 
-The ``_ref_*`` functions are ``sse``, the fit and ``reflected`` as they were
-before the fit stopped building reflected statistics.  An interior weight's
-slope is not frozen: the fit solves the quartic in reduced coordinates, and
-each slope must lie within 3 ulps of the root of the exact quartic of its
-statistics (``assert_near_exact_root``), with ``selected_root_residual`` its
-absolute value there up to round-off.  ``_ref_fit_stats`` then builds the
-rest of the line around that slope.  ``sse`` now raises ``OutOfRange``
-where the frozen copy returns an objective that is not finite; no input
-here reaches that.
+The ``_ref_*`` functions are ``sse`` and the fit as they were before the fit
+stopped building reflected statistics; ``conftest.reflected`` gives the
+statistics they reflected to.  An interior weight's slope is not frozen: the
+fit solves the quartic in reduced coordinates, and each slope must lie within
+3 ulps of the root of the exact quartic of its statistics
+(``assert_near_exact_root``), with ``selected_root_residual`` its absolute
+value there up to round-off.  ``_ref_fit_stats`` then builds the rest of the
+line around that slope.  ``sse`` now raises ``OutOfRange`` where the frozen
+copy returns an objective that is not finite; no input here reaches that.
 
 ``verify_fit`` is held to an exact reference instead, ``_ref_verify``: the
-profile objective evaluated in ``fractions.Fraction`` at the fitted slope
-and 8 ulps either side, on fitted slopes and on slopes moved by 4 ulps,
-where both verdicts occur, on slopes a few ulps from powers of two
-across the float64 range, subnormal ones included, and on slopes whose
-mantissa is within 8 of either end of its binade, where the bracket read off
-the slope's mantissa gives way to the ulp-by-ulp walk.  A bracket end of
-exactly 0, where ``_ref_profile`` divides by zero, is held to its own exact
-``V(t)`` at ``gamma = 1``.  Where ``s_yy / s_xx`` leaves float64 the fit
+profile objective ``conftest.exact_profile`` at the fitted slope and 8 ulps
+either side, and the gradient from the quartic's terms
+``conftest.exact_quartic_terms`` at the fitted slope, both in
+``fractions.Fraction``.  It runs on fitted slopes and on slopes moved by 4
+ulps, where both verdicts occur, on slopes a few ulps from powers of two
+across the float64 range, subnormal ones included, on slopes whose mantissa
+is within 8 of either end of its binade, where the bracket read off the
+slope's mantissa gives way to the ulp-by-ulp walk, and on a bracket end of
+exactly 0 at ``gamma = 1``.  Where ``s_yy / s_xx`` leaves float64 the fit
 raises the ``OutOfRange`` of ``slope_bounds``, and so does the reference.
 
 On every input the two must agree exactly, the interior slope and its
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,23 +59,11 @@ from dualfit.errors import (
     ZeroCorrelation,
 )
 
-from conftest import assert_near_exact_root
+from conftest import assert_near_exact_root, exact_profile, exact_quartic_terms, reflected
 
 # ---- the frozen reference ----------------------------------------------------
 
 _REF_ULPS = 8
-
-
-def _ref_reflected(stats):
-    return SufficientStats(
-        n=stats.n,
-        x_bar=stats.x_bar,
-        y_bar=-stats.y_bar,
-        s_xx=stats.s_xx,
-        s_yy=stats.s_yy,
-        s_xy=-stats.s_xy,
-        rho=-stats.rho,
-    )
 
 
 def _ref_sse(stats, beta0, beta1, gamma):
@@ -95,15 +83,9 @@ def _ref_sse(stats, beta0, beta1, gamma):
     return float(total)
 
 
-def _ref_profile(stats, t, gamma):
-    """The profile objective ``V(t) * (gamma + (1 - gamma) / t**2)``, exactly."""
-    s_xx, s_xy, s_yy, g, t = map(Fraction, (stats.s_xx, stats.s_xy, stats.s_yy, gamma, t))
-    return (s_yy - 2 * t * s_xy + t * t * s_xx) * (g + (1 - g) / (t * t))
-
-
 def _ref_verify(stats, line, config):
     reflect = stats.rho < 0.0 and config.negative_correlation_policy == "reflect"
-    slope_bounds(_ref_reflected(stats) if reflect else stats)  # raises as verify_fit does
+    slope_bounds(reflected(stats) if reflect else stats)  # raises as verify_fit does
     b, gamma = line.beta1, line.gamma
     below = above = b
     for _ in range(_REF_ULPS):
@@ -111,13 +93,12 @@ def _ref_verify(stats, line, config):
     if (b > 0.0) != reflect:
         best = b
         for probe in (below, above):
-            if _ref_profile(stats, probe, gamma) < _ref_profile(stats, best, gamma):
+            if exact_profile(stats, gamma, probe) < exact_profile(stats, gamma, best):
                 best = probe
         evals = 3
     else:  # a slope of the wrong sign loses to its negation
         best, evals = -b, 0
-    s_xx, s_xy, s_yy, g, t = map(Fraction, (stats.s_xx, stats.s_xy, stats.s_yy, gamma, b))
-    terms = [g * s_xx * t**4, -g * s_xy * t**3, (1 - g) * s_xy * t, -(1 - g) * s_yy]
+    terms = exact_quartic_terms(stats, gamma, b)
     return OracleReport(
         oracle_slope=best,
         quartic_slope=b,
@@ -163,7 +144,7 @@ def _ref_fit_stats(stats, config, root=None):
             raise NonPositiveCorrelation(
                 f"rho = {stats.rho:.6g} < 0; pass the reflect policy to fit anyway"
             )
-        mirrored = _ref_fit_positive(_ref_reflected(stats), config, root)
+        mirrored = _ref_fit_positive(reflected(stats), config, root)
         beta1 = -mirrored.beta1
         return FittedLine(
             beta0=stats.y_bar - beta1 * stats.x_bar,
@@ -272,7 +253,7 @@ def test_extreme_weights_match_reference(gamma):
 def test_edge_statistics_match_reference(stats, gamma):
     for policy in ("error", "reflect"):
         _assert_case(stats, gamma, policy)
-        _assert_case(_ref_reflected(stats), gamma, policy)
+        _assert_case(reflected(stats), gamma, policy)
 
 
 def _edge_slopes():
@@ -283,7 +264,7 @@ def _edge_slopes():
             for _ in range(abs(j)):
                 slope = math.nextafter(slope, math.copysign(math.inf, j))
             # the least, 2**-1060 - 9 ulps, is 2**14 - 9 ulps from 0, so no
-            # bracket end is 0, where the reference would divide by t**2 = 0
+            # bracket end is 0 (the test of a bracket end at zero has those)
             yield slope
             yield -slope
 
@@ -301,7 +282,7 @@ def _edge_slopes():
 def test_slopes_at_the_edges_of_float64_match_reference(stats, gamma):
     for slope in _edge_slopes():
         line = FittedLine(beta0=0.0, beta1=slope, gamma=gamma, sse=0.0)
-        for case in (stats, _ref_reflected(stats)):
+        for case in (stats, reflected(stats)):
             for policy in ("error", "reflect"):
                 config = FitConfig(gamma=gamma, negative_correlation_policy=policy)
                 _assert_same(verify_fit, _ref_verify, case, line, config)
@@ -336,7 +317,7 @@ def test_brackets_at_the_ends_of_a_binade_are_the_ulp_walk(stats, gamma):
         for _ in range(_REF_ULPS):
             below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
         line = FittedLine(beta0=0.0, beta1=slope, gamma=gamma, sse=0.0)
-        for case in (stats, _ref_reflected(stats)):
+        for case in (stats, reflected(stats)):
             for policy in ("error", "reflect"):
                 config = FitConfig(gamma=gamma, negative_correlation_policy=policy)
                 if math.isinf(above) or math.isinf(below):
@@ -355,24 +336,15 @@ def test_brackets_at_the_ends_of_a_binade_are_the_ulp_walk(stats, gamma):
 def test_a_bracket_end_at_zero_competes_where_its_objective_is_finite(s_xy):
     # b = 4e-323 is 8 ulps above 0.0, its bracket's lower end; at gamma = 1
     # P(t) = V(t) is finite there, and least when the least-squares slope
-    # s_xy / s_xx is below b / 2, which _ref_profile cannot evaluate at t = 0
+    # s_xy / s_xx is below b / 2
     stats = SufficientStats(n=3, x_bar=0.0, y_bar=0.0, s_xx=1.0, s_yy=1.0, s_xy=s_xy, rho=s_xy)
     line = FittedLine(beta0=0.0, beta1=4e-323, gamma=1.0, sse=0.0)
     mirrored = dataclasses.replace(line, beta1=-4e-323)
-    cases = [(stats, line, "error"), (_ref_reflected(stats), mirrored, "reflect")]
+    cases = [(stats, line, "error"), (reflected(stats), mirrored, "reflect")]
     for case, fitted, policy in cases:
         config = FitConfig(gamma=1.0, negative_correlation_policy=policy)
-        report = verify_fit(case, fitted, config)
+        _, report = _assert_same(verify_fit, _ref_verify, case, fitted, config)
         assert 0.0 in report.bracket and report.profile_evals == 3
-
-        def exact(t):
-            return Fraction(case.s_yy) - 2 * Fraction(t) * Fraction(case.s_xy) + Fraction(t) ** 2
-
-        best = fitted.beta1  # ties go to the fitted slope
-        for t in report.bracket:
-            if exact(t) < exact(best):
-                best = t
-        assert repr(report.oracle_slope) == repr(best)
         assert report.certified == (s_xy >= 2e-323)
 
 
@@ -385,7 +357,7 @@ def test_overflowing_ratio_matches_reference(gamma):
     assert refused[0] is OutOfRange
     for policy in ("error", "reflect"):
         config = FitConfig(gamma=gamma, negative_correlation_policy=policy)
-        for case in (stats, _ref_reflected(stats)):
+        for case in (stats, reflected(stats)):
             got, want = _outcome(fit_stats, case, config), _outcome(_ref_fit_stats, case, config)
             if want[0] is NonPositiveCorrelation:
                 assert got == want

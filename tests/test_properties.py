@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -59,6 +62,44 @@ def test_common_scaling_scales_intercept_only(base_seed):
         assert rel_err(scaled.beta0, c * line.beta0) <= 1e-9
 
 
+@pytest.mark.parametrize("base_seed", [15])
+def test_a_common_power_of_two_scales_the_fit_exactly(base_seed):
+    # the statistics scale exactly while the data stays normal, so rho, k and
+    # t do not move: the slope and the residual keep their bits, the
+    # intercept is times 2**a and the objective times 4**a
+    rng = np.random.default_rng(base_seed)
+    for case in range(80):
+        data = random_dataset(rng)
+        config = FitConfig((0.0, 1.0, float(rng.uniform(0.02, 0.98)))[case % 3])
+        line = fit(data, config)
+        for a in range(-200, 201, 25):
+            scaled = fit(Dataset(np.ldexp(data.x, a), np.ldexp(data.y, a)), config)
+            got = (scaled.beta1, scaled.selected_root_residual, scaled.beta0, scaled.sse)
+            want = (
+                line.beta1,
+                line.selected_root_residual,
+                math.ldexp(line.beta0, a),
+                math.ldexp(line.sse, 2 * a),
+            )
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), (case, a)
+
+
+@pytest.mark.parametrize("base_seed", [14])
+def test_swapping_x_and_y_and_the_weights_gives_the_reciprocal_slope(base_seed):
+    # the vertical residuals of (y, x) are the horizontal ones of (x, y), so
+    # the objective at gamma and slope b is the swapped one at 1 - gamma and
+    # 1 / b; the endpoint slopes s_xy / s_xx and s_yy / s_xy swap into each
+    # other's reciprocals
+    rng = np.random.default_rng(base_seed)
+    for case in range(2400):
+        data = random_dataset(rng)
+        gamma = (0.0, 1.0, float(rng.uniform(0.02, 0.98)))[case % 3]
+        b = fit(data, FitConfig(gamma)).beta1
+        swapped = fit(Dataset(data.y, data.x), FitConfig(1.0 - gamma)).beta1
+        ulps = abs(Fraction(b) - 1 / Fraction(swapped)) / Fraction(math.ulp(b))
+        assert ulps <= 6, (case, gamma, b, swapped)
+
+
 @pytest.mark.parametrize("base_seed", [2500])
 def test_reflection_negates_slope_exactly(base_seed):
     reflect = "reflect"
@@ -112,6 +153,16 @@ def test_fitted_slope_is_stationary(base_seed):
         config = FitConfig(gamma=gamma)
         line = fit_stats(stats, config)
         quartic = build_quartic(stats, gamma)
+        # Q's coefficients, bit for bit: the statistics times the weights
+        horizontal = 1 - gamma
+        expected = (
+            gamma * stats.s_xx,
+            -gamma * stats.s_xy,
+            0.0,
+            horizontal * stats.s_xy,
+            -horizontal * stats.s_yy,
+        )
+        assert list(map(float.hex, quartic.coeffs)) == list(map(float.hex, expected))
         terms = sum(abs(c) * abs(line.beta1) ** (4 - i) for i, c in enumerate(quartic.coeffs))
         assert abs(quartic(line.beta1)) <= 1e-15 * terms
         report = verify_fit(stats, line, config)

@@ -19,7 +19,7 @@ from dualfit import (
     verify_fit,
 )
 from dualfit import _kernel
-from dualfit.core import ZERO_RHO_TOL, reflected
+from dualfit.core import ZERO_RHO_TOL
 from dualfit.errors import (
     DegenerateData,
     InvalidInput,
@@ -27,7 +27,7 @@ from dualfit.errors import (
     SolverFailure,
 )
 
-from conftest import assert_near_exact_root, random_dataset
+from conftest import assert_near_exact_root, random_dataset, reflected
 
 
 def _scan_roots(coeffs, lo=-1000.0, hi=1000.0, steps=400_001):
@@ -60,22 +60,15 @@ def _symmetric_unit_stats():
 
 
 def test_reference_coefficients_gamma_09(reference_stats):
+    # Q's coefficients are the statistics times the weights, one rounding each
+    assert (reference_stats.s_xx, reference_stats.s_yy, reference_stats.s_xy) == (1.0, 0.75, 0.5)
     q = build_quartic(reference_stats, 0.9)
-    c4, c3, c2, c1, c0 = q.coeffs
-    assert c4 == pytest.approx(0.9 * math.sqrt(1.0 / 0.75), rel=1e-15)
-    assert c3 == pytest.approx(-0.9 * reference_stats.rho, rel=1e-15)
-    assert c2 == 0.0
-    assert c1 == pytest.approx(0.1 * reference_stats.rho, rel=1e-12)
-    assert c0 == pytest.approx(-0.1 * math.sqrt(0.75), rel=1e-12)
-    # 5-decimal reference values
-    for actual, expected in zip(q.coeffs, (1.03923, -0.51962, 0.0, 0.05774, -0.08660)):
-        assert actual == pytest.approx(expected, abs=5e-6)
+    assert q.coeffs == (0.9 * 1.0, -0.9 * 0.5, 0.0, (1 - 0.9) * 0.5, -(1 - 0.9) * 0.75)
 
 
 def test_reference_coefficients_gamma_05(reference_stats):
     q = build_quartic(reference_stats, 0.5)
-    for actual, expected in zip(q.coeffs, (0.57735, -0.28868, 0.0, 0.28868, -0.43301)):
-        assert actual == pytest.approx(expected, abs=5e-6)
+    assert q.coeffs == (0.5, -0.25, 0.0, 0.25, -0.375)
 
 
 def test_symmetric_perfect_correlation_has_unit_root():
@@ -165,9 +158,13 @@ def test_y_in_huge_units_of_x_is_certified(s_yy, gamma):
 
 
 def test_a_weight_whose_leading_coefficient_underflows_is_certified():
-    # gamma * sqrt(s_xx / s_yy) underflows to 0 while the b**4 term still
-    # matters; k = gamma / (1 - gamma) * s_yy / s_xx = 1e7 keeps it
-    line = _certified(_line_stats(1e307, 0.5), 1e-300)
+    # Q over sqrt(s_xx * s_yy) would lead with gamma * sqrt(s_xx / s_yy),
+    # which underflows to 0 here while the b**4 term still matters; Q leads
+    # with gamma * s_xx, and the solve's k = gamma / (1 - gamma) * s_yy / s_xx
+    # = 1e7 keeps the term too
+    stats = _line_stats(1e307, 0.5)
+    assert build_quartic(stats, 1e-300).coeffs[0] == 1e-300
+    line = _certified(stats, 1e-300)
     assert abs(line.beta1) == pytest.approx(0.5 * math.sqrt(1e307), rel=1e-5)
 
 

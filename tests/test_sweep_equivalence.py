@@ -228,6 +228,22 @@ def test_one_solver_matches_reference_at_every_weight(dataset, policy):
         assert got == want and repr(got) == repr(want), gamma
 
 
+# the grids that test_sweep_matches_reference and test_long_sweep_matches_reference sweep
+_TEST_GRIDS = [(dataset, steps) for dataset in sorted(DATASETS) for steps in (2, 3, 11, 101)]
+_TEST_GRIDS += [("golden", 10001), ("seeded negative", 10001)]
+
+
+@pytest.mark.parametrize("dataset, steps", _TEST_GRIDS)
+def test_every_grid_slope_falls_in_magnitude_as_gamma_rises(dataset, steps):
+    # k rises with gamma and df/dk = t**3 * (t - rho) >= 0 on [rho, 1/rho], so
+    # the slope's magnitude falls from r / rho at gamma = 0 to rho * r at 1;
+    # checked on the unrounded slopes the sweep prints to 10 digits
+    raw = np.loadtxt(io.StringIO(DATASETS[dataset]), delimiter=",", skiprows=1)
+    solve = _solver(compute_stats(Dataset(raw[:, 0], raw[:, 1])), "reflect")
+    slopes = [abs(solve(gamma)[1]) for gamma in _gamma_grid(steps)]
+    assert all(a >= b for a, b in zip(slopes, slopes[1:]))
+
+
 def _seeded_stats(seed: int):
     """Statistics of noisy lines of either slope sign, n 10..1e4, scales 1e-3..1e3."""
     rng = np.random.default_rng(seed)
