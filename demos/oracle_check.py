@@ -1,9 +1,9 @@
 # Every fit can be double-checked without trusting the algebra that made it.
 #
 # The fitting path finds the slope as a polynomial root. The check ignores
-# that entirely: it evaluates the objective itself, exactly, at the fitted
-# slope and 8 ulps either side of it. If neither neighbour does better, the
-# true minimum lies within those 8 ulps and the fit is certified.
+# that entirely: it compares the objective exactly, in integers, at the
+# fitted slope and 8 ulps either side of it. If neither neighbour does better,
+# the true minimum lies within those 8 ulps and the fit is certified.
 
 import dataclasses
 

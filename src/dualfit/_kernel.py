@@ -445,21 +445,30 @@ def _evaluate(
 
     A Python number, a numpy float64 among them, is computed as a Python
     float, which turns an overflow into inf without a warning; anything else
-    goes through numpy, imported here, with its warnings muted.
+    goes through numpy, imported here, with its warnings muted, and a query
+    of any float dtype is computed in float64, as the line is.
 
     Raises
     ------
     OutOfRange
-        Naming the first query whose value is not finite.
+        Naming the first query whose value is not finite, or an integer
+        query beyond float64.
     """
     if isinstance(query, (int, float)):
-        value = formula(float(query))
+        try:
+            first = float(query)
+        except OverflowError:
+            bits = abs(query).bit_length()
+            raise OutOfRange(f"{name} at an integer of {bits} bits overflows float64") from None
+        value = formula(first)
         if math.isfinite(value):
             return value
-        first = float(query)
     else:
         import numpy as np
 
+        dtype = getattr(query, "dtype", None)
+        if dtype is not None and dtype.kind == "f":  # float32 would round the line
+            query = np.asarray(query, dtype=np.float64)
         with np.errstate(all="ignore"):  # an overflow is raised as OutOfRange
             value = formula(query)
         finite = np.isfinite(value)

@@ -359,11 +359,13 @@ def fit(data: Dataset, config: FitConfig) -> FittedLine:
 def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> OracleReport:
     """Certify a fitted slope by one exact comparison of the profile objective.
 
-    ``P`` (see :mod:`dualfit.oracle`) is evaluated exactly at the fitted slope
-    ``b`` and at ``b - h`` and ``b + h``, ``h`` being 8 ulps.  The three are
-    integers ``m`` times one power of two ``2**k``, so ``t**2 * P(t)`` is an
-    integer polynomial in ``m`` times a power of two they share.  If neither
-    has a lower ``P``, the minimum lies in ``[b - h, b + h]``: the report is
+    ``P`` (see :mod:`dualfit.oracle`) is compared exactly at the fitted slope
+    ``b = n * 2**k`` and at ``b - h`` and ``b + h``, ``h`` being 8 ulps, all
+    three integers ``m`` times one power of two ``2**k``.  With ``d = m - n``
+    the sign of ``P(m * 2**k) - P(b)`` is that of ``d * S(d)``, for a cubic
+    ``S`` in integers whose constant term ``S(0)`` is ``n`` times ``Q(b)``,
+    the gradient the report weighs.  If neither neighbour has a lower ``P``,
+    the minimum lies in ``[b - h, b + h]``: the report is
     :attr:`~OracleReport.certified`.  ``P`` keeps its value when ``s_xy`` and
     ``t`` are both negated, so mirrored data gets the mirrored report, bit for
     bit.  A slope of the wrong sign loses to its negation.  Of ``config`` only
@@ -390,19 +392,19 @@ def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> O
 
 
 def predict(line: FittedLine, x: float | np.ndarray) -> float | np.ndarray:
-    """Line value at ``x``, a number or an array of them.
+    """Line value at ``x``, a number or an array of them, in float64.
 
     Raises
     ------
     OutOfRange
         If a value is not finite: the line's value overflows float64, or
-        the query itself is not finite.
+        the query itself is not finite or is an integer beyond float64.
     """
     return _predict(line.beta0, line.beta1, x)
 
 
 def inverse_predict(line: FittedLine, y: float | np.ndarray) -> float | np.ndarray:
-    """The ``x`` at which the line reaches ``y``, a number or an array of them.
+    """The ``x`` at which the line reaches ``y``, a number or an array of them, in float64.
 
     Needs a nonzero slope.
 
@@ -412,6 +414,6 @@ def inverse_predict(line: FittedLine, y: float | np.ndarray) -> float | np.ndarr
         If the fitted slope is zero.
     OutOfRange
         If a value is not finite: the line reaches ``y`` beyond float64, or
-        the query itself is not finite.
+        the query itself is not finite or is an integer beyond float64.
     """
     return _inverse(line.beta0, line.beta1, y)

@@ -5,11 +5,11 @@ slope, ``P(t) = V(t) * (gamma + (1 - gamma) / t**2)`` with
 ``V(t) = s_yy - 2*t*s_xy + t**2*s_xx``, whose one critical point on the
 slopes of the correlation's sign is its minimum (README, "Why exactly one
 root").  Its derivative is the slope quartic of :func:`dualfit.build_quartic`,
-``t**3 * P'(t) / 2 = Q(t)``.  :func:`certify` compares ``P`` exactly at the
-fitted slope and a few ulps either side, in integers: the three slopes share
-one power of two, so ``t**2 * P(t)`` has one exponent for all three.  It
-weighs ``Q`` at the fitted slope against its terms' magnitudes in the same
-integers.
+``t**3 * P'(t) / 2 = Q(t)``.  :func:`certify` compares ``P`` exactly, in
+integers, at the fitted slope ``b = n * 2**k`` and at ``m * 2**k`` a few ulps
+either side: the sign of ``P(m * 2**k) - P(b)`` is that of ``d * S(d)`` for
+``d = m - n`` and an integer cubic ``S`` whose constant term ``S(0)`` is ``n``
+times ``Q(b)``, which it weighs against its terms' magnitudes.
 """
 
 from __future__ import annotations
@@ -56,10 +56,9 @@ def certify(stats, b: float, gamma: float, policy: str) -> tuple:
             raise OutOfRange(f"the slope's {_CERTIFIED_ULPS}-ulp bracket leaves float64 at {b!r}")
         k = min(math.frexp(below)[1], math.frexp(above)[1]) - 53
         n, m_below, m_above = (int(math.ldexp(t, -k)) for t in (b, below, above))
-    # likewise s_xx, s_xy, s_yy and gamma are integers a, c, y and g of 53 bits
-    # (or 0) times 2**(ea - 53) and so on; with t = m * 2**k in the bracket and
-    # the shifts below, V(t) = (a*m*m - c*m + y) * 2**(ev - 53) and
-    # gamma*t**2 + 1 - gamma = (g*m*m + h) * 2**(eg - 53 + ew)
+    # likewise s_xx, s_xy, s_yy and gamma are integers of 53 bits (or 0) times
+    # powers of two; shifted, V(t) = (a*m*m - c*m + y) * 2**(ev - 53) and
+    # gamma*t**2 + 1 - gamma = (g*m*m + h) * 2**(eg - 53 + ew) for t = m * 2**k
     fa, ea = math.frexp(stats.s_xx)
     fc, ec = math.frexp(stats.s_xy)
     fy, ey = math.frexp(stats.s_yy)
@@ -72,25 +71,34 @@ def certify(stats, b: float, gamma: float, policy: str) -> tuple:
     y = int(fy * 2.0**53) << (ey - ev)
     g, h = g << (2 * k - ew), h << -ew
 
+    # a4, c3, c1 and y0 are a*g*n**4, c*g*n**3, c*h*n and h*y, so Q's terms at b
+    # are 2*a4, -c3, c1 and -2*y0 at one exponent, and q is Q(b) there
+    nn, cn = n * n, c * n
+    gnn = g * nn
+    e3 = a * gnn
+    a4, c3, c1, y0 = e3 * nn, gnn * cn, h * cn, h * y
+    q = 2 * (a4 - y0) - c3 + c1
     best, evals = -b, 0  # P(-b) - P(b) = 4*b*s_xy * (gamma + (1 - gamma)/b**2)
-    nn = n * n
-    gnn, ann, cn = g * nn, a * nn, c * n  # P(b)'s products, and the gradient's
     if (b > 0.0) != reflect:
-        # P(t) < P(best) is q / (m*m) < p / pp, both sides times one power of two
+        # t**2 * P(t) is F(m) = (a*m*m - c*m + y) * (g*m*m + h) times a power of
+        # two, and n*n*F(m) - m*m*F(n) = d*S(d) for d = m - n and the cubic
+        # S(d) = n*q + d*(e1 + d*(e2 + d*e3)): n*n*(P(t) - P(b)) is d*S(d) / (m*m)
+        # times a power of two, lo / (m*m) at the lower end and hi / (m*m) above
         best, evals = b, 3
-        p, pp = (ann - cn + y) * (gnn + h), nn
-        for t, m in ((below, m_below), (above, m_above)):
-            mm = m * m
-            q = (a * mm - c * m + y) * (g * mm + h)
-            if q * pp < p * mm:
-                best, p, pp = t, q, mm
-            elif not (m or h) and y * g * pp < p:
-                # t = 0 at gamma = 1, where P = V * gamma: q / mm is y * g
-                best, p, pp = t, y * g, 1
+        e1, e2, nq = 5 * a4 - 2 * c3 + c1 - y0, gnn * (4 * a * n - c), n * q
+        d = m_below - n
+        lo = d * (nq + d * (e1 + d * (e2 + d * e3)))
+        d = m_above - n
+        hi = d * (nq + d * (e1 + d * (e2 + d * e3)))
+        if not h:  # t = 0 at gamma = 1, where P = V * gamma: n*n*(P(0) - P(b)) is c3 - a4
+            lo, hi = lo if m_below else c3 - a4, hi if m_above else c3 - a4
+        if lo < 0:  # below beats b, so above must beat below; an m of 0 divides by 1,
+            # as c3 - a4 is, or leaves n*n*h*y >= 0, which loses either way
+            ll, hh = m_below * m_below or 1, m_above * m_above or 1
+            best = above if hi * ll < lo * hh else below
+        elif hi < 0:
+            best = above
 
-    # b**3 * P'(b) / 2 = Q(b), over the sum of its terms' magnitudes: t4, t3,
-    # t1 and t0 are Q's terms gamma*s_xx*b^4, -gamma*s_xy*b^3, (1-gamma)*s_xy*b
-    # and -(1-gamma)*s_yy at b, all at one exponent
-    t4, t3, t1, t0 = 2 * gnn * ann, -gnn * cn, h * cn, -2 * h * y
-    gradient = abs(t4 + t3 + t1 + t0) / (abs(t4) + abs(t3) + abs(t1) + abs(t0))
+    # Q(b) = b**3 * P'(b) / 2 over its terms' magnitudes: a4, y0 >= 0, c3 and c1 have c*n's sign
+    gradient = abs(q) / (2 * (a4 + y0) + abs(c3 + c1))
     return best, b, abs(best - b), evals, (below, above), gradient

@@ -232,6 +232,29 @@ def test_finite_array_results_match_scalars():
     assert type(inverse_predict(_SLOPED_LINE, 2.0)) is float
 
 
+_ROUNDED_LINE = fit(Dataset.from_points([(0, 0), (1, 1), (2, 1), (3, 3)]), FitConfig(gamma=0.5))
+
+
+@pytest.mark.parametrize("at, name", [(predict, "predict"), (inverse_predict, "inverse")])
+@pytest.mark.parametrize("query", [10**400, -(10**400)])
+def test_an_integer_query_beyond_float64_raises_out_of_range(at, name, query):
+    message = f"{name} at an integer of 1329 bits overflows float64"
+    with pytest.raises(OutOfRange, match=re.escape(message)):
+        at(_ROUNDED_LINE, query)
+
+
+@pytest.mark.parametrize("at", [predict, inverse_predict])
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
+@pytest.mark.parametrize("query", [2.0, -2.0])
+def test_a_query_of_any_float_dtype_is_computed_in_float64(at, dtype, query):
+    # 2.0 and 6.0 are exact in every dtype, so only the line's arithmetic can differ
+    want = [at(_ROUNDED_LINE, query), at(_ROUNDED_LINE, 3.0 * query)]
+    scalar = at(_ROUNDED_LINE, dtype(query))
+    assert type(scalar) is np.float64 and scalar == want[0]
+    values = at(_ROUNDED_LINE, np.array([query, 3.0 * query], dtype=dtype))
+    assert values.dtype == np.float64 and values.tolist() == want
+
+
 def test_dataset_roundtrip_points():
     data = Dataset.from_points(REFERENCE_POINTS)
     assert len(data) == 4

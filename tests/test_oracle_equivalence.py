@@ -14,12 +14,13 @@ copy returns an objective that is not finite; no input here reaches that.
 profile objective ``conftest.exact_profile`` at the fitted slope and 8 ulps
 either side, and the gradient from the quartic's terms
 ``conftest.exact_quartic_terms`` at the fitted slope, both in
-``fractions.Fraction``.  It runs on fitted slopes and on slopes moved by 4
-ulps, where both verdicts occur, on slopes a few ulps from powers of two
-across the float64 range, subnormal ones included, on slopes whose mantissa
-is within 8 of either end of its binade, where the bracket read off the
-slope's mantissa gives way to the ulp-by-ulp walk, and on a bracket end of
-exactly 0 at ``gamma = 1``.  Where ``s_yy / s_xx`` leaves float64 the fit
+``fractions.Fraction``.  It runs on fitted slopes and on slopes moved by -9,
+-4, +4 and +9 ulps, where the fitted slope, the lower neighbour and the upper
+one each win, on slopes a few ulps from powers of two across the float64
+range, subnormal ones included, on slopes whose mantissa is within 8 of
+either end of its binade, where the bracket read off the slope's mantissa
+gives way to the ulp-by-ulp walk, and on a bracket end of exactly 0 at
+``gamma = 1``.  Where ``s_yy / s_xx`` leaves float64 the fit
 raises the ``OutOfRange`` of ``slope_bounds``, and so does the reference.
 
 On every input the two must agree exactly, the interior slope and its
@@ -196,12 +197,14 @@ def _assert_case(stats: SufficientStats, gamma: float, policy: str) -> None:
         kind, line = _assert_fit(stats, reflect)
     if kind == "ok":
         _assert_same(verify_fit, _ref_verify, stats, line, config)
-        # half a bracket off the fit, where about half the slopes are certified
-        moved = line.beta1
-        for _ in range(_REF_ULPS // 2):
-            moved = math.nextafter(moved, math.inf)
-        moved_line = dataclasses.replace(line, beta1=moved)
-        _assert_same(verify_fit, _ref_verify, stats, moved_line, config)
+        # half a bracket off the fit either way, where about half the slopes
+        # are certified, and past the bracket, where a neighbour wins
+        for ulps in (-9, -4, 4, 9):
+            moved = line.beta1
+            for _ in range(abs(ulps)):
+                moved = math.nextafter(moved, math.copysign(math.inf, ulps))
+            moved_line = dataclasses.replace(line, beta1=moved)
+            _assert_same(verify_fit, _ref_verify, stats, moved_line, config)
         _assert_same(sse, _ref_sse, stats, line.beta0, line.beta1, gamma)
 
 
