@@ -11,35 +11,7 @@ command runs on the kernel alone and never builds a record.
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Dataset",
-    "DegenerateData",
-    "DualFitError",
-    "FitConfig",
-    "FittedLine",
-    "InvalidInput",
-    "NonPositiveCorrelation",
-    "OracleReport",
-    "OutOfRange",
-    "ParseError",
-    "Quartic",
-    "SingularSlope",
-    "SolverFailure",
-    "SufficientStats",
-    "ZeroCorrelation",
-    "build_quartic",
-    "compute_stats",
-    "fit",
-    "fit_stats",
-    "intercept",
-    "inverse_predict",
-    "predict",
-    "slope_bounds",
-    "sse",
-    "verify_fit",
-]
-
-# name -> the module it is imported from on first use
+# the public names, each mapped to the module it is imported from on first use
 _LAZY = {
     "Dataset": "dataset",
     **dict.fromkeys(
@@ -77,6 +49,7 @@ _LAZY = {
         "errors",
     ),
 }
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):

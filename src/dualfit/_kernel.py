@@ -200,16 +200,15 @@ def _could_be_constant(n: int, mean: float, s: float) -> bool:
     return not s > n * round_off * round_off
 
 
-def _checked_stats(
-    m: _Moments, ranges: Callable[[], tuple[float, float, float, float]]
-) -> _Stats:
+def _checked_stats(m: _Moments, constant: Callable[[], tuple[bool, bool]]) -> _Stats:
     """Check moments and add their correlation; the checks of :func:`dualfit.compute_stats`.
 
-    ``ranges()`` returns the least and greatest x, then y; only whether the
-    two are equal is read.  It is called only when a column's figures could
-    be those of identical values (:func:`_could_be_constant`), so that a
-    caller holding the data scans it only then.  The statistics then pass
-    :func:`_check_stats`, as a record of them would.
+    ``constant()`` returns whether all x values are equal, then whether all
+    y values are; ``0.0`` equals ``-0.0``.  It is called only when a
+    column's figures could be those of identical values
+    (:func:`_could_be_constant`), so that a caller holding the data scans it
+    only then.  The statistics then pass :func:`_check_stats`, as a record
+    of them would.
 
     Raises
     ------
@@ -226,12 +225,9 @@ def _checked_stats(
     suspect_x = _could_be_constant(n, x_bar, s_xx)
     suspect_y = _could_be_constant(n, y_bar, s_yy)
     if suspect_x or suspect_y:
-        x_min, x_max, y_min, y_max = ranges()
-        for suspect, low, high, name in (
-            (suspect_x, x_min, x_max, "x"),
-            (suspect_y, y_min, y_max, "y"),
-        ):
-            if suspect and low == high:
+        same_x, same_y = constant()
+        for suspect, same, name in ((suspect_x, same_x, "x"), (suspect_y, same_y, "y")):
+            if suspect and same:
                 raise DegenerateData(f"all {name} values are identical")
     if not all(math.isfinite(v) for v in (x_bar, y_bar, s_xx, s_yy, s_xy)):
         raise OutOfRange("sums of squares overflow float64; rescale the data")
@@ -332,16 +328,6 @@ def _ratio(s_xx: float, s_yy: float) -> float:
             f"s_yy / s_xx = {s_yy:.3g} / {s_xx:.3g} is out of float64 range; rescale the data"
         )
     return ratio
-
-
-def _slope_interval(stats, reflect: bool) -> tuple[float, float]:
-    """:func:`dualfit.slope_bounds`; with ``reflect``, those of the data ``(x, -y)``, negated.
-
-    Negated, they fall on the data's negative slopes, where a reflect-policy
-    fit lands.
-    """
-    lower, upper = _bounds(stats.s_xx, stats.s_yy, -stats.rho if reflect else stats.rho)
-    return (-upper, -lower) if reflect else (lower, upper)
 
 
 def _solver(stats, policy: str) -> Callable[[float], tuple]:
@@ -445,14 +431,16 @@ def _evaluate(
 
     A Python number, a numpy float64 among them, is computed as a Python
     float, which turns an overflow into inf without a warning; anything else
-    goes through numpy, imported here, with its warnings muted, and a query
-    of any float dtype is computed in float64, as the line is.
+    is made a float64 array by numpy, imported here, and computed with its
+    warnings muted, in float64 as the line is.
 
     Raises
     ------
     OutOfRange
-        Naming the first query whose value is not finite, or an integer
-        query beyond float64.
+        Naming the first query whose value is not finite, or for a query
+        beyond float64.
+    InvalidInput
+        For a complex query, or one numpy cannot make float64.
     """
     if isinstance(query, (int, float)):
         try:
@@ -466,9 +454,15 @@ def _evaluate(
     else:
         import numpy as np
 
-        dtype = getattr(query, "dtype", None)
-        if dtype is not None and dtype.kind == "f":  # float32 would round the line
-            query = np.asarray(query, dtype=np.float64)
+        try:
+            raw = np.asarray(query)
+            if raw.dtype.kind == "c":  # numpy's cast would drop the imaginary part
+                raise TypeError(f"got {raw.dtype} values")
+            query = np.asarray(raw, dtype=np.float64)
+        except OverflowError as exc:  # a number beyond float64, such as a large int
+            raise OutOfRange(f"{name} query overflows float64: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"{name} queries are not real numbers: {exc}") from exc
         with np.errstate(all="ignore"):  # an overflow is raised as OutOfRange
             value = formula(query)
         finite = np.isfinite(value)

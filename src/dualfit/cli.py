@@ -31,14 +31,13 @@ import sys
 from itertools import chain, islice
 
 from ._kernel import (
+    _bounds,
     _checked_stats,
-    _could_be_constant,
     _fsum_moments,
     _inverse,
     _merge,
     _Moments,
     _predict,
-    _slope_interval,
     _solver,
     _Stats,
 )
@@ -91,23 +90,18 @@ def _probe_index(selector: str | None, default: int) -> int:
 def _resolve_column(
     selector: str | None, header: list[str] | None, default_name: str, default_index: int
 ) -> int:
-    if header is not None:
-        if selector is None:
-            return header.index(default_name) if default_name in header else default_index
-        if selector in header:
-            return header.index(selector)
-        try:
-            return int(selector)
-        except ValueError:
-            raise InvalidInput(f"column {selector!r} not found in header {header}") from None
+    names = header or []
     if selector is None:
-        return default_index
+        return names.index(default_name) if default_name in names else default_index
+    if selector in names:
+        return names.index(selector)
     try:
         return int(selector)
     except ValueError:
-        raise InvalidInput(
-            f"column {selector!r} is a name but the file has no header row"
-        ) from None
+        problem = "is a name but the file has no header row"
+        if header:
+            problem = f"not found in header {header}"
+        raise InvalidInput(f"column {selector!r} {problem}") from None
 
 
 def _csv_rows(lines: Iterable[str], skipped: int = 0) -> _Rows:
@@ -454,23 +448,12 @@ def _jnum(value: float):
 
 def _emit_record(pairs: list[tuple[str, object]], fmt: str) -> None:
     if fmt == "json":
-        obj = {}
-        for key, value in pairs:
-            if isinstance(value, float):
-                obj[key] = _jnum(value)
-            elif isinstance(value, (list, tuple)):
-                obj[key] = [_jnum(v) for v in value]
-            else:
-                obj[key] = value
+        obj = {key: _jnum(value) if isinstance(value, float) else value for key, value in pairs}
         print(json.dumps(obj, indent=2))
         return
 
     def cell(value) -> str:
-        if isinstance(value, float):
-            return _fmt(value)
-        if isinstance(value, (list, tuple)):
-            return ";".join(_fmt(v) for v in value)
-        return str(value)
+        return _fmt(value) if isinstance(value, float) else str(value)
 
     if fmt == "csv":
         print(",".join(key for key, _ in pairs))
@@ -543,13 +526,6 @@ def _sweep_text(solve: Callable[[float], tuple], steps: int, fmt: str) -> Iterat
             yield "  ".join(map(str.ljust, cells, widths)) + "\n"
 
 
-def _emit_scalar(value: float, fmt: str) -> None:
-    if fmt == "table":
-        print(_fmt(value))
-    else:
-        _emit_record([("value", value)], fmt)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -565,8 +541,9 @@ def _read_stats(
     nothing to an offset in the data.  The runs merge pairwise by
     :func:`_merge` (Chan, Golub & LeVeque, 1979), as a binary counter
     carries, so memory stays flat in the number of rows; one run alone gives
-    ``_fsum_moments`` of its rows to the bit.  A run's least and greatest
-    values are scanned only where its own sum could be a constant column's.
+    ``_fsum_moments`` of its rows to the bit.  Each run of a column is
+    counted against the column's first value until a run holds another, so
+    that whether the column is constant is known exactly.
 
     Returns the step that checks the statistics and adds their correlation,
     so that a statistics error (exit 3) stays apart from an input error (exit
@@ -577,20 +554,14 @@ def _read_stats(
     shift_x, shift_y = sum(xs) / len(xs), sum(ys) / len(ys)
     # (runs merged, moments), the run counts decreasing down the list
     partial: list[tuple[int, _Moments]] = []
-    x_low = y_low = math.inf
-    x_high = y_high = -math.inf
+    first_x, first_y = xs[0], ys[0]
+    same_x = same_y = True  # whether every value read equals the first
     # a list iterator drops the first run once read; chain's list would not
     for xs, ys in chain(iter([(xs, ys)]), runs):
+        # a column stops being constant at its first run of two values
+        same_x = same_x and xs.count(first_x) == len(xs)
+        same_y = same_y and ys.count(first_y) == len(ys)
         moments = _fsum_moments(xs, ys, shift_x, shift_y)
-        # a column that is not constant in one run is not constant
-        if _could_be_constant(moments.n, shift_x + moments.x_bar, moments.s_xx):
-            x_low, x_high = min(x_low, min(xs)), max(x_high, max(xs))
-        else:
-            x_low, x_high = -math.inf, math.inf
-        if _could_be_constant(moments.n, shift_y + moments.y_bar, moments.s_yy):
-            y_low, y_high = min(y_low, min(ys)), max(y_high, max(ys))
-        else:
-            y_low, y_high = -math.inf, math.inf
         count = 1
         while partial and partial[-1][0] == count:
             earlier_count, earlier = partial.pop()
@@ -600,7 +571,7 @@ def _read_stats(
     while partial:
         moments = _merge(partial.pop()[1], moments)
     moments = moments._replace(x_bar=shift_x + moments.x_bar, y_bar=shift_y + moments.y_bar)
-    return lambda: _checked_stats(moments, lambda: (x_low, x_high, y_low, y_high))
+    return lambda: _checked_stats(moments, lambda: (same_x, same_y))
 
 
 def _load_stats(args: argparse.Namespace) -> Callable[[], _Stats]:
@@ -620,8 +591,11 @@ def _stats_pairs(stats: _Stats) -> list[tuple[str, object]]:
 def _fit(args: argparse.Namespace, stats: _Stats) -> int:
     """Fit once and print the statistics, the line and the slope bounds."""
     beta0, beta1, gamma, sse, residual, _ = _solver(stats, args.policy)(args.gamma)
-    # a fit of negatively correlated data succeeds only under the reflect policy
-    lower, upper = _slope_interval(stats, stats.rho < 0.0)
+    # the bounds of the data (x, -y), negated, where a reflect-policy fit of
+    # negatively correlated data lands; _solver has refused |rho| near 0
+    lower, upper = _bounds(stats.s_xx, stats.s_yy, abs(stats.rho))
+    if stats.rho < 0.0:
+        lower, upper = -upper, -lower
     report = _stats_pairs(stats) + [
         ("gamma", gamma),
         ("beta0", beta0),
@@ -662,7 +636,11 @@ def _point(args: argparse.Namespace, stats: _Stats) -> int:
     """
     beta0, beta1, *_ = _solver(stats, args.policy)(args.gamma)
     at = _inverse if args.command == "inverse" else _predict
-    _emit_scalar(at(beta0, beta1, args.value), args.format)
+    value = at(beta0, beta1, args.value)
+    if args.format == "table":
+        print(_fmt(value))
+    else:
+        _emit_record([("value", value)], args.format)
     return EXIT_OK
 
 

@@ -2,9 +2,10 @@
 
 :class:`Dataset` holds two read-only float64 columns and works out their
 sufficient statistics once, by the corrected two-pass :func:`_moments`,
-checked by the kernel's :func:`~dualfit._kernel._checked_stats`; everything
-after the statistics (the fit, the oracle, the command line) runs without
-numpy.
+checked by the kernel's :func:`~dualfit._kernel._checked_stats`, which asks
+whether a column's least and greatest values are equal only where its sums
+could be those of a constant column; everything after the statistics (the
+fit, the oracle, the command line) runs without numpy.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class Dataset:
     def _stats(self) -> SufficientStats:
         """The record :func:`~dualfit.core.compute_stats` returns, made on first use."""
         x, y = self.x, self.y
-        stats = _checked_stats(_moments(x, y), lambda: (x.min(), x.max(), y.min(), y.max()))
+        stats = _checked_stats(_moments(x, y), lambda: (x.min() == x.max(), y.min() == y.max()))
         return SufficientStats(*stats)
 
 

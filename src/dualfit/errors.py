@@ -41,7 +41,7 @@ class SingularSlope(DualFitError):
 
 
 class SolverFailure(DualFitError):
-    """The slope quartic overflowed, or Newton's method hit its step cap."""
+    """Newton's method hit its step cap."""
 
 
 class ParseError(DualFitError):

@@ -103,6 +103,11 @@ def test_parse_rejects_non_utf8_bytes():
         parse_csv(b"\xff\xfe\x00bad")
 
 
+def test_parse_rejects_a_source_that_is_not_text_bytes_or_a_file():
+    with pytest.raises(InvalidInput, match="^unsupported CSV source type int$"):
+        parse_csv(123)
+
+
 def test_parse_header_only_and_empty_raise_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

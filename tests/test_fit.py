@@ -255,6 +255,34 @@ def test_a_query_of_any_float_dtype_is_computed_in_float64(at, dtype, query):
     assert values.dtype == np.float64 and values.tolist() == want
 
 
+@pytest.mark.parametrize("at", [predict, inverse_predict])
+@pytest.mark.parametrize("query", [np.array([2**70, 6]), [2.0, -6.0], (2, 6.0), ["2", "6"]])
+def test_a_query_numpy_makes_float64_is_computed_in_float64(at, query):
+    # np.array([2**70, 6]) is an array of Python ints, dtype object
+    values = at(_SHALLOW_LINE, query)
+    assert values.dtype == np.float64
+    assert values.tolist() == [at(_SHALLOW_LINE, float(q)) for q in query]
+
+
+@pytest.mark.parametrize("at, name", [(predict, "predict"), (inverse_predict, "inverse")])
+@pytest.mark.parametrize(
+    "query, error, message",
+    [
+        (np.array([10**400], dtype=object), OutOfRange, "query overflows float64"),
+        (np.array([1 + 2j]), InvalidInput, "queries are not real numbers: got complex128"),
+        (1 + 2j, InvalidInput, "queries are not real numbers: got complex128"),
+        (np.array([1 + 2j], dtype=object), InvalidInput, "queries are not real numbers"),
+        ("abc", InvalidInput, "queries are not real numbers"),
+        ([1.0, [2.0, 3.0]], InvalidInput, "queries are not real numbers"),
+    ],
+)
+def test_a_query_numpy_cannot_make_float64_raises_a_typed_error(at, name, query, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's ComplexWarning must not leak
+        with pytest.raises(error, match=f"^{re.escape(f'{name} {message}')}"):
+            at(_SHALLOW_LINE, query)
+
+
 def test_dataset_roundtrip_points():
     data = Dataset.from_points(REFERENCE_POINTS)
     assert len(data) == 4

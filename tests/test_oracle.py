@@ -223,6 +223,14 @@ def test_verify_refuses_a_line_whose_gamma_is_not_a_weight(reference_stats, gamm
         verify_fit(reference_stats, line, FitConfig(gamma=0.9))
 
 
+@pytest.mark.parametrize("beta1", [0.0, math.inf, math.nan])
+def test_verify_refuses_a_line_whose_slope_is_zero_or_not_finite(reference_stats, beta1):
+    # the certificate's integer frame needs a finite, nonzero slope
+    line = FittedLine(0.0, beta1, 0.9, 1.0)
+    with pytest.raises(InvalidInput, match=rf"^a fitted slope is finite and nonzero, got {beta1}$"):
+        verify_fit(reference_stats, line, FitConfig(gamma=0.9))
+
+
 def test_oracle_report_validation():
     with pytest.raises(InvalidInput):
         OracleReport(

@@ -339,6 +339,10 @@ def test_invalid_utf8_matches_reference():
         b"1,2\n3,4\n\xc3",
         b"x,y\n1,abc\n3,4\n5,6\n7,\xff\n",
         b"x,y\n1,2\n3,4\n5,6\n1_0,7\n9,\xc3\n",
+        # bytes that are not UTF-8 before the last line
+        b"x,y\n1,abc\n3,\xff\n5,6\n7,8\n",
+        b"x,y\n1,2\n3,\xff\n5,6\n7,8\n9,10\n",
+        b"x,y\ninf,2\n3,\xfe\n5,6\n",
     ):
         expected = _outcome(_reference_parse, raw, None, None)
         for block_rows in BLOCK_SIZES:

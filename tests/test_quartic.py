@@ -88,6 +88,8 @@ def test_quartic_rejects_degenerate_stats():
     flat = SufficientStats(n=3, x_bar=0.0, y_bar=0.0, s_xx=0.0, s_yy=1.0, s_xy=0.0, rho=0.0)
     with pytest.raises(DegenerateData):
         build_quartic(flat, 0.5)
+    with pytest.raises(DegenerateData, match="^slope bounds need positive spread in x and y$"):
+        slope_bounds(flat)
 
 
 def test_quartic_type_validation():

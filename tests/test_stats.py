@@ -126,6 +126,11 @@ def test_stats_type_validates_ranges():
     # rho must be consistent with the sums
     with pytest.raises(InvalidInput):
         SufficientStats(n=3, x_bar=0.0, y_bar=0.0, s_xx=1.0, s_yy=1.0, s_xy=0.9, rho=0.1)
+    # every figure must be finite
+    finite = dict(n=3, x_bar=0.0, y_bar=0.0, s_xx=1.0, s_yy=1.0, s_xy=0.0, rho=0.0)
+    for figure in (dict(x_bar=math.nan), dict(s_xx=math.inf), dict(rho=-math.inf)):
+        with pytest.raises(InvalidInput, match="^statistics must be finite$"):
+            SufficientStats(**{**finite, **figure})
 
 
 @pytest.mark.parametrize("s_xx, s_yy", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0)])

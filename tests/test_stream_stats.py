@@ -65,6 +65,9 @@ BOUNDARY_CASES = [
     'x,y\n"1\n",2\n"3\n",4\n"5\n",6\n',  # a quoted line break in every row
     'x,y,z\n1,2,a"b\n3,4,c\n5,6,d\n',  # a stray quote within a cell opens none
     'x,y,z\n1,2,a"b\n3,"4\n",c\n5,6,d\n7,8,e\n',  # and a quoted cell after it
+    "x,y\n5,1\n5,2\n5,3\n5,4\n5,6\n6,5\n",  # x constant in every run but the last
+    "x,y\n1,7\n2,7\n3,7\n4,7\n",  # a constant y
+    "x,y\n0.0,1\n-0.0,2\n0,3\n",  # 0.0 and -0.0 are one x value
 ]
 
 
@@ -95,8 +98,8 @@ def _whole_then_one_block_stats(fh, x_column, y_column):
     # parse_csv's values, summed as the CLI sums one block
     data = parse_csv(fh, x_column, y_column)
     xs, ys = data.x.tolist(), data.y.tolist()
-    ranges = (min(xs), max(xs), min(ys), max(ys))
-    return lambda: _checked_stats(_fsum_moments(xs, ys), lambda: ranges)
+    constant = (min(xs) == max(xs), min(ys) == max(ys))
+    return lambda: _checked_stats(_fsum_moments(xs, ys), lambda: constant)
 
 
 def _summary(fh, columns):
