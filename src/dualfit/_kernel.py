@@ -440,7 +440,7 @@ def _evaluate(
         Naming the first query whose value is not finite, or for a query
         beyond float64.
     InvalidInput
-        For a complex query, or one numpy cannot make float64.
+        For a complex query, a ``None`` in it, or one numpy cannot make float64.
     """
     if isinstance(query, (int, float)):
         try:
@@ -458,6 +458,8 @@ def _evaluate(
             raw = np.asarray(query)
             if raw.dtype.kind == "c":  # numpy's cast would drop the imaginary part
                 raise TypeError(f"got {raw.dtype} values")
+            if raw.dtype.kind == "O" and any(value is None for value in raw.flat):
+                raise TypeError("got None")  # which numpy's cast would make nan
             query = np.asarray(raw, dtype=np.float64)
         except OverflowError as exc:  # a number beyond float64, such as a large int
             raise OutOfRange(f"{name} query overflows float64: {exc}") from exc

@@ -179,9 +179,12 @@ def _values(rows: _Rows, x_idx: int, y_idx: int) -> tuple[list[float], list[floa
     return xs, ys
 
 
-# lines in a block, a few hundred kB of text, which spreads the work of a
-# block thin; and data rows in a run of the statistics
-_BLOCK_ROWS = 8192
+# lines in a block, which the reader holds at once in four forms (lines,
+# text, cells and floats): tens of kB of text, which still spreads the work
+# of a block thin
+_BLOCK_LINES = 1024
+# data rows in a run of the statistics, whatever lines the blocks hold
+_RUN_ROWS = 8192
 
 
 def _cells_within_limit(text: str) -> bool:
@@ -231,17 +234,16 @@ class _Stream:
     def block(self) -> tuple[str, int, list[list[str]] | None] | None:
         """The next block: its text, its number of lines and, if it holds a
         quote, its rows as the csv module reads them, or None where it
-        rejects them.  A block is ``_BLOCK_ROWS`` lines, and more while the
+        rejects them.  A block is ``_BLOCK_LINES`` lines, and more while the
         csv module has read fewer rows from it, so it ends where a row does:
         only the csv module tells where a quote opens a cell that spans lines
         (``1,2"3`` opens none)."""
-        lines = list(islice(self._fh, _BLOCK_ROWS))
+        lines = list(islice(self._fh, _BLOCK_LINES))
         if not lines:
             return None
         count = len(lines)
-        join = lines[0][:0].join  # of str or of bytes, as the stream gives them
-        # decoded a thousand lines a join, as a join holds an 80-byte buffer per piece
-        text = "".join([self._text(join(lines[i : i + 1024])) for i in range(0, count, 1024)])
+        # joined as str or as bytes, as the stream gives them
+        text = self._text(lines[0][:0].join(lines))
         del lines  # the block is held once, as its text
         if '"' not in text:
             return text, count, None
@@ -312,13 +314,14 @@ def _blocks(
     fh, x_column: str | None, y_column: str | None
 ) -> Iterator[tuple[list[float], list[float]]]:
     """Yield the x and y values of a CSV stream, text or UTF-8 bytes, from
-    where it stands, ``_BLOCK_ROWS`` data rows at a time, the last fewer.
+    where it stands, in runs of ``_RUN_ROWS`` data rows, the last fewer.
 
     The row parse reads the header and the first data row, which decide the
     columns.  :func:`_block_columns` reads each :meth:`_Stream.block` after
-    them, and the row parse a block it returns None for.  The values are
-    yielded in runs of ``_BLOCK_ROWS`` rows whatever the blocks hold, so that
-    blank lines move no run.  A non-finite value stops the yielding, not the
+    them, and the row parse a block it returns None for.  A block is
+    ``_BLOCK_LINES`` lines, fewer than a run holds; the runs are
+    ``_RUN_ROWS`` rows whatever the blocks hold, so that neither the block
+    size nor blank lines move a run.  A non-finite value stops the yielding, not the
     reading, so it is raised only when the rest of the input holds no other
     error.
     """
@@ -352,9 +355,9 @@ def _blocks(
             if finite:
                 xs += block_xs
                 ys += block_ys
-                while len(xs) >= _BLOCK_ROWS:
-                    yield xs[:_BLOCK_ROWS], ys[:_BLOCK_ROWS]
-                    del xs[:_BLOCK_ROWS], ys[:_BLOCK_ROWS]
+                while len(xs) >= _RUN_ROWS:
+                    yield xs[:_RUN_ROWS], ys[:_RUN_ROWS]
+                    del xs[:_RUN_ROWS], ys[:_RUN_ROWS]
         if n < 2:
             raise InvalidInput(f"need at least 2 data rows, got {n}")
         if not finite:
@@ -394,19 +397,19 @@ def parse_csv(source, x_column: str | None = None, y_column: str | None = None) 
     ``csv.field_size_limit()``, in any column, is a malformed row.
 
     The text is read once, forward: the header and the first data row row by
-    row, then blocks of ``_BLOCK_ROWS`` lines.  A block whose rows are all of
+    row, then blocks of ``_BLOCK_LINES`` lines.  A block whose rows are all of
     one width is split into cells, at its commas and line ends or by the csv
     module where it holds a quote, and each column read by one ``float`` per
     cell; any other block (a blank or whitespace-only row, rows of two
-    widths, a cell ``float`` refuses, or an error) is read row by row.  Each
-    block is turned into float64 arrays as it is read.  One error is raised,
-    the first of these the text holds, in this order: text that is not
-    UTF-8; a row the csv module rejects; the first other input error; a
-    non-finite value.
+    widths, a cell ``float`` refuses, or an error) is read row by row.  The
+    values are gathered in runs of ``_RUN_ROWS`` data rows, each turned into
+    float64 arrays as it is read.  One error is raised, the first of these
+    the text holds, in this order: text that is not UTF-8; a row the csv
+    module rejects; the first other input error; a non-finite value.
 
-    The ``dualfit`` command reads the same blocks without a Dataset or numpy,
-    summing them by ``math.fsum``; ``compute_stats`` sums a Dataset with
-    numpy, so the two can differ in the last bits.
+    The ``dualfit`` command reads the same blocks and runs without a Dataset
+    or numpy, summing each run by ``math.fsum``; ``compute_stats`` sums a
+    Dataset with numpy, so the two can differ in the last bits.
 
     Raises
     ------
@@ -534,7 +537,7 @@ def _sweep_text(solve: Callable[[float], tuple], steps: int, fmt: str) -> Iterat
 def _read_stats(
     fh, x_column: str | None, y_column: str | None
 ) -> Callable[[], _Stats]:
-    """Summarise a binary CSV stream, ``_BLOCK_ROWS`` data rows at a time.
+    """Summarise a binary CSV stream, ``_RUN_ROWS`` data rows at a time.
 
     Each run of rows is summed by :func:`_fsum_moments`, its means taken
     from the first run's, so that they stay small and the merge loses
@@ -547,7 +550,9 @@ def _read_stats(
 
     Returns the step that checks the statistics and adds their correlation,
     so that a statistics error (exit 3) stays apart from an input error (exit
-    2).  Any stream, a pipe too, is read once, forward, in bounded blocks.
+    2).  Any stream, a pipe too, is read once, forward, in blocks of
+    ``_BLOCK_LINES`` lines, so that only a run's values and a block's text
+    are held at once.
     """
     runs = _blocks(fh, x_column, y_column)
     xs, ys = next(runs)

@@ -9,11 +9,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from dualfit import Dataset, SufficientStats, compute_stats
+from dualfit import Dataset, SufficientStats, cli, compute_stats
 from dualfit.errors import DegenerateData
 
 SRC = Path(__file__).parent.parent / "src"
@@ -52,6 +53,13 @@ def dualfit_peak_mb(*args: str, stdin=None) -> tuple[int, float]:
     )
     code, peak_kb = map(int, result.stdout.split())
     return code, peak_kb / 1024.0
+
+
+def reader_sizes(block_lines: int, run_rows: int | None = None):
+    """A patch of the CLI reader to blocks of ``block_lines`` lines and runs
+    of ``run_rows`` data rows, by default as many as a block's lines."""
+    run_rows = block_lines if run_rows is None else run_rows
+    return mock.patch.multiple(cli, _BLOCK_LINES=block_lines, _RUN_ROWS=run_rows)
 
 
 # four points with known statistics: means (1/2, 1/4), s_xx = 1, s_yy = 3/4

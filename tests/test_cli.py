@@ -427,10 +427,10 @@ def test_commands_look_up_the_traced_names(monkeypatch, tmp_path, capsys):
     assert calls["_solver"] == 4 and calls["certify"] == 1
     # a row wider than the rest leaves its block to the row parse, and the
     # command reads that block row by row itself, building no Dataset
-    rows = "".join(f"{i},{i % 7}\n" for i in range(cli._BLOCK_ROWS))
+    rows = "".join(f"{i},{i % 7}\n" for i in range(cli._RUN_ROWS))
     text = "x,y\n" + rows + "1,1,z\n"
     assert main(["stats", "--input", _write(tmp_path, text)]) == EXIT_OK
-    n = cli._BLOCK_ROWS + 1
+    n = cli._RUN_ROWS + 1
     assert capsys.readouterr().out.splitlines()[0].split() == ["n", str(n)]
     assert calls["parse_csv"] == len(built) == 0
 
@@ -489,7 +489,8 @@ def test_help_runs_without_numpy():
 @pytest.mark.parametrize("source", ["2 rows", "one block", "one block from a pipe"])
 @pytest.mark.parametrize("command", _COMMANDS, ids=lambda command: command[0])
 def test_one_block_of_input_runs_without_numpy(tmp_path, command, source):
-    text = _table(2 if source == "2 rows" else cli._BLOCK_ROWS)
+    # "one block" is one run of the statistics, read in blocks of fewer lines
+    text = _table(2 if source == "2 rows" else cli._RUN_ROWS)
     if source.endswith("pipe"):
         result = _main_reporting_numpy("without-numpy", *command, stdin=text.encode())
     else:
@@ -542,7 +543,7 @@ sys.exit(code)
 @pytest.mark.parametrize("source", ["2 rows", "one block", "one block from a pipe"])
 @pytest.mark.parametrize("command", _COMMANDS, ids=lambda command: command[0])
 def test_every_command_runs_without_dataclasses(tmp_path, capsys, command, source):
-    text = _table(2 if source == "2 rows" else cli._BLOCK_ROWS)
+    text = _table(2 if source == "2 rows" else cli._RUN_ROWS)
     path = _write(tmp_path, text)
     assert main([*command, "--input", path]) == EXIT_OK
     printed = capsys.readouterr().out
@@ -598,7 +599,7 @@ sys.exit(code)
 
 
 def test_a_one_block_fit_imports_no_typing(tmp_path):
-    path = _write(tmp_path, _table(cli._BLOCK_ROWS))
+    path = _write(tmp_path, _table(cli._RUN_ROWS))
     result = subprocess.run(
         [sys.executable, "-S", "-c", _MAIN_REPORTING_TYPING, "fit", "--input", path],
         capture_output=True,
@@ -637,8 +638,8 @@ _TWO_BLOCK_FIT = """{
 
 
 def test_input_longer_than_one_block_keeps_its_bits_without_numpy(tmp_path):
-    assert cli._BLOCK_ROWS + 1 == 8193
-    path = _write(tmp_path, _table(cli._BLOCK_ROWS + 1))
+    assert cli._RUN_ROWS + 1 == 8193
+    path = _write(tmp_path, _table(cli._RUN_ROWS + 1))
     with open(path, "rb") as fh:
         assert repr(SufficientStats(*cli._read_stats(fh, None, None)())) == _TWO_BLOCK_STATS
     result = _main_reporting_numpy("with-numpy", "fit", "--input", path, "--format", "json")
@@ -651,7 +652,7 @@ def test_input_longer_than_one_block_keeps_its_bits_without_numpy(tmp_path):
     "command", [["fit"], ["stats"], ["sweep", "--steps", "101"]], ids=lambda command: command[0]
 )
 def test_three_blocks_run_without_numpy(tmp_path, command, source):
-    text = _table(2 * cli._BLOCK_ROWS + 100)
+    text = _table(2 * cli._RUN_ROWS + 100)  # three runs
     modes = ("without-numpy", "with-numpy")
     if source == "pipe":
         runs = [_main_reporting_numpy(mode, *command, stdin=text.encode()) for mode in modes]
@@ -692,29 +693,30 @@ def test_each_row_is_parsed_once(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(csv, "reader", CountingReader)
     monkeypatch.setattr(cli, "_block_columns", counting_block_columns)
-    n = 2 * cli._BLOCK_ROWS + 100  # three blocks
+    n = 2 * cli._RUN_ROWS + 100  # three runs, in many blocks
     assert main(["stats", "--input", _write(tmp_path, _table(n))]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[0].split() == ["n", str(n)]
     assert parsed == {"csv": 2, "split": n - 1}, parsed
-    # an input error in the last row of one block: the split path refuses
-    # the block, and the rows before the error are not read again to find
-    # an error the text holds before it
+    # an input error in the last row of the last block: the split path
+    # refuses that block alone, and the rows before the error are not read
+    # again to find an error the text holds before it
     parsed.update(csv=0, split=0)
     n = 8001
     text = _table(n - 1) + "1,abc\n"
     assert main(["stats", "--input", _write(tmp_path, text)]) == EXIT_INPUT
     error = f"ParseError: line {n + 1}: could not parse 'abc' as a number\n"
     assert capsys.readouterr().err == error
-    assert parsed == {"csv": n + 1, "split": 0}, parsed
+    last = (n - 1) % cli._BLOCK_LINES or cli._BLOCK_LINES  # the lines of the last block
+    assert parsed == {"csv": last + 2, "split": n - 1 - last}, parsed
     # a block the split path refuses, for a row wider than the rest, is read
     # by the row parse alone: the split path reads the blocks around it
     parsed.update(csv=0, split=0)
-    n = 4 * cli._BLOCK_ROWS
+    n = 4 * cli._RUN_ROWS
     lines = _table(n).splitlines(keepends=True)
-    lines[9000] = "1,3,z\n"  # data row 9000, in the second block
+    lines[9000] = "1,3,z\n"  # data row 9000, inside a block after the first
     assert main(["stats", "--input", _write(tmp_path, "".join(lines))]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[0].split() == ["n", str(n)]
-    assert parsed == {"csv": cli._BLOCK_ROWS + 2, "split": n - cli._BLOCK_ROWS - 1}, parsed
+    assert parsed == {"csv": cli._BLOCK_LINES + 2, "split": n - cli._BLOCK_LINES - 1}, parsed
 
 
 # ---- argument handling ------------------------------------------------------------
@@ -859,26 +861,27 @@ def test_standard_input_is_read_from_its_offset(tmp_path, header, cell):
 
 
 def test_refused_block_is_read_again_from_the_offset(tmp_path):
-    # a row wider than the rest leaves the block after the first data row to
-    # the row parse, which reads it from the block's text, read from the
-    # offset: to the statistics of the block the split path reads when the
-    # row is as wide as the rest, its x written 10 or 1_0
+    # a row wider than the rest leaves the last block to the row parse,
+    # which reads it from the block's text, read from the offset: to the
+    # statistics of the block the split path reads when the row is as wide
+    # as the rest, its x written 10 or 1_0
     skipped = "50,-50\n" * 3
     stats = {}
     for row in ("10,5,z", "1_0,5", "10,5"):
         whole = tmp_path / "whole.csv"
-        whole.write_text(skipped + _table(cli._BLOCK_ROWS) + f"{row}\n")
+        whole.write_text(skipped + _table(cli._RUN_ROWS) + f"{row}\n")
         with open(whole, "rb") as fh:
             fh.seek(len(skipped))
             stats[row] = cli._read_stats(fh, None, None)()
     assert stats["10,5,z"] == stats["1_0,5"] == stats["10,5"]
-    assert stats["10,5"].n == cli._BLOCK_ROWS + 1
+    assert stats["10,5"].n == cli._RUN_ROWS + 1
 
 
 def test_line_numbers_carry_across_a_refused_block(tmp_path, capsys):
-    # the split path refuses the second block (a row wider than the rest)
-    # and the third (a blank line), whose \r\n row and quoted line break the
-    # line count must take in; the row parse finds abc in the fourth
+    # the split path refuses the block of data row 9000 (a row wider than
+    # the rest) and that of data row 20000 (a blank line), whose \r\n row
+    # and quoted line break the line count must take in; the row parse finds
+    # abc in a later block
     lines = _table(40_000).splitlines(keepends=True)
     lines[9000] = "1_0,3,z\n"
     lines[20_000] = "5,6\r\n"

@@ -20,7 +20,6 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,7 +40,7 @@ from dualfit import (
     verify_fit,
 )
 
-from conftest import REFERENCE_POINTS, src_env
+from conftest import REFERENCE_POINTS, reader_sizes, src_env
 
 HERE = Path(__file__).parent
 
@@ -310,13 +309,13 @@ def test_subnormal_spread_raises_out_of_range(swap):
         _stats_without_warnings(Dataset(np.array(x), np.array(y)))
 
 
-# one block, or one row per block through the merged statistics
-@pytest.mark.parametrize("block_rows", [cli._BLOCK_ROWS, 1])
+# one block and run, or one row per block and run through the merged statistics
+@pytest.mark.parametrize("block_rows", [cli._RUN_ROWS, 1])
 def test_cli_stats_on_subnormal_spread_prints_one_typed_line(tmp_path, block_rows):
     path = tmp_path / "tiny.csv"
     path.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(_SUBNORMAL_X, _SUBNORMAL_Y)))
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+    with reader_sizes(block_rows):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["stats", "--input", str(path)])
     assert (code, out.getvalue()) == (3, "")

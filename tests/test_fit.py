@@ -274,6 +274,11 @@ def test_a_query_numpy_makes_float64_is_computed_in_float64(at, query):
         (np.array([1 + 2j], dtype=object), InvalidInput, "queries are not real numbers"),
         ("abc", InvalidInput, "queries are not real numbers"),
         ([1.0, [2.0, 3.0]], InvalidInput, "queries are not real numbers"),
+        # numpy would make each None nan, which the caller never passed
+        (None, InvalidInput, "queries are not real numbers: got None"),
+        ([None, 1.0], InvalidInput, "queries are not real numbers: got None"),
+        ([1.0, None], InvalidInput, "queries are not real numbers: got None"),
+        (np.array([[2.0], [None]], dtype=object), InvalidInput, "queries are not real numbers"),
     ],
 )
 def test_a_query_numpy_cannot_make_float64_raises_a_typed_error(at, name, query, error, message):

@@ -62,7 +62,7 @@ def test_mirrored_data_fit_and_verify_bit_for_bit():
 
 def test_cli_prints_the_mirrored_slope_negated(tmp_path):
     rng = np.random.default_rng(5)
-    n = 2 * cli._BLOCK_ROWS + 100  # three blocks, merged
+    n = 2 * cli._RUN_ROWS + 100  # three runs, merged
     x = rng.normal(3.0, 2.0, n)
     y = 1.0 + 0.7 * x + rng.normal(0.0, 0.5, n)
     printed = []

@@ -13,7 +13,6 @@ import csv
 import io
 import tempfile
 from typing import Iterator
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +23,8 @@ from dualfit import Dataset
 from dualfit import cli
 from dualfit.cli import parse_csv
 from dualfit.errors import InvalidInput, ParseError
+
+from conftest import reader_sizes
 
 # ---- the frozen reference ----------------------------------------------------
 
@@ -142,8 +143,9 @@ def _outcome(parser, source, x_column, y_column):
     return ("data", data.x.tobytes(), data.y.tobytes())
 
 
-# the block size, and blocks of 1, 2 and 3 rows, so that small texts span blocks
-BLOCK_SIZES = (cli._BLOCK_ROWS, 1, 2, 3)
+# the reader's (block lines, run rows), then blocks and runs of 1, 2 and 3
+# rows, so that small texts span blocks and runs
+BLOCK_SIZES = ((cli._BLOCK_LINES, cli._RUN_ROWS), (1, 1), (2, 2), (3, 3))
 
 
 class Unseekable(io.BytesIO):
@@ -179,11 +181,11 @@ def _sources(text: str) -> Iterator:
 
 def _assert_equivalent(text: str, x_column=None, y_column=None) -> None:
     expected = _outcome(_reference_parse, text, x_column, y_column)
-    for block_rows in BLOCK_SIZES:
-        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+    for sizes in BLOCK_SIZES:
+        with reader_sizes(*sizes):
             for source in _sources(text):
                 outcome = _outcome(parse_csv, source, x_column, y_column)
-                assert outcome == expected, (block_rows, source)
+                assert outcome == expected, (sizes, source)
 
 
 # ---- a fixed table -------------------------------------------------------------
@@ -324,7 +326,8 @@ def test_well_formed_text_skips_row_loop(text, monkeypatch):
     # blocks of one line make every text span blocks; the split path reads
     # every data row after the first, which the row parse reads with the header
     monkeypatch.setattr(cli, "_block_columns", counting_block_columns)
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 1)
+    monkeypatch.setattr(cli, "_BLOCK_LINES", 1)
+    monkeypatch.setattr(cli, "_RUN_ROWS", 1)
     assert _outcome(parse_csv, text, None, None) == expected
     data_rows = len(expected[1]) // 8  # the bytes of the float64 x column
     assert sum(split) == data_rows - 1, split
@@ -345,9 +348,9 @@ def test_invalid_utf8_matches_reference():
         b"x,y\ninf,2\n3,\xfe\n5,6\n",
     ):
         expected = _outcome(_reference_parse, raw, None, None)
-        for block_rows in BLOCK_SIZES:
-            with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
-                assert _outcome(parse_csv, raw, None, None) == expected, (block_rows, raw)
+        for sizes in BLOCK_SIZES:
+            with reader_sizes(*sizes):
+                assert _outcome(parse_csv, raw, None, None) == expected, (sizes, raw)
 
 
 # a lone surrogate in the header, in a column not selected, and in a selected cell
@@ -358,9 +361,9 @@ SURROGATE_TEXTS = ["x,\ud800\n1,2\n3,4\n", "x,y,\ud800\n1,2,z\n3,4,w\n", "x,y\n1
 def test_text_that_utf8_cannot_encode_matches_reference(text):
     # a str source is read as text, never encoded: its bytes would not be UTF-8
     expected = _outcome(_reference_parse, text, None, None)
-    for block_rows in BLOCK_SIZES:
-        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
-            assert _outcome(parse_csv, text, None, None) == expected, block_rows
+    for sizes in BLOCK_SIZES:
+        with reader_sizes(*sizes):
+            assert _outcome(parse_csv, text, None, None) == expected, sizes
 
 
 # ---- generated text ------------------------------------------------------------

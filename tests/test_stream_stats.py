@@ -1,16 +1,18 @@
 """The CLI's streamed statistics against parsing whole, then ``compute_stats``.
 
-``dualfit`` reads its input in blocks of ``cli._BLOCK_ROWS`` lines and sums
-each run of that many data rows in Python floats, merging the runs'
-statistics; it never builds a ``Dataset``.  Here the block size is cut to
-1, 2 and 3 so that small texts span many blocks and runs, and every
-``dualfit stats`` run is held to the same run made the way the CLI worked
-before: ``parse_csv`` on the whole text, then ``compute_stats``.
+``dualfit`` reads its input in blocks of ``cli._BLOCK_LINES`` lines and sums
+each run of ``cli._RUN_ROWS`` data rows in Python floats, whatever lines the
+blocks hold, merging the runs' statistics; it never builds a ``Dataset``.
+Here blocks and runs are cut to 1, 2 and 3 lines and rows, to sizes that
+differ, (2, 3) and (3, 2), and to one-line blocks in runs of 8192 rows, so
+that small texts span many blocks and runs, and every ``dualfit stats`` run
+is held to the same run made the way the CLI worked before: ``parse_csv`` on
+the whole text, then ``compute_stats``.
 
 Input errors must agree exactly: exit code, message and line.  Statistics
 may differ by the round-off either algorithm commits, which the comparison
-allows, field by field; data that fits in one block must also give, to the
-bit, ``parse_csv``'s values summed by the one-block arithmetic.  Where a
+allows, field by field; data that fits in one run must also give, to the
+bit, ``parse_csv``'s values summed by the one-run arithmetic.  Where a
 value's magnitude leaves ``[2**-200, 2**200]``, whether a sum overflows or
 underflows can depend on the order of the arithmetic, so there the two runs
 need only both end in exit 0 or 3.
@@ -38,11 +40,12 @@ from dualfit.cli import EXIT_INPUT, EXIT_OK, parse_csv
 from dualfit._kernel import _checked_stats, _fsum_moments, _solver
 from dualfit.errors import DualFitError, InvalidInput, ParseError
 
-from conftest import dualfit_peak_mb
+from conftest import dualfit_peak_mb, reader_sizes
 from test_parse_equivalence import _ALPHABET, _WEIGHTED, CASES, COLUMN_CASES, Unseekable, _cells
 
 EPS = sys.float_info.epsilon
-BLOCK_SIZES = (1, 2, 3)
+# (block lines, run rows): equal, then blocks and runs that end apart
+BLOCK_SIZES = ((1, 1), (2, 2), (3, 3), (2, 3), (3, 2), (1, 8192))
 
 # block boundaries that need care, each met at some size in BLOCK_SIZES
 BOUNDARY_CASES = [
@@ -94,8 +97,8 @@ def _whole_then_stats(fh, x_column, y_column):
     return lambda: compute_stats(data)
 
 
-def _whole_then_one_block_stats(fh, x_column, y_column):
-    # parse_csv's values, summed as the CLI sums one block
+def _whole_then_one_run_stats(fh, x_column, y_column):
+    # parse_csv's values, summed as the CLI sums one run
     data = parse_csv(fh, x_column, y_column)
     xs, ys = data.x.tolist(), data.y.tolist()
     constant = (min(xs) == max(xs), min(ys) == max(ys))
@@ -168,28 +171,28 @@ def _assert_streams_like_whole(path, text: str, columns=(None, None)) -> None:
         expected = _stats_run(path, raw, columns)
     parsed = _parsed(raw, columns)
     rows = len(np.frombuffer(parsed[1], dtype=float)) if parsed[0] == "data" else 0
-    for block_rows in BLOCK_SIZES:
-        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+    for sizes in BLOCK_SIZES:
+        with reader_sizes(*sizes):
             got = _stats_run(path, raw, columns)
             # parse_csv joins the same blocks, to the same arrays
             assert _parsed(raw, columns) == parsed
         code, out, err = got
         if expected[0] == EXIT_INPUT:
-            assert got == expected, block_rows
+            assert got == expected, sizes
             continue
-        if rows <= block_rows:
-            with mock.patch.object(cli, "_read_stats", _whole_then_one_block_stats):
-                assert got == _stats_run(path, raw, columns), block_rows
+        if rows <= sizes[1]:
+            with mock.patch.object(cli, "_read_stats", _whole_then_one_run_stats):
+                assert got == _stats_run(path, raw, columns), sizes
         data = Dataset(np.frombuffer(parsed[1]), np.frombuffer(parsed[2]))
         if not _in_range(data):
             assert code in (EXIT_OK, 3) and len(err.splitlines()) == (code != EXIT_OK)
             continue
-        assert (code, err) == expected[::2], block_rows
+        assert (code, err) == expected[::2], sizes
         if code == EXIT_OK:
             _assert_within_round_off(_record(out), _record(expected[1]), data)
     # bytes that cannot be sought, as a pipe's, are read as a file's are
-    for block_rows in (cli._BLOCK_ROWS, *BLOCK_SIZES):
-        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+    for sizes in ((cli._BLOCK_LINES, cli._RUN_ROWS), *BLOCK_SIZES):
+        with reader_sizes(*sizes):
             assert _summary(Unseekable(raw), columns) == _summary(io.BytesIO(raw), columns)
             assert _parsed(Unseekable(raw), columns) == parsed
 
@@ -257,8 +260,8 @@ def _long_cell_texts(cell: str, at: int, rows: int = 12) -> list[tuple[str, int]
 )
 def test_overlong_cell_outcome_ignores_far_rows(csv_path, cell, at, message):
     for text, line in _long_cell_texts(cell, at):
-        for block_rows in (cli._BLOCK_ROWS, 2, 3):
-            with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+        for sizes in ((cli._BLOCK_LINES, cli._RUN_ROWS), (2, 2), (3, 3)):
+            with reader_sizes(*sizes):
                 parsed = _parsed(text.encode(), (None, None))
                 code, _, err = _stats_run(csv_path, text.encode(), (None, None))
             assert message in parsed[2] and code == EXIT_INPUT
@@ -269,8 +272,8 @@ def test_overlong_cell_outcome_ignores_far_rows(csv_path, cell, at, message):
 
 def test_overlong_cell_reports_its_line_in_a_later_block():
     text = "x,y\n" + "".join(f"{i},{i % 7}\n" for i in range(20)) + "3," + "4" * (_LIMIT + 1) + "\n"
-    for block_rows in (cli._BLOCK_ROWS, 1, 4):
-        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+    for sizes in ((cli._BLOCK_LINES, cli._RUN_ROWS), (1, 1), (4, 4)):
+        with reader_sizes(*sizes):
             with pytest.raises(ParseError) as excinfo:
                 parse_csv(text)
         assert excinfo.value.line == 22
@@ -316,8 +319,8 @@ def _dataset(kind: str) -> tuple[np.ndarray, np.ndarray]:
     if kind == "heavy tails":
         heavy = rng.lognormal(0.0, 2.0, n)
         return heavy, heavy * rng.uniform(0.5, 1.5, n)
-    if kind == "three blocks":
-        return x[: 3 * cli._BLOCK_ROWS + 5], y[: 3 * cli._BLOCK_ROWS + 5]
+    if kind == "three blocks":  # three runs and 5 rows
+        return x[: 3 * cli._RUN_ROWS + 5], y[: 3 * cli._RUN_ROWS + 5]
     return x, y
 
 
@@ -350,6 +353,23 @@ def test_a_common_power_of_two_scales_the_statistics_exactly(power):
         assert (beta1, beta0, sse) == (base_beta1, base_beta0 * scale, base_sse * scale**2)
 
 
+def test_blank_lines_and_block_size_move_no_run():
+    # a run is _RUN_ROWS data rows whatever lines the blocks hold: blank
+    # lines, whose blocks only the row parse reads, and blocks of the
+    # reader's size or of a whole run leave every statistic its bits
+    x, y = _dataset("three blocks")
+    rows = list(map("{!r},{!r}\n".format, x.tolist(), y.tolist()))
+    plain = ("x,y\n" + "".join(rows)).encode()
+    for i in range(699, len(rows), 700):
+        rows[i] += "\n"  # a blank line every 700 lines
+    blank = ("x,y\n" + "".join(rows)).encode()
+    want = repr(cli._read_stats(io.BytesIO(plain), None, None)())
+    for block_lines in (cli._BLOCK_LINES, 8192):
+        with reader_sizes(block_lines, cli._RUN_ROWS):
+            got = repr(cli._read_stats(io.BytesIO(blank), None, None)())
+        assert got == want, block_lines
+
+
 def _ulps_from_exact(stats, x: np.ndarray, y: np.ndarray) -> dict[str, float]:
     """Each statistic's distance from :func:`_exact`, in units in the last place.
 
@@ -369,8 +389,8 @@ def _ulps_from_exact(stats, x: np.ndarray, y: np.ndarray) -> dict[str, float]:
 @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e9])
 @pytest.mark.parametrize("n", [2, 7, 1000, 8192])
 def test_one_block_stats_within_1_ulp_of_exact(n, offset):
-    # the CLI's one-block path: the row parse, then corrected two-pass fsums
-    assert n <= cli._BLOCK_ROWS
+    # the CLI's one-run path: corrected two-pass fsums of the rows read
+    assert n <= cli._RUN_ROWS
     rng = np.random.default_rng([n, int(offset)])
     t = rng.uniform(-3.0, 3.0, n)
     x = t + 0.3 * rng.standard_normal(n) + offset
@@ -432,8 +452,26 @@ def test_peak_memory_does_not_grow_with_rows(tmp_path):
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_working_set_of_a_large_input_is_one_run_and_one_block(tmp_path):
+    # beyond what a 100-row input needs, a process holds a run's values and
+    # one block in four forms (lines, text, cells and floats): about 1.5 MB
+    # at blocks of 1024 lines, and 3.7 MB at blocks of 8192
+    rng = np.random.default_rng(9)
+    peaks = {}
+    for n in (100, 200_000):
+        x = rng.uniform(-5.0, 5.0, n)
+        y = 2.0 * x + rng.standard_normal(n)
+        path = tmp_path / f"rows-{n}.csv"
+        path.write_text("x,y\n" + "".join(map("{!r},{!r}\n".format, x.tolist(), y.tolist())))
+        runs = [dualfit_peak_mb("stats", "--input", str(path)) for _ in range(3)]
+        assert all(code == EXIT_OK for code, _ in runs)
+        peaks[n] = min(peak for _, peak in runs)
+    assert peaks[200_000] - peaks[100] <= 2.5, peaks
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_peak_memory_stays_flat_past_a_refused_block(tmp_path):
-    # the split path refuses the block of data row 9000, the second, where
+    # the split path refuses the block of data row 9000, the ninth, where
     # that row is wider than the rest; the rest of the file is still read a
     # block at a time
     rng = np.random.default_rng(8)
