@@ -172,8 +172,8 @@ def _fsum_moments(
     each ``d`` is exact where the values lie within a factor of 2 of ``c``,
     as at a large offset.  The other sums are ``math.fsum``, so the figures
     are within about an ulp of exact, and they can differ in the last bits
-    from numpy's pairwise sums.  Nothing is checked here;
-    :func:`_checked_stats` checks the figures.
+    from the numpy sums and BLAS dot products of ``dataset._moments``.
+    Nothing is checked here; :func:`_checked_stats` checks the figures.
     """
     n = len(xs)
     x_bar = sum(xs) / n

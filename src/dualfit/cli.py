@@ -321,47 +321,33 @@ def _blocks(
     them, and the row parse a block it returns None for.  A block is
     ``_BLOCK_LINES`` lines, fewer than a run holds; the runs are
     ``_RUN_ROWS`` rows whatever the blocks hold, so that neither the block
-    size nor blank lines move a run.  A non-finite value stops the yielding, not the
-    reading, so it is raised only when the rest of the input holds no other
-    error.
+    size nor blank lines move a run.  A non-finite value is yielded like any
+    other: what takes the values decides it after the last run, so that it
+    is still the last error reported (:func:`_read_stats` for the command,
+    ``Dataset`` for :func:`parse_csv`).
     """
     stream = _Stream(fh)
     rows = _csv_rows(stream.lines())
     line = 0  # the lines read
     try:
         x_idx, y_idx, first = _data_rows(rows, x_column, y_column)
-
-        def parsed() -> Iterator[tuple[list[float], list[float]]]:
-            nonlocal line, rows
-            values = _values([first], x_idx, y_idx)
-            line, rows = first[0], iter(())  # the blocks are read from here on
-            yield values
-            for text, count, block_rows in iter(stream.block, None):
-                skipped, line = line, line + count
-                values = _block_columns(text, count, block_rows, x_idx, y_idx)
-                if values is None:
-                    rows = _csv_rows(io.StringIO(text), skipped)
-                    values = _values(rows, x_idx, y_idx)
-                yield values
-
-        xs: list[float] = []
-        ys: list[float] = []
-        n, finite = 0, True
-        for block_xs, block_ys in parsed():
-            n += len(block_xs)
-            # the sums are finite unless a value is not, or they overflow
-            if finite and not math.isfinite(sum(block_xs) + sum(block_ys)):
-                finite = all(map(math.isfinite, chain(block_xs, block_ys)))
-            if finite:
-                xs += block_xs
-                ys += block_ys
-                while len(xs) >= _RUN_ROWS:
-                    yield xs[:_RUN_ROWS], ys[:_RUN_ROWS]
-                    del xs[:_RUN_ROWS], ys[:_RUN_ROWS]
+        xs, ys = _values([first], x_idx, y_idx)
+        line, rows = first[0], iter(())  # the blocks are read from here on
+        n = 1
+        for text, count, block_rows in iter(stream.block, None):
+            skipped, line = line, line + count
+            values = _block_columns(text, count, block_rows, x_idx, y_idx)
+            if values is None:
+                rows = _csv_rows(io.StringIO(text), skipped)
+                values = _values(rows, x_idx, y_idx)
+            n += len(values[0])
+            xs += values[0]
+            ys += values[1]
+            while len(xs) >= _RUN_ROWS:
+                yield xs[:_RUN_ROWS], ys[:_RUN_ROWS]
+                del xs[:_RUN_ROWS], ys[:_RUN_ROWS]
         if n < 2:
             raise InvalidInput(f"need at least 2 data rows, got {n}")
-        if not finite:
-            raise InvalidInput("coordinates must be finite")
         if xs:
             yield xs, ys
     except (InvalidInput, ParseError) as error:
@@ -405,7 +391,9 @@ def parse_csv(source, x_column: str | None = None, y_column: str | None = None) 
     values are gathered in runs of ``_RUN_ROWS`` data rows, each turned into
     float64 arrays as it is read.  One error is raised, the first of these
     the text holds, in this order: text that is not UTF-8; a row the csv
-    module rejects; the first other input error; a non-finite value.
+    module rejects; the first other input error; a non-finite value.  The
+    reader checks no value; a non-finite one is refused by ``Dataset``, once
+    every row has been read.
 
     The ``dualfit`` command reads the same blocks and runs without a Dataset
     or numpy, summing each run by ``math.fsum``; ``compute_stats`` sums a
@@ -548,11 +536,16 @@ def _read_stats(
     counted against the column's first value until a run holds another, so
     that whether the column is constant is known exactly.
 
+    A non-finite value is an input error, raised once the whole input has
+    been read without another.  It makes its run's figures non-finite, as a
+    sum that overflows does, so a run's values are scanned for one only
+    where its figures are not finite.
+
     Returns the step that checks the statistics and adds their correlation,
-    so that a statistics error (exit 3) stays apart from an input error (exit
-    2).  Any stream, a pipe too, is read once, forward, in blocks of
-    ``_BLOCK_LINES`` lines, so that only a run's values and a block's text
-    are held at once.
+    so that a statistics error (exit 3), such as a sum that overflows, stays
+    apart from an input error (exit 2).  Any stream, a pipe too, is read
+    once, forward, in blocks of ``_BLOCK_LINES`` lines, so that only a run's
+    values and a block's text are held at once.
     """
     runs = _blocks(fh, x_column, y_column)
     xs, ys = next(runs)
@@ -561,17 +554,23 @@ def _read_stats(
     partial: list[tuple[int, _Moments]] = []
     first_x, first_y = xs[0], ys[0]
     same_x = same_y = True  # whether every value read equals the first
+    finite = True  # whether every value read is
     # a list iterator drops the first run once read; chain's list would not
     for xs, ys in chain(iter([(xs, ys)]), runs):
         # a column stops being constant at its first run of two values
         same_x = same_x and xs.count(first_x) == len(xs)
         same_y = same_y and ys.count(first_y) == len(ys)
         moments = _fsum_moments(xs, ys, shift_x, shift_y)
+        # the figures are finite unless a value is not, or the sums overflow
+        if finite and not all(map(math.isfinite, moments)):
+            finite = all(map(math.isfinite, chain(xs, ys)))
         count = 1
         while partial and partial[-1][0] == count:
             earlier_count, earlier = partial.pop()
             count, moments = count + earlier_count, _merge(earlier, moments)
         partial.append((count, moments))
+    if not finite:
+        raise InvalidInput("coordinates must be finite")
     _, moments = partial.pop()
     while partial:
         moments = _merge(partial.pop()[1], moments)

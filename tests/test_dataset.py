@@ -142,6 +142,11 @@ def test_non_numeric_points_raise_invalid_input(points):
         Dataset.from_points(points)
 
 
+def test_columns_of_more_than_one_dimension_raise_invalid_input():
+    with pytest.raises(InvalidInput, match="^x and y must be one-dimensional$"):
+        Dataset(np.ones((2, 2)), np.ones((2, 2)))
+
+
 def test_numeric_text_is_still_read():
     assert Dataset(["0", "1.5"], [0, 1]) == Dataset([0.0, 1.5], [0.0, 1.0])
 

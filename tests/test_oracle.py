@@ -259,3 +259,8 @@ def test_oracle_report_validation():
             bracket=(0.5, 2.0),
             gradient_max_rel_err=0.0,
         )
+
+
+def test_oracle_report_refuses_a_negative_gradient_error():
+    with pytest.raises(InvalidInput, match="^gradient error cannot be negative$"):
+        OracleReport(1.0, 1.0, 0.0, 3, (0.5, 1.5), -1.0)

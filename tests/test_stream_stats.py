@@ -25,6 +25,7 @@ import csv
 import io
 import math
 import os
+import subprocess
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -40,7 +41,7 @@ from dualfit.cli import EXIT_INPUT, EXIT_OK, parse_csv
 from dualfit._kernel import _checked_stats, _fsum_moments, _solver
 from dualfit.errors import DualFitError, InvalidInput, ParseError
 
-from conftest import dualfit_peak_mb, reader_sizes
+from conftest import dualfit_peak_mb, reader_sizes, src_env
 from test_parse_equivalence import _ALPHABET, _WEIGHTED, CASES, COLUMN_CASES, Unseekable, _cells
 
 EPS = sys.float_info.epsilon
@@ -277,6 +278,52 @@ def test_overlong_cell_reports_its_line_in_a_later_block():
             with pytest.raises(ParseError) as excinfo:
                 parse_csv(text)
         assert excinfo.value.line == 22
+
+
+# ---- a non-finite value or an overflow past the first run -----------------------
+
+_NON_FINITE = "InvalidInput: coordinates must be finite\n"
+_OVERFLOW = "OutOfRange: sums of squares overflow float64; rescale the data\n"
+
+
+def _three_runs(scale: float, changed: dict[int, str]) -> bytes:
+    """20,000 data rows of values near ``scale``, three runs of ``cli._RUN_ROWS``,
+    with each data row ``i`` (1-based) of ``changed`` written ``changed[i]``."""
+    rows = [
+        f"{(1 + i % 89 / 100) * scale!r},{(2 - i % 97 / 100) * scale!r}\n" for i in range(20_000)
+    ]
+    for i, row in changed.items():
+        rows[i - 1] = f"{row}\n"
+    return ("x,y\n" + "".join(rows)).encode()
+
+
+@pytest.mark.parametrize(
+    "scale, changed, code, error",
+    [
+        (1.0, {9000: "inf,1"}, EXIT_INPUT, _NON_FINITE),
+        (1.0, {9000: "1,nan"}, EXIT_INPUT, _NON_FINITE),
+        (1.0, {20_000: "nan,1"}, EXIT_INPUT, _NON_FINITE),
+        (1.0, {20_000: "1,-inf"}, EXIT_INPUT, _NON_FINITE),
+        # finite values whose centred sums overflow
+        (1e300, {}, 3, _OVERFLOW),
+        # a non-finite value is an input error, which wins over an overflow
+        (1e300, {9000: "inf,1"}, EXIT_INPUT, _NON_FINITE),
+        (1e300, {20_000: "1,inf"}, EXIT_INPUT, _NON_FINITE),
+    ],
+)
+def test_a_later_run_decides_non_finite_and_overflow(csv_path, scale, changed, code, error):
+    assert 2 * cli._RUN_ROWS < 20_000
+    raw = _three_runs(scale, changed)
+    assert _stats_run(csv_path, raw, (None, None)) == (code, "", error)
+    # a pipe, which cannot seek
+    args = [sys.executable, "-m", "dualfit", "stats"]
+    piped = subprocess.run(args, input=raw, capture_output=True, env=src_env(), timeout=60)
+    assert (piped.returncode, piped.stdout, piped.stderr.decode()) == (code, b"", error)
+    if code == EXIT_INPUT:
+        want = ("error", InvalidInput, "coordinates must be finite", None)
+        assert _parsed(raw, (None, None)) == want
+    else:
+        assert len(parse_csv(raw)) == 20_000
 
 
 # ---- accuracy of the merged statistics ------------------------------------------
