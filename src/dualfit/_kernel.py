@@ -57,7 +57,6 @@ ZERO_RHO_TOL = 1e-12
 # rho**-4, for k from 0 past the largest float and rho from ZERO_RHO_TOL to 1
 _MAX_NEWTON_STEPS = 16
 
-_EPS = sys.float_info.epsilon
 # the least normal float64; a power of the slope below it has lost bits
 _TINY = sys.float_info.min
 
@@ -95,18 +94,22 @@ def _check_stats(stats) -> None:
     Raises
     ------
     InvalidInput
-        If the figures cannot be those of any data: fewer than 2 points, a
-        figure not finite, a negative sum of squares, ``|s_xy|`` above
-        ``sqrt(s_xx*s_yy)``, or ``rho`` off ``s_xy/sqrt(s_xx*s_yy)`` (clamped
-        to [-1, 1]) by more than 1e-9 of itself.
+        If the figures cannot be those of any data: a figure that is not a
+        real number, fewer than 2 points, a figure not finite, a negative
+        sum of squares, ``|s_xy|`` above ``sqrt(s_xx*s_yy)``, or ``rho`` off
+        ``s_xy/sqrt(s_xx*s_yy)`` (clamped to [-1, 1]) by more than 1e-9 of
+        itself.
     """
     n, x_bar, y_bar, s_xx, s_yy, s_xy, rho = (
         stats.n, stats.x_bar, stats.y_bar, stats.s_xx, stats.s_yy, stats.s_xy, stats.rho
     )
-    if n < 2:
-        raise InvalidInput(f"need at least 2 points, got {n}")
-    if not all(math.isfinite(v) for v in (x_bar, y_bar, s_xx, s_yy, s_xy, rho)):
-        raise InvalidInput("statistics must be finite")
+    try:
+        if n < 2:
+            raise InvalidInput(f"need at least 2 points, got {n}")
+        if not all(math.isfinite(v) for v in (x_bar, y_bar, s_xx, s_yy, s_xy, rho)):
+            raise InvalidInput("statistics must be finite")
+    except TypeError:  # a figure that is not a real number
+        raise InvalidInput(f"statistics must be real numbers, got {stats!r}") from None
     if s_xx < 0.0 or s_yy < 0.0:
         raise InvalidInput("centered sums of squares cannot be negative")
     if abs(rho) > 1.0:
@@ -191,24 +194,13 @@ def _fsum_moments(
     )
 
 
-def _could_be_constant(n: int, mean: float, s: float) -> bool:
-    """Whether ``s``, the centred sum of squares of ``n`` values of this mean,
-    is at most the round-off that identical values ``v`` leave in it, up to
-    ``(n * eps * v)**2`` a row, or is not finite."""
-    # float ** would raise on overflow, * gives inf
-    round_off = n * _EPS * mean
-    return not s > n * round_off * round_off
-
-
-def _checked_stats(m: _Moments, constant: Callable[[], tuple[bool, bool]]) -> _Stats:
+def _checked_stats(m: _Moments, same_x: bool, same_y: bool) -> _Stats:
     """Check moments and add their correlation; the checks of :func:`dualfit.compute_stats`.
 
-    ``constant()`` returns whether all x values are equal, then whether all
-    y values are; ``0.0`` equals ``-0.0``.  It is called only when a
-    column's figures could be those of identical values
-    (:func:`_could_be_constant`), so that a caller holding the data scans it
-    only then.  The statistics then pass :func:`_check_stats`, as a record
-    of them would.
+    ``same_x`` and ``same_y`` say whether all x values, and all y values,
+    are equal (``0.0`` equals ``-0.0``); either makes the data degenerate,
+    whatever the figures, x first.  The statistics then pass
+    :func:`_check_stats`, as a record of them would.
 
     Raises
     ------
@@ -221,14 +213,10 @@ def _checked_stats(m: _Moments, constant: Callable[[], tuple[bool, bool]]) -> _S
     InvalidInput
         If the figures fail :func:`_check_stats`.
     """
+    for same, name in ((same_x, "x"), (same_y, "y")):
+        if same:
+            raise DegenerateData(f"all {name} values are identical")
     n, x_bar, y_bar, s_xx, s_yy, s_xy = m
-    suspect_x = _could_be_constant(n, x_bar, s_xx)
-    suspect_y = _could_be_constant(n, y_bar, s_yy)
-    if suspect_x or suspect_y:
-        same_x, same_y = constant()
-        for suspect, same, name in ((suspect_x, same_x, "x"), (suspect_y, same_y, "y")):
-            if suspect and same:
-                raise DegenerateData(f"all {name} values are identical")
     if not all(math.isfinite(v) for v in (x_bar, y_bar, s_xx, s_yy, s_xy)):
         raise OutOfRange("sums of squares overflow float64; rescale the data")
     spreads = ((s_xx, "x"), (s_yy, "y"))
@@ -263,7 +251,7 @@ def sse(stats, beta0: float, beta1: float, gamma: float) -> float:
     Raises
     ------
     InvalidInput
-        If ``gamma`` does not lie in [0, 1].
+        If ``gamma`` is not a number in [0, 1].
     SingularSlope
         If ``beta1 == 0`` while ``gamma < 1``.
     OutOfRange
@@ -272,8 +260,7 @@ def sse(stats, beta0: float, beta1: float, gamma: float) -> float:
         finite float64 (a square that overflows gives ``0 * inf`` or
         ``inf / inf``).
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise InvalidInput(f"gamma must lie in [0, 1], got {gamma}")
+    _check_gamma(gamma)
     # the vertical and horizontal sums share these products
     misfit = stats.y_bar - beta0 - beta1 * stats.x_bar
     offset = stats.n * misfit * misfit
@@ -290,6 +277,26 @@ def sse(stats, beta0: float, beta1: float, gamma: float) -> float:
     if not math.isfinite(total):
         raise OutOfRange("the objective overflows float64; rescale the data")
     return float(total)
+
+
+def _check_gamma(gamma) -> None:
+    """Refuse a weight that is not a number in [0, 1].
+
+    Raises
+    ------
+    InvalidInput
+        If ``gamma`` is not a real number, such as a string, ``None``, a
+        complex or an array of one dimension or more, or does not lie in
+        [0, 1].
+    """
+    try:
+        # isfinite refuses what is not a real number, and the comparisons
+        # would let a one-element array by
+        if math.isfinite(gamma) and 0.0 <= gamma <= 1.0:
+            return
+    except TypeError:
+        raise InvalidInput(f"gamma must be a number, got {gamma!r}") from None
+    raise InvalidInput(f"gamma must lie in [0, 1], got {gamma}")
 
 
 def intercept(stats, beta1: float) -> float:

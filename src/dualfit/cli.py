@@ -575,7 +575,7 @@ def _read_stats(
     while partial:
         moments = _merge(partial.pop()[1], moments)
     moments = moments._replace(x_bar=shift_x + moments.x_bar, y_bar=shift_y + moments.y_bar)
-    return lambda: _checked_stats(moments, lambda: (same_x, same_y))
+    return lambda: _checked_stats(moments, same_x, same_y)
 
 
 def _load_stats(args: argparse.Namespace) -> Callable[[], _Stats]:

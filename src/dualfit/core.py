@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from ._kernel import (
     ZERO_RHO_TOL,
     _bounds,
+    _check_gamma,
     _check_stats,
     _inverse,
     _predict,
@@ -95,8 +96,7 @@ class FitConfig:
     negative_correlation_policy: NegativeCorrelationPolicy = "error"
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise InvalidInput(f"gamma must lie in [0, 1], got {self.gamma}")
+        _check_gamma(self.gamma)
         if self.negative_correlation_policy not in ("error", "reflect"):
             raise InvalidInput(
                 f"unknown negative_correlation_policy {self.negative_correlation_policy!r}"
@@ -223,11 +223,12 @@ class OracleReport:
 def compute_stats(data: Dataset) -> SufficientStats:
     """Corrected two-pass sufficient statistics of a dataset, made once per Dataset.
 
-    Means first, then centered sums of squares and products, each less what
-    the rounding of the means leaves in it (Chan, Golub & LeVeque, 1983), so
-    a column nearly constant at a large offset keeps its spread.  Round-off
-    can push the correlation a hair past 1 in magnitude for collinear data,
-    so it is clamped to [-1, 1].
+    Means first, then centered sums of squares and products; each figure,
+    the means too, is corrected by what the rounding of the means leaves in
+    it (Chan, Golub & LeVeque, 1983), so a column nearly constant at a large
+    offset keeps its spread.  A column whose values are all equal is
+    degenerate, whatever its sums.  Round-off can push the correlation a
+    hair past 1 in magnitude for collinear data, so it is clamped to [-1, 1].
 
     The first call keeps the record on ``data`` and every later call, and
     every :func:`fit` of ``data``, returns that same object.  This relies on
@@ -270,12 +271,17 @@ def build_quartic(stats: SufficientStats, gamma: float) -> Quartic:
     DegenerateData
         If ``s_xx`` or ``s_yy`` is not positive.
     InvalidInput
-        If ``gamma`` is not strictly between 0 and 1.
+        If ``gamma`` is not a number strictly between 0 and 1.
     """
     s_xx, s_yy, s_xy = stats.s_xx, stats.s_yy, stats.s_xy
     if s_xx <= 0.0 or s_yy <= 0.0:
         raise DegenerateData("slope quartic needs positive spread in x and y")
-    if not 0.0 < gamma < 1.0:
+    try:
+        interior = math.isfinite(gamma) and 0.0 < gamma < 1.0
+    except TypeError:
+        _check_gamma(gamma)  # the kernel's InvalidInput for a weight that is not a number
+        raise
+    if not interior:
         raise InvalidInput(f"quartic is defined for 0 < gamma < 1, got {gamma}")
     horizontal = 1.0 - gamma
     return Quartic((gamma * s_xx, -gamma * s_xy, 0.0, horizontal * s_xy, -horizontal * s_yy))

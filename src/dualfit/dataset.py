@@ -2,10 +2,10 @@
 
 :class:`Dataset` holds two read-only float64 columns and works out their
 sufficient statistics once, by the corrected two-pass :func:`_moments`,
-checked by the kernel's :func:`~dualfit._kernel._checked_stats`, which asks
-whether a column's least and greatest values are equal only where its sums
-could be those of a constant column; everything after the statistics (the
-fit, the oracle, the command line) runs without numpy.
+checked by the kernel's :func:`~dualfit._kernel._checked_stats`, which is
+told whether each column's least and greatest values are equal: a column
+that is, whatever its sums, is degenerate.  Everything after the statistics
+(the fit, the oracle, the command line) runs without numpy.
 """
 
 from __future__ import annotations
@@ -82,9 +82,13 @@ class Dataset:
 
     @cached_property
     def _stats(self) -> SufficientStats:
-        """The record :func:`~dualfit.core.compute_stats` returns, made on first use."""
+        """The record :func:`~dualfit.core.compute_stats` returns, made on first use.
+
+        A column is constant, and the data degenerate, when its least and
+        greatest values are equal.
+        """
         x, y = self.x, self.y
-        stats = _checked_stats(_moments(x, y), lambda: (x.min() == x.max(), y.min() == y.max()))
+        stats = _checked_stats(_moments(x, y), x.min() == x.max(), y.min() == y.max())
         return SufficientStats(*stats)
 
 
@@ -93,10 +97,12 @@ def _moments(x: np.ndarray, y: np.ndarray) -> _Moments:
     and products.
 
     Each centred sum is ``sum(d*d) - sum(d)**2 / n`` over the deviations
-    ``d`` from the rounded mean, the rule of
-    :func:`~dualfit._kernel._fsum_moments` (Chan, Golub & LeVeque, 1983): the
-    second term takes out what the rounding of the mean leaves in the first,
-    which is all there is of a column nearly constant at a large offset.
+    ``d`` from the rounded mean ``c = sum(x) / n``, and the mean is
+    ``c + sum(d) / n``: the rule of :func:`~dualfit._kernel._fsum_moments`
+    (Chan, Golub & LeVeque, 1983), whose correction takes out what the
+    rounding of ``c`` leaves in the figures.  In a centred sum that is all
+    there is of a column nearly constant at a large offset; a mean it brings
+    to within an ulp or so of exact.
 
     Nothing is checked here; :func:`~dualfit._kernel._checked_stats` checks the
     figures.
@@ -112,8 +118,8 @@ def _moments(x: np.ndarray, y: np.ndarray) -> _Moments:
         sum_dx, sum_dy = float(dx.sum()), float(dy.sum())
         return _Moments(
             n,
-            x_bar,
-            y_bar,
+            x_bar + sum_dx / n,
+            y_bar + sum_dy / n,
             float(dx @ dx) - sum_dx * sum_dx / n,
             float(dy @ dy) - sum_dy * sum_dy / n,
             float(dx @ dy) - sum_dx * sum_dy / n,

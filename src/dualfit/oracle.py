@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from ._kernel import _bounds
+from ._kernel import _bounds, _check_gamma
 from .errors import InvalidInput, OutOfRange
 
 # certify compares the profile at the fitted slope with the profile this
@@ -38,8 +38,7 @@ def certify(stats, b: float, gamma: float, policy: str) -> tuple:
     _bounds(stats.s_xx, stats.s_yy, -stats.rho if reflect else stats.rho)  # for its errors
     if not (math.isfinite(b) and b != 0.0):
         raise InvalidInput(f"a fitted slope is finite and nonzero, got {b!r}")
-    if not 0.0 <= gamma <= 1.0:
-        raise InvalidInput(f"gamma must lie in [0, 1], got {gamma}")
+    _check_gamma(gamma)
     # b = n * 2**k; for a normal b (k >= -1074) whose bracket stays in its
     # binade the bracket is (n -+ 8) * 2**k, else it is walked ulp by ulp and
     # k is the lesser binade's

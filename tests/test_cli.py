@@ -586,6 +586,15 @@ def test_import_dualfit_loads_no_records_until_a_name_is_used():
     ]
 
 
+def test_a_name_dualfit_does_not_export_is_an_attribute_error():
+    import dualfit
+
+    with pytest.raises(AttributeError) as excinfo:
+        dualfit.nope
+    assert str(excinfo.value) == "module 'dualfit' has no attribute 'nope'"
+    assert not hasattr(dualfit, "nope")
+
+
 # runs dualfit under python -S, which imports no site module: a .pth file
 # in site-packages may import typing itself
 _MAIN_REPORTING_TYPING = """
@@ -744,6 +753,14 @@ def test_main_rejects_out_of_range_gamma(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["fit", "--input", str(REFERENCE_CSV), "--gamma", "1.5"])
     assert excinfo.value.code == 2
+
+
+def test_main_rejects_a_gamma_that_is_not_a_number(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fit", "--input", str(REFERENCE_CSV), "--gamma", "abc"])
+    assert excinfo.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.endswith(": error: argument --gamma: gamma must be a number, got 'abc'")
 
 
 def test_main_rejects_non_finite_value(capsys):

@@ -127,6 +127,18 @@ def test_fit_config_validation():
         FitConfig(gamma=0.5, negative_correlation_policy="mirror")
 
 
+@pytest.mark.parametrize("gamma", ["0.5", None, 1j, np.array([0.5])])
+def test_fit_config_refuses_a_gamma_that_is_not_a_number(gamma):
+    message = f"^gamma must be a number, got {re.escape(repr(gamma))}$"
+    with pytest.raises(InvalidInput, match=message):
+        FitConfig(gamma=gamma)
+
+
+def test_fit_config_names_a_gamma_outside_the_weights():
+    with pytest.raises(InvalidInput, match=r"^gamma must lie in \[0, 1\], got 1.2$"):
+        FitConfig(gamma=1.2)
+
+
 def test_fit_random_records_diagnostics():
     rng = np.random.default_rng(11)
     stats = compute_stats(random_dataset(rng))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,14 @@ def test_verify_refuses_a_line_whose_gamma_is_not_a_weight(reference_stats, gamm
     line = FittedLine(0.0, 0.6612043117, gamma, 1.0)
     with pytest.raises(InvalidInput, match=rf"^gamma must lie in \[0, 1\], got {gamma}$"):
         verify_fit(reference_stats, line, FitConfig(gamma=0.9))
+
+
+@pytest.mark.parametrize("gamma", ["0.5", None, 1j, np.array([0.5])])
+def test_verify_refuses_a_line_whose_gamma_is_not_a_number(reference_stats, gamma):
+    line = FittedLine(0.0, 1.0, gamma, 0.0)
+    message = f"^gamma must be a number, got {re.escape(repr(gamma))}$"
+    with pytest.raises(InvalidInput, match=message):
+        verify_fit(reference_stats, line, FitConfig(gamma=0.5))
 
 
 @pytest.mark.parametrize("beta1", [0.0, math.inf, math.nan])

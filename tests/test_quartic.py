@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -82,6 +83,19 @@ def test_quartic_rejects_endpoint_gamma(reference_stats):
         build_quartic(reference_stats, 0.0)
     with pytest.raises(InvalidInput):
         build_quartic(reference_stats, 1.0)
+
+
+@pytest.mark.parametrize("gamma", ["0.5", None, 1j, np.array([0.5])])
+def test_quartic_refuses_a_gamma_that_is_not_a_number(reference_stats, gamma):
+    message = f"^gamma must be a number, got {re.escape(repr(gamma))}$"
+    with pytest.raises(InvalidInput, match=message):
+        build_quartic(reference_stats, gamma)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, math.nan])
+def test_quartic_names_a_gamma_outside_the_open_interval(reference_stats, gamma):
+    with pytest.raises(InvalidInput, match=f"^quartic is defined for 0 < gamma < 1, got {gamma}$"):
+        build_quartic(reference_stats, gamma)
 
 
 def test_quartic_rejects_degenerate_stats():

@@ -133,6 +133,17 @@ def test_stats_type_validates_ranges():
             SufficientStats(**{**finite, **figure})
 
 
+@pytest.mark.parametrize("figure", ["n", "x_bar", "s_xy"])
+@pytest.mark.parametrize("value", ["0.5", None, 1j])
+def test_stats_type_refuses_a_figure_that_is_not_a_number(figure, value):
+    figures = dict(n=3, x_bar=0.0, y_bar=0.0, s_xx=1.0, s_yy=1.0, s_xy=0.0, rho=0.0)
+    with pytest.raises(InvalidInput, match="^statistics must be real numbers, got ") as excinfo:
+        SufficientStats(**{**figures, figure: value})
+    # the message shows the record, the figure at fault among its fields
+    assert "SufficientStats(n=" in str(excinfo.value)
+    assert f"{figure}={value!r}," in str(excinfo.value)
+
+
 @pytest.mark.parametrize("s_xx, s_yy", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
 def test_stats_type_refuses_a_correlation_without_spread(s_xx, s_yy):
     # rho is s_xy / sqrt(s_xx * s_yy), which has no value when a sum is 0

@@ -39,7 +39,7 @@ from dualfit import Dataset, compute_stats
 from dualfit import cli
 from dualfit.cli import EXIT_INPUT, EXIT_OK, parse_csv
 from dualfit._kernel import _checked_stats, _fsum_moments, _solver
-from dualfit.errors import DualFitError, InvalidInput, ParseError
+from dualfit.errors import DegenerateData, DualFitError, InvalidInput, ParseError
 
 from conftest import dualfit_peak_mb, reader_sizes, src_env
 from test_parse_equivalence import _ALPHABET, _WEIGHTED, CASES, COLUMN_CASES, Unseekable, _cells
@@ -103,7 +103,7 @@ def _whole_then_one_run_stats(fh, x_column, y_column):
     data = parse_csv(fh, x_column, y_column)
     xs, ys = data.x.tolist(), data.y.tolist()
     constant = (min(xs) == max(xs), min(ys) == max(ys))
-    return lambda: _checked_stats(_fsum_moments(xs, ys), lambda: constant)
+    return lambda: _checked_stats(_fsum_moments(xs, ys), *constant)
 
 
 def _summary(fh, columns):
@@ -479,6 +479,74 @@ def test_compute_stats_within_32_ulp_of_exact(kind, n, offset):
     stats = compute_stats(Dataset(x, y))
     ulps = _ulps_from_exact(stats, x, y)
     assert max(ulps.values()) <= 32.0, ulps
+
+
+def test_compute_stats_means_are_correctly_rounded_at_a_large_offset():
+    # the mean is the float sum over n plus the deviations' mean, as the CLI
+    # takes it; the float sum over n alone misses in about half these sets
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 10**9])
+        x = rng.normal(1e9, 1.0, 5000)
+        y = 0.7 * x + rng.standard_normal(5000)
+        stats = compute_stats(Dataset(x, y))
+        assert (stats.x_bar, stats.y_bar) == _exact(x, y)[:2], seed
+
+
+# ---- a constant column ----------------------------------------------------------
+
+
+def _near_constant(rng: np.random.Generator, n: int) -> list[float]:
+    """``n`` copies of a seeded value from 5e-324 to 1e300, or of 0.0, of
+    either sign; half the time one copy is moved an ulp up or down, or negated."""
+    if rng.random() < 0.4:
+        value = float(rng.choice([0.0, 5e-324, 2.0**-1022, 0.1, 1.0, 1e9, 1e300]))
+    else:
+        value = 10.0 ** rng.uniform(-323.0, 300.0)
+    column = [float(value * rng.choice([-1.0, 1.0]))] * n
+    at, change = int(rng.integers(n)), rng.integers(6)
+    if change == 1:
+        column[at] = math.nextafter(column[at], math.inf)
+    elif change == 2:
+        column[at] = math.nextafter(column[at], -math.inf)
+    elif change == 3:
+        column[at] = -column[at]  # 0.0 and -0.0 are one value
+    return column
+
+
+def _degenerate(summary) -> str | None:
+    # the message of the DegenerateData that summary() raises, or None
+    try:
+        summary()
+    except DegenerateData as exc:
+        return str(exc)
+    except DualFitError:
+        pass
+    return None
+
+
+def test_a_column_is_degenerate_exactly_when_its_values_are_equal():
+    # decided on the values, whatever the round-off, overflow or underflow of
+    # the sums, by compute_stats and by the CLI at its sizes and at small runs
+    rng = np.random.default_rng(20261021)
+    for case in range(60):
+        n = int(math.exp(rng.uniform(math.log(2), math.log(20_000))))
+        column = _near_constant(rng, n)
+        if rng.random() < 0.3:
+            other = _near_constant(rng, n)
+        else:
+            other = (rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3) + 1e6).tolist()
+        for xs, ys in ((column, other), (other, column)):
+            want = next(
+                (f"all {name} values are identical" for name, values in (("x", xs), ("y", ys))
+                 if min(values) == max(values)),
+                None,
+            )
+            raw = ("x,y\n" + "".join(map("{!r},{!r}\n".format, xs, ys))).encode()
+            got = [_degenerate(lambda: compute_stats(Dataset(np.array(xs), np.array(ys))))]
+            for sizes in ((cli._BLOCK_LINES, cli._RUN_ROWS), (7, 16)):
+                with reader_sizes(*sizes):
+                    got.append(_degenerate(lambda: cli._read_stats(io.BytesIO(raw), None, None)()))
+            assert got == [want] * 3, (case, n, xs[:2], ys[:2])
 
 
 # ---- peak memory flat in the number of rows -------------------------------------
