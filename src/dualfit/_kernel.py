@@ -94,22 +94,19 @@ def _check_stats(stats) -> None:
     Raises
     ------
     InvalidInput
-        If the figures cannot be those of any data: a figure that is not a
-        real number, fewer than 2 points, a figure not finite, a negative
-        sum of squares, ``|s_xy|`` above ``sqrt(s_xx*s_yy)``, or ``rho`` off
-        ``s_xy/sqrt(s_xx*s_yy)`` (clamped to [-1, 1]) by more than 1e-9 of
-        itself.
+        If the figures cannot be those of any data: fewer than 2 points, a
+        figure not finite, a negative sum of squares, ``|s_xy|`` above
+        ``sqrt(s_xx*s_yy)``, or ``rho`` off ``s_xy/sqrt(s_xx*s_yy)`` (clamped
+        to [-1, 1]) by more than 1e-9 of itself.
+    TypeError
+        If a figure is not a real number.  The figures worked out from data
+        are floats; a record types this error.
     """
-    n, x_bar, y_bar, s_xx, s_yy, s_xy, rho = (
-        stats.n, stats.x_bar, stats.y_bar, stats.s_xx, stats.s_yy, stats.s_xy, stats.rho
-    )
-    try:
-        if n < 2:
-            raise InvalidInput(f"need at least 2 points, got {n}")
-        if not all(math.isfinite(v) for v in (x_bar, y_bar, s_xx, s_yy, s_xy, rho)):
-            raise InvalidInput("statistics must be finite")
-    except TypeError:  # a figure that is not a real number
-        raise InvalidInput(f"statistics must be real numbers, got {stats!r}") from None
+    s_xx, s_yy, s_xy, rho = stats.s_xx, stats.s_yy, stats.s_xy, stats.rho
+    if stats.n < 2:
+        raise InvalidInput(f"need at least 2 points, got {stats.n}")
+    if not all(math.isfinite(v) for v in (stats.x_bar, stats.y_bar, s_xx, s_yy, s_xy, rho)):
+        raise InvalidInput("statistics must be finite")
     if s_xx < 0.0 or s_yy < 0.0:
         raise InvalidInput("centered sums of squares cannot be negative")
     if abs(rho) > 1.0:
@@ -213,24 +210,21 @@ def _checked_stats(m: _Moments, same_x: bool, same_y: bool) -> _Stats:
     InvalidInput
         If the figures fail :func:`_check_stats`.
     """
-    for same, name in ((same_x, "x"), (same_y, "y")):
-        if same:
-            raise DegenerateData(f"all {name} values are identical")
-    n, x_bar, y_bar, s_xx, s_yy, s_xy = m
-    if not all(math.isfinite(v) for v in (x_bar, y_bar, s_xx, s_yy, s_xy)):
+    if same_x or same_y:
+        raise DegenerateData(f"all {'x' if same_x else 'y'} values are identical")
+    if not all(math.isfinite(v) for v in m):
         raise OutOfRange("sums of squares overflow float64; rescale the data")
-    spreads = ((s_xx, "x"), (s_yy, "y"))
+    spreads = ((m.s_xx, "x"), (m.s_yy, "y"))
     for s, name in spreads:
         if s == 0.0:
             raise OutOfRange(f"the spread of {name} underflows float64; rescale the data")
-    product = _normal_product(s_xx, s_yy)
+    product = _normal_product(m.s_xx, m.s_yy)
     # a subnormal sum keeps too few bits for a correlation to 10 digits; it
     # is checked after the product, whose error names both sums
     for s, name in spreads:
         if s < _TINY:
             raise OutOfRange(f"the spread of {name} underflows float64; rescale the data")
-    rho = max(-1.0, min(1.0, s_xy / math.sqrt(product)))
-    stats = _Stats(n, x_bar, y_bar, s_xx, s_yy, s_xy, rho)
+    stats = _Stats(*m, max(-1.0, min(1.0, m.s_xy / math.sqrt(product))))
     _check_stats(stats)
     return stats
 
@@ -285,18 +279,14 @@ def _check_gamma(gamma) -> None:
     Raises
     ------
     InvalidInput
-        If ``gamma`` is not a real number, such as a string, ``None``, a
-        complex or an array of one dimension or more, or does not lie in
-        [0, 1].
+        If ``gamma`` does not lie in [0, 1], or cannot be compared with a
+        float, such as a string, ``None`` or a complex.
     """
     try:
-        # isfinite refuses what is not a real number, and the comparisons
-        # would let a one-element array by
-        if math.isfinite(gamma) and 0.0 <= gamma <= 1.0:
-            return
+        if not 0.0 <= gamma <= 1.0:
+            raise InvalidInput(f"gamma must lie in [0, 1], got {gamma}")
     except TypeError:
         raise InvalidInput(f"gamma must be a number, got {gamma!r}") from None
-    raise InvalidInput(f"gamma must lie in [0, 1], got {gamma}")
 
 
 def intercept(stats, beta1: float) -> float:

@@ -68,7 +68,8 @@ class SufficientStats:
 
     ``s_xx``, ``s_yy``, ``s_xy`` are sums (not variances) of centered
     products, and ``rho`` is the sample correlation ``s_xy / sqrt(s_xx*s_yy)``
-    clamped to [-1, 1].
+    clamped to [-1, 1].  A record whose figures could not be those of any
+    data, or are not all real numbers, raises :class:`InvalidInput`.
     """
 
     n: int
@@ -80,7 +81,10 @@ class SufficientStats:
     rho: float
 
     def __post_init__(self):
-        _check_stats(self)
+        try:
+            _check_stats(self)
+        except TypeError:  # a figure that is not a real number
+            raise InvalidInput(f"statistics must be real numbers, got {self!r}") from None
 
 
 @dataclass(frozen=True)
@@ -277,12 +281,10 @@ def build_quartic(stats: SufficientStats, gamma: float) -> Quartic:
     if s_xx <= 0.0 or s_yy <= 0.0:
         raise DegenerateData("slope quartic needs positive spread in x and y")
     try:
-        interior = math.isfinite(gamma) and 0.0 < gamma < 1.0
+        if not 0.0 < gamma < 1.0:
+            raise InvalidInput(f"quartic is defined for 0 < gamma < 1, got {gamma}")
     except TypeError:
-        _check_gamma(gamma)  # the kernel's InvalidInput for a weight that is not a number
-        raise
-    if not interior:
-        raise InvalidInput(f"quartic is defined for 0 < gamma < 1, got {gamma}")
+        raise InvalidInput(f"gamma must be a number, got {gamma!r}") from None
     horizontal = 1.0 - gamma
     return Quartic((gamma * s_xx, -gamma * s_xy, 0.0, horizontal * s_xy, -horizontal * s_yy))
 

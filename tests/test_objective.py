@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import re
 
-import numpy as np
 import pytest
 
 from dualfit import Dataset, compute_stats, intercept, sse
@@ -55,7 +54,7 @@ def test_sse_refuses_a_gamma_that_is_not_a_weight(reference_stats, gamma):
         sse(reference_stats, 0.0, 1.0, gamma)
 
 
-@pytest.mark.parametrize("gamma", ["0.5", None, 1j, np.array([0.5])])
+@pytest.mark.parametrize("gamma", ["0.5", None, 1j])
 def test_sse_refuses_a_gamma_that_is_not_a_number(reference_stats, gamma):
     message = f"^gamma must be a number, got {re.escape(repr(gamma))}$"
     with pytest.raises(InvalidInput, match=message):

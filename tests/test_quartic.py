@@ -85,7 +85,7 @@ def test_quartic_rejects_endpoint_gamma(reference_stats):
         build_quartic(reference_stats, 1.0)
 
 
-@pytest.mark.parametrize("gamma", ["0.5", None, 1j, np.array([0.5])])
+@pytest.mark.parametrize("gamma", ["0.5", None, 1j])
 def test_quartic_refuses_a_gamma_that_is_not_a_number(reference_stats, gamma):
     message = f"^gamma must be a number, got {re.escape(repr(gamma))}$"
     with pytest.raises(InvalidInput, match=message):
