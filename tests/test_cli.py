@@ -595,6 +595,14 @@ def test_a_name_dualfit_does_not_export_is_an_attribute_error():
     assert not hasattr(dualfit, "nope")
 
 
+def test_dir_dualfit_is_sorted_and_lists_every_public_name():
+    import dualfit
+
+    names = dir(dualfit)
+    assert names == sorted(names)
+    assert set(dualfit.__all__) <= set(names)
+
+
 # runs dualfit under python -S, which imports no site module: a .pth file
 # in site-packages may import typing itself
 _MAIN_REPORTING_TYPING = """

@@ -433,20 +433,36 @@ def _ulps_from_exact(stats, x: np.ndarray, y: np.ndarray) -> dict[str, float]:
     }
 
 
-@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e9])
-@pytest.mark.parametrize("n", [2, 7, 1000, 8192])
-def test_one_block_stats_within_1_ulp_of_exact(n, offset):
-    # the CLI's one-run path: corrected two-pass fsums of the rows read
+def _one_run(n: int, offset: float) -> tuple[np.ndarray, np.ndarray, bytes]:
+    # n seeded rows about a line at an offset, and their round-trip text
     assert n <= cli._RUN_ROWS
     rng = np.random.default_rng([n, int(offset)])
     t = rng.uniform(-3.0, 3.0, n)
     x = t + 0.3 * rng.standard_normal(n) + offset
     y = 1.7 * t + 0.5 * rng.standard_normal(n) - offset
     text = "x,y\n" + "".join(map("{!r},{!r}\n".format, x.tolist(), y.tolist()))
-    stats = cli._read_stats(io.BytesIO(text.encode()), None, None)()
+    return x, y, text.encode()
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e9])
+@pytest.mark.parametrize("n", [2, 7, 1000, 8192])
+def test_one_block_stats_within_1_ulp_of_exact(n, offset):
+    # the CLI's one-run path: corrected two-pass fsums of the rows read
+    x, y, raw = _one_run(n, offset)
+    stats = cli._read_stats(io.BytesIO(raw), None, None)()
     assert stats.n == n
     ulps = _ulps_from_exact(stats, x, y)
     assert max(ulps.values()) <= 1.0, ulps
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e9])
+@pytest.mark.parametrize("n", [2, 7, 1000, 4097, cli._RUN_ROWS])
+def test_one_run_is_fsum_moments_of_its_rows_to_the_bit(n, offset):
+    # the first run's shift and the merge leave one run's figures their bits
+    x, y, raw = _one_run(n, offset)
+    got = cli._read_stats(io.BytesIO(raw), None, None)()
+    want = _checked_stats(_fsum_moments(x.tolist(), y.tolist()), False, False)
+    assert repr(got) == repr(want)
 
 
 def test_two_points_at_a_large_offset_are_exact():
