@@ -22,8 +22,10 @@ and the slope takes the sign of rho.
 The statistics are read by field name, so a kernel :data:`_Stats` tuple and
 a :class:`dualfit.SufficientStats` record serve alike; a fit is the tuple of
 :class:`dualfit.FittedLine`'s fields.  The ``dualfit`` command runs on this
-module alone, and :mod:`dualfit.core` builds the library's records from its
-values.  It imports neither numpy nor ``dataclasses`` nor ``typing``.
+module alone, which makes its statistics from the runs of rows its reader
+gives (:func:`_merged_moments`), and :mod:`dualfit.core` builds the
+library's records from its values.  It imports neither numpy nor
+``dataclasses`` nor ``typing``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import operator
 import sys
 from collections import namedtuple
 from functools import partial
+from itertools import chain
 
 from .errors import (
     DegenerateData,
@@ -46,7 +49,7 @@ from .errors import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Callable, Iterable, Sequence
+    from typing import Callable, Iterator, Sequence
 
     import numpy as np
 
@@ -144,18 +147,6 @@ def _merge(a: _Moments, b: _Moments) -> _Moments:
     )
 
 
-def _fsum(values: Iterable[float]) -> float:
-    """``math.fsum(values)``, or nan where an exact partial sum leaves float64.
-
-    fsum raises there, where a float sum would be inf or nan; either way
-    :func:`_checked_stats` refuses the figure.
-    """
-    try:
-        return math.fsum(values)
-    except (OverflowError, ValueError):  # an overflow, or inf + -inf
-        return math.nan
-
-
 def _fsum_moments(
     xs: Sequence[float], ys: Sequence[float], x_shift: float = 0.0, y_shift: float = 0.0
 ) -> _Moments:
@@ -173,22 +164,80 @@ def _fsum_moments(
     as at a large offset.  The other sums are ``math.fsum``, so the figures
     are within about an ulp of exact, and they can differ in the last bits
     from the numpy sums and BLAS dot products of ``dataset._moments``.
-    Nothing is checked here; :func:`_checked_stats` checks the figures.
+    Where an exact sum leaves float64, as fsum raises, every figure but the
+    count is nan.  Nothing is checked here; :func:`_checked_stats` checks
+    the figures.
     """
     n = len(xs)
     x_bar = sum(xs) / n
     y_bar = sum(ys) / n
     dx = [v - x_bar for v in xs]
     dy = [v - y_bar for v in ys]
-    sum_dx, sum_dy = _fsum(dx), _fsum(dy)
-    return _Moments(
-        n,
-        (x_bar - x_shift) + sum_dx / n,
-        (y_bar - y_shift) + sum_dy / n,
-        _fsum(map(operator.mul, dx, dx)) - sum_dx * sum_dx / n,
-        _fsum(map(operator.mul, dy, dy)) - sum_dy * sum_dy / n,
-        _fsum(map(operator.mul, dx, dy)) - sum_dx * sum_dy / n,
-    )
+    try:
+        sum_dx, sum_dy = math.fsum(dx), math.fsum(dy)
+        return _Moments(
+            n,
+            (x_bar - x_shift) + sum_dx / n,
+            (y_bar - y_shift) + sum_dy / n,
+            math.fsum(map(operator.mul, dx, dx)) - sum_dx * sum_dx / n,
+            math.fsum(map(operator.mul, dy, dy)) - sum_dy * sum_dy / n,
+            math.fsum(map(operator.mul, dx, dy)) - sum_dx * sum_dy / n,
+        )
+    except (OverflowError, ValueError):  # an overflow, or inf + -inf
+        return _Moments(n, *[math.nan] * 5)
+
+
+def _merged_moments(runs: Iterator[tuple[list[float], list[float]]]) -> tuple[_Moments, bool, bool]:
+    """The moments of all the rows of ``runs``, and whether all x values,
+    and all y values, are equal: the arguments of :func:`_checked_stats`.
+
+    Each run of rows is summed by :func:`_fsum_moments`, its means taken
+    from the first run's, so that they stay small and the merge loses
+    nothing to an offset in the data.  The runs merge pairwise by
+    :func:`_merge` (Chan, Golub & LeVeque, 1979), as a binary counter
+    carries, so memory stays flat in the number of runs; one run alone gives
+    ``_fsum_moments`` of its rows to the bit.  Each run of a column is
+    counted against the column's first value until a run holds another, so
+    that whether the column is constant is known exactly.
+
+    A non-finite value makes its run's figures non-finite, as a sum that
+    overflows does, so a run's values are scanned for one only where its
+    figures are not finite.
+
+    Raises
+    ------
+    InvalidInput
+        If a value is not finite, once every run has been read.
+    """
+    xs, ys = next(runs)
+    shift_x, shift_y = sum(xs) / len(xs), sum(ys) / len(ys)
+    # the moments of 2**k runs for each bit k set in the count of runs read,
+    # k decreasing down the list
+    stack: list[_Moments] = []
+    first_x, first_y = xs[0], ys[0]
+    same_x = same_y = True  # whether every value read equals the first
+    finite = True  # whether every value read is
+    # a list iterator drops the first run once read; chain's list would not
+    for count, (xs, ys) in enumerate(chain(iter([(xs, ys)]), runs), 1):
+        # a column stops being constant at its first run of two values
+        same_x = same_x and xs.count(first_x) == len(xs)
+        same_y = same_y and ys.count(first_y) == len(ys)
+        moments = _fsum_moments(xs, ys, shift_x, shift_y)
+        # the figures are finite unless a value is not, or the sums overflow
+        if finite and not all(map(math.isfinite, moments)):
+            finite = all(map(math.isfinite, chain(xs, ys)))
+        # one merge for each trailing zero bit of the count, as a carry
+        while not count & 1:
+            moments = _merge(stack.pop(), moments)
+            count >>= 1
+        stack.append(moments)
+    if not finite:
+        raise InvalidInput("coordinates must be finite")
+    moments = stack.pop()
+    while stack:
+        moments = _merge(stack.pop(), moments)
+    moments = moments._replace(x_bar=shift_x + moments.x_bar, y_bar=shift_y + moments.y_bar)
+    return moments, same_x, same_y
 
 
 def _checked_stats(m: _Moments, same_x: bool, same_y: bool) -> _Stats:

@@ -14,8 +14,8 @@ output pipe early ends the command quietly with 0.
 Every input, a pipe included, is read once and forward by :func:`_blocks`,
 a bounded block at a time: split into cells, each column read by one
 ``float`` per cell, or row by row where a block's rows are not all of one
-width.  :func:`_read_stats` sums each run of rows by ``math.fsum`` and
-merges the runs pairwise, so no command imports numpy.
+width.  :func:`_read_stats` hands the runs of rows to the kernel, which sums
+each by ``math.fsum`` and merges them pairwise, so no command imports numpy.
 """
 
 from __future__ import annotations
@@ -33,10 +33,8 @@ from itertools import chain, islice
 from ._kernel import (
     _bounds,
     _checked_stats,
-    _fsum_moments,
     _inverse,
-    _merge,
-    _Moments,
+    _merged_moments,
     _predict,
     _solver,
     _Stats,
@@ -527,19 +525,11 @@ def _read_stats(
 ) -> Callable[[], _Stats]:
     """Summarise a binary CSV stream, ``_RUN_ROWS`` data rows at a time.
 
-    Each run of rows is summed by :func:`_fsum_moments`, its means taken
-    from the first run's, so that they stay small and the merge loses
-    nothing to an offset in the data.  The runs merge pairwise by
-    :func:`_merge` (Chan, Golub & LeVeque, 1979), as a binary counter
-    carries, so memory stays flat in the number of rows; one run alone gives
-    ``_fsum_moments`` of its rows to the bit.  Each run of a column is
-    counted against the column's first value until a run holds another, so
-    that whether the column is constant is known exactly.
-
-    A non-finite value is an input error, raised once the whole input has
-    been read without another.  It makes its run's figures non-finite, as a
-    sum that overflows does, so a run's values are scanned for one only
-    where its figures are not finite.
+    :func:`_blocks` reads the runs of rows, and the kernel's
+    :func:`~dualfit._kernel._merged_moments` sums and merges them; one run
+    alone gives ``_fsum_moments`` of its rows to the bit.  A non-finite
+    value is an input error, raised once the whole input has been read
+    without another.
 
     Returns the step that checks the statistics and adds their correlation,
     so that a statistics error (exit 3), such as a sum that overflows, stays
@@ -547,34 +537,7 @@ def _read_stats(
     once, forward, in blocks of ``_BLOCK_LINES`` lines, so that only a run's
     values and a block's text are held at once.
     """
-    runs = _blocks(fh, x_column, y_column)
-    xs, ys = next(runs)
-    shift_x, shift_y = sum(xs) / len(xs), sum(ys) / len(ys)
-    # (runs merged, moments), the run counts decreasing down the list
-    partial: list[tuple[int, _Moments]] = []
-    first_x, first_y = xs[0], ys[0]
-    same_x = same_y = True  # whether every value read equals the first
-    finite = True  # whether every value read is
-    # a list iterator drops the first run once read; chain's list would not
-    for xs, ys in chain(iter([(xs, ys)]), runs):
-        # a column stops being constant at its first run of two values
-        same_x = same_x and xs.count(first_x) == len(xs)
-        same_y = same_y and ys.count(first_y) == len(ys)
-        moments = _fsum_moments(xs, ys, shift_x, shift_y)
-        # the figures are finite unless a value is not, or the sums overflow
-        if finite and not all(map(math.isfinite, moments)):
-            finite = all(map(math.isfinite, chain(xs, ys)))
-        count = 1
-        while partial and partial[-1][0] == count:
-            earlier_count, earlier = partial.pop()
-            count, moments = count + earlier_count, _merge(earlier, moments)
-        partial.append((count, moments))
-    if not finite:
-        raise InvalidInput("coordinates must be finite")
-    _, moments = partial.pop()
-    while partial:
-        moments = _merge(partial.pop()[1], moments)
-    moments = moments._replace(x_bar=shift_x + moments.x_bar, y_bar=shift_y + moments.y_bar)
+    moments, same_x, same_y = _merged_moments(_blocks(fh, x_column, y_column))
     return lambda: _checked_stats(moments, same_x, same_y)
 
 
