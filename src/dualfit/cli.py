@@ -585,9 +585,11 @@ def _stats(args: argparse.Namespace, stats: _Stats) -> int:
 def _sweep(args: argparse.Namespace, stats: _Stats) -> int:
     """Fit on a uniform gamma grid over [0, 1] and print one row per weight.
 
-    Rows are written as they are solved, so memory stays flat in the number
-    of steps.  A fit error part-way through leaves the rows before it on
-    standard output.
+    Rows are written as they are solved, ``_SWEEP_CHUNK`` pieces of text a
+    write, so memory stays flat in the number of steps.  A fit error
+    part-way through leaves on standard output only the writes made before
+    it: up to ``_SWEEP_CHUNK - 1`` rows solved before the failing weight are
+    not written.
     """
     pieces = _sweep_text(_solver(stats, args.policy), args.steps, args.format)
     while chunk := "".join(islice(pieces, _SWEEP_CHUNK)):
@@ -666,7 +668,7 @@ def _gamma_arg(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"gamma must be a number, got {text!r}") from None
-    if not (math.isfinite(value) and 0.0 <= value <= 1.0):
+    if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"gamma must lie in [0, 1], got {text}")
     return value
 

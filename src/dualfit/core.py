@@ -281,6 +281,8 @@ def build_quartic(stats: SufficientStats, gamma: float) -> Quartic:
     if s_xx <= 0.0 or s_yy <= 0.0:
         raise DegenerateData("slope quartic needs positive spread in x and y")
     try:
+        if getattr(gamma, "ndim", 0):  # numpy would compare it elementwise
+            raise TypeError
         if not 0.0 < gamma < 1.0:
             raise InvalidInput(f"quartic is defined for 0 < gamma < 1, got {gamma}")
     except TypeError:

@@ -62,6 +62,18 @@ def reader_sizes(block_lines: int, run_rows: int | None = None):
     return mock.patch.multiple(cli, _BLOCK_LINES=block_lines, _RUN_ROWS=run_rows)
 
 
+# weights that are not a number: no float comparison takes them, and numpy
+# would compare an array elementwise, whatever its size
+NOT_NUMBERS = (
+    "0.5",
+    None,
+    1j,
+    np.array([0.5]),
+    np.array([[0.5]]),
+    np.array([0.5, 0.6]),
+    np.array([]),
+)
+
 # four points with known statistics: means (1/2, 1/4), s_xx = 1, s_yy = 3/4
 REFERENCE_POINTS = ((0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
 

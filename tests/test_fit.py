@@ -21,6 +21,7 @@ from dualfit import (
     inverse_predict,
     predict,
     slope_bounds,
+    sse,
     verify_fit,
 )
 from dualfit.errors import (
@@ -31,7 +32,7 @@ from dualfit.errors import (
     ZeroCorrelation,
 )
 
-from conftest import REFERENCE_POINTS, random_dataset
+from conftest import NOT_NUMBERS, REFERENCE_POINTS, random_dataset
 
 
 def _symmetric_unit_stats():
@@ -127,7 +128,7 @@ def test_fit_config_validation():
         FitConfig(gamma=0.5, negative_correlation_policy="mirror")
 
 
-@pytest.mark.parametrize("gamma", ["0.5", None, 1j])
+@pytest.mark.parametrize("gamma", NOT_NUMBERS)
 def test_fit_config_refuses_a_gamma_that_is_not_a_number(gamma):
     message = f"^gamma must be a number, got {re.escape(repr(gamma))}$"
     with pytest.raises(InvalidInput, match=message):
@@ -137,6 +138,16 @@ def test_fit_config_refuses_a_gamma_that_is_not_a_number(gamma):
 def test_fit_config_names_a_gamma_outside_the_weights():
     with pytest.raises(InvalidInput, match=r"^gamma must lie in \[0, 1\], got 1.2$"):
         FitConfig(gamma=1.2)
+
+
+@pytest.mark.parametrize("gamma", [np.array(0.5), np.float32(0.5)])
+def test_a_numpy_scalar_or_0d_array_is_a_weight(reference_stats, gamma):
+    config = FitConfig(gamma=gamma)
+    line, want = fit_stats(reference_stats, config), fit_stats(reference_stats, FitConfig(0.5))
+    assert (line.beta0, line.beta1) == (want.beta0, want.beta1)
+    assert sse(reference_stats, line.beta0, line.beta1, gamma) == pytest.approx(want.sse)
+    assert build_quartic(reference_stats, gamma) == build_quartic(reference_stats, 0.5)
+    assert verify_fit(reference_stats, line, config).certified
 
 
 def test_fit_random_records_diagnostics():

@@ -10,7 +10,7 @@ import pytest
 from dualfit import Dataset, compute_stats, intercept, sse
 from dualfit.errors import InvalidInput, SingularSlope
 
-from conftest import rel_err, sse_per_point
+from conftest import NOT_NUMBERS, rel_err, sse_per_point
 
 
 @pytest.fixture
@@ -54,7 +54,7 @@ def test_sse_refuses_a_gamma_that_is_not_a_weight(reference_stats, gamma):
         sse(reference_stats, 0.0, 1.0, gamma)
 
 
-@pytest.mark.parametrize("gamma", ["0.5", None, 1j])
+@pytest.mark.parametrize("gamma", NOT_NUMBERS)
 def test_sse_refuses_a_gamma_that_is_not_a_number(reference_stats, gamma):
     message = f"^gamma must be a number, got {re.escape(repr(gamma))}$"
     with pytest.raises(InvalidInput, match=message):

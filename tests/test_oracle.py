@@ -22,7 +22,13 @@ from dualfit import (
 )
 from dualfit.errors import InvalidInput, NonPositiveCorrelation
 
-from conftest import exact_profile, exact_quartic_terms, random_dataset, sse_per_point
+from conftest import (
+    NOT_NUMBERS,
+    exact_profile,
+    exact_quartic_terms,
+    random_dataset,
+    sse_per_point,
+)
 
 
 def _symmetric_unit_stats():
@@ -224,7 +230,7 @@ def test_verify_refuses_a_line_whose_gamma_is_not_a_weight(reference_stats, gamm
         verify_fit(reference_stats, line, FitConfig(gamma=0.9))
 
 
-@pytest.mark.parametrize("gamma", ["0.5", None, 1j])
+@pytest.mark.parametrize("gamma", NOT_NUMBERS)
 def test_verify_refuses_a_line_whose_gamma_is_not_a_number(reference_stats, gamma):
     line = FittedLine(0.0, 1.0, gamma, 0.0)
     message = f"^gamma must be a number, got {re.escape(repr(gamma))}$"

@@ -28,7 +28,7 @@ from dualfit.errors import (
     SolverFailure,
 )
 
-from conftest import assert_near_exact_root, random_dataset, reflected
+from conftest import NOT_NUMBERS, assert_near_exact_root, random_dataset, reflected
 
 
 def _scan_roots(coeffs, lo=-1000.0, hi=1000.0, steps=400_001):
@@ -85,7 +85,7 @@ def test_quartic_rejects_endpoint_gamma(reference_stats):
         build_quartic(reference_stats, 1.0)
 
 
-@pytest.mark.parametrize("gamma", ["0.5", None, 1j])
+@pytest.mark.parametrize("gamma", NOT_NUMBERS)
 def test_quartic_refuses_a_gamma_that_is_not_a_number(reference_stats, gamma):
     message = f"^gamma must be a number, got {re.escape(repr(gamma))}$"
     with pytest.raises(InvalidInput, match=message):

@@ -133,6 +133,27 @@ def test_stats_type_validates_ranges():
             SufficientStats(**{**finite, **figure})
 
 
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (1, "need at least 2 points, got 1"),
+        (math.nan, "n must be a whole number, got nan"),
+        (math.inf, "n must be a whole number, got inf"),
+        (2.5, "n must be a whole number, got 2.5"),
+    ],
+)
+def test_stats_type_refuses_a_count_that_is_not_a_whole_number_of_2_or_more(n, message):
+    # nan and inf compare False with 2, as a fraction of a point passes it
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        SufficientStats(n=n, x_bar=1.0, y_bar=2.0, s_xx=1.0, s_yy=1.0, s_xy=0.5, rho=0.5)
+
+
+@pytest.mark.parametrize("n", [3.0, np.int64(3)])
+def test_stats_type_takes_a_whole_count_of_any_number_type(n):
+    stats = SufficientStats(n=n, x_bar=1.0, y_bar=2.0, s_xx=1.0, s_yy=1.0, s_xy=0.5, rho=0.5)
+    assert stats.n == 3
+
+
 @pytest.mark.parametrize("figure", ["n", "x_bar", "s_xy"])
 @pytest.mark.parametrize("value", ["0.5", None, 1j])
 def test_stats_type_refuses_a_figure_that_is_not_a_number(figure, value):
