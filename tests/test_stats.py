@@ -143,7 +143,7 @@ def test_stats_type_validates_ranges():
     ],
 )
 def test_stats_type_refuses_a_count_that_is_not_a_whole_number_of_2_or_more(n, message):
-    # nan and inf compare False with 2, as a fraction of a point passes it
+    # nan and inf compare False with 2, and 2.5 passes it
     with pytest.raises(InvalidInput, match=f"^{message}$"):
         SufficientStats(n=n, x_bar=1.0, y_bar=2.0, s_xx=1.0, s_yy=1.0, s_xy=0.5, rho=0.5)
 
