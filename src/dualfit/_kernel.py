@@ -442,7 +442,11 @@ def _newton_root(k: float, rho: float) -> tuple[float, float]:
         return rho, rho * rho - 1.0
     # f(rho) <= 0 < f(t), and f is increasing and convex in between, so
     # Newton descends onto the root without overshooting
-    t = min(1.0 / rho, rho + k**-0.25) if k else 1.0 / rho
+    t = 1.0 / rho
+    if k:
+        start = rho + k**-0.25
+        if start < t:  # a comparison, not min(), which costs a call per fit
+            t = start
     for _ in range(_MAX_NEWTON_STEPS):
         kt2 = k * t * t
         value = kt2 * t * (t - rho) + (rho * t - 1.0)
