@@ -292,7 +292,9 @@ def sse(stats, beta0: float, beta1: float, gamma: float) -> float:
     Vertical squared residuals carry weight ``gamma``, horizontal squared
     residuals ``1 - gamma``.  The horizontal term divides by ``beta1**2`` and
     is only evaluated when ``gamma < 1``; at ``gamma = 1`` any slope is
-    allowed.
+    allowed.  The weight is checked, then worked as ``float(gamma)`` by
+    :func:`_sse`: a NumPy float32 or float16 weight gives the objective of
+    its value in float64, not in its own precision.
 
     Raises
     ------
@@ -307,6 +309,16 @@ def sse(stats, beta0: float, beta1: float, gamma: float) -> float:
         ``inf / inf``).
     """
     _check_gamma(gamma)
+    return _sse(stats, beta0, beta1, float(gamma))
+
+
+def _sse(stats, beta0: float, beta1: float, gamma: float) -> float:
+    """:func:`sse` at a weight already checked, a Python float, so that a
+    NumPy float32 or float16 weight is not worked in its own precision.
+
+    The fit calls this body directly: ``FitConfig``, or the command's
+    argument parser, has checked its weight.
+    """
     # the vertical and horizontal sums share these products
     misfit = stats.y_bar - beta0 - beta1 * stats.x_bar
     offset = stats.n * misfit * misfit
@@ -404,27 +416,29 @@ def _solve(stats, reflect: bool, gamma: float) -> tuple:
     """The fit at one weight of statistics ``_reflects`` has passed.
 
     Returns ``(beta0, beta1, gamma, sse, residual, notes)``, the fields of
-    :class:`dualfit.FittedLine`.  Both signs of rho are solved on ``stats``
-    themselves: the endpoint closed forms are odd in y, and an interior
-    weight runs Newton on ``f(t)`` at ``|rho|`` and negates the slope under
-    ``reflect``.
+    :class:`dualfit.FittedLine`, ``gamma`` as given and everything else
+    worked at ``float(gamma)``.  The weight is not checked here: a
+    ``FitConfig``, or the command's argument parser, has checked it.  Both
+    signs of rho are solved on ``stats`` themselves: the endpoint closed
+    forms are odd in y, and an interior weight runs Newton on ``f(t)`` at
+    ``|rho|`` and negates the slope under ``reflect``.
     """
+    weight = float(gamma)  # a Python float whatever gamma's type
     residual = 0.0
-    if gamma == 1.0:
+    if weight == 1.0:
         beta1 = stats.s_xy / stats.s_xx
-    elif gamma == 0.0:
+    elif weight == 0.0:
         beta1 = stats.s_yy / stats.s_xy
     else:
         ratio = _ratio(stats.s_xx, stats.s_yy)
         ratio_yx = math.sqrt(ratio)
-        weight = float(gamma)  # a Python float whatever gamma's type
         horizontal = 1.0 - weight
         t, value = _newton_root(weight / horizontal * ratio, abs(stats.rho))
         root = t * ratio_yx
         beta1, residual = -root if reflect else root, horizontal * ratio_yx * abs(value)
-    beta0 = intercept(stats, beta1)
+    beta0 = stats.y_bar - beta1 * stats.x_bar  # intercept(stats, beta1)
     notes = ("fitted on (x, -y) and negated the slope",) if reflect else ()
-    return beta0, beta1, gamma, sse(stats, beta0, beta1, gamma), residual, notes
+    return beta0, beta1, gamma, _sse(stats, beta0, beta1, weight), residual, notes
 
 
 def _newton_root(k: float, rho: float) -> tuple[float, float]:
