@@ -331,8 +331,10 @@ def fit(data: Dataset, config: FitConfig) -> FittedLine:
     ----------
     data : Dataset
         Paired observations, at least two points, finite coordinates.  Its
-        statistics come from :func:`compute_stats`, so they are worked out
-        on the first fit or summary of ``data`` and read back after that.
+        statistics are the record :func:`compute_stats` returns, read from
+        ``data`` directly, so they are worked out on the first fit or
+        summary of ``data`` and read back after that.  The fit is
+        :func:`fit_stats` of that record, to the bit.
     config : FitConfig
         Residual weight ``gamma`` and the policy for negatively correlated
         data.
@@ -363,7 +365,10 @@ def fit(data: Dataset, config: FitConfig) -> FittedLine:
         If Newton's method does not settle within its step cap (not expected
         for valid data).
     """
-    return fit_stats(compute_stats(data), config)
+    # fit_stats of compute_stats(data), without the two calls between
+    stats = data._stats
+    policy = config.negative_correlation_policy
+    return FittedLine(*_solve(stats, _reflects(stats, policy), config.gamma))
 
 
 def verify_fit(stats: SufficientStats, line: FittedLine, config: FitConfig) -> OracleReport:
