@@ -33,6 +33,16 @@ def certify(stats, b: float, gamma: float, policy: str) -> tuple:
     ``(oracle_slope, b, abs_gap, profile_evals, (below, above),
     gradient_max_rel_err)``, as :func:`dualfit.verify_fit` documents them,
     errors included; ``b`` is certified when ``oracle_slope == b``.
+
+    The cubic ``S`` is evaluated at the two bracket ends only where one
+    integer test does not settle them.  For a bracket read off the slope's
+    mantissa, ``d = -+8``, and ``b`` beats both ends wherever ``|n*Q(b)|``
+    is below ``8*e1``, the curvature's term, less a bound on the cubic's
+    higher terms.  That holds for a slope near the minimum, as a fitted one
+    is; a slope nearer a bracket end, and every bracket walked ulp by ulp,
+    take the exact comparison.  A cheap test that is sufficient settles the
+    common case, as in Shewchuk's adaptive predicates (1997), and the
+    outcome is the exact one either way.
     """
     reflect = stats.rho < 0.0 and policy == "reflect"
     _bounds(stats.s_xx, stats.s_yy, -stats.rho if reflect else stats.rho)  # for its errors
@@ -44,7 +54,8 @@ def certify(stats, b: float, gamma: float, policy: str) -> tuple:
     # k is the lesser binade's
     mantissa, k = math.frexp(b)  # in [0.5, 1), so times 2**53 an integer of 53 bits
     n, k = int(mantissa * 2.0**53), k - 53
-    if k >= -1074 and _NARROWEST <= abs(n) <= _WIDEST:
+    in_binade = k >= -1074 and _NARROWEST <= abs(n) <= _WIDEST
+    if in_binade:
         m_below, m_above = n - _CERTIFIED_ULPS, n + _CERTIFIED_ULPS
         below, above = math.ldexp(m_below, k), math.ldexp(m_above, k)
     else:
@@ -89,19 +100,27 @@ def certify(stats, b: float, gamma: float, policy: str) -> tuple:
         # S(d) = n*q + d*(e1 + d*(e2 + d*e3)): n*n*(P(t) - P(b)) is d*S(d) / (m*m)
         # times a power of two, lo / (m*m) at the lower end and hi / (m*m) above
         best, evals = b, 3
-        e1, e2, nq = 5 * a4 - 2 * c3 + c1 - y0, gnn * (4 * a * n - c), n * q
-        d = m_below - n
-        lo = d * (nq + d * (e1 + d * (e2 + d * e3)))
-        d = m_above - n
-        hi = d * (nq + d * (e1 + d * (e2 + d * e3)))
-        if not h:  # t = 0 at gamma = 1, where P = V * gamma: n*n*(P(0) - P(b)) is c3 - a4
-            lo, hi = lo if m_below else c3 - a4, hi if m_above else c3 - a4
-        if lo < 0:  # below beats b, so above must beat below; an m of 0 divides by 1,
-            # as c3 - a4 is, or leaves n*n*h*y >= 0, which loses either way
-            ll, hh = m_below * m_below or 1, m_above * m_above or 1
-            best = above if hi * ll < lo * hh else below
-        elif hi < 0:
-            best = above
+        e1, nq = 5 * a4 - 2 * c3 + c1 - y0, n * q
+        # in the binade d = -+8, so lo = 64*T(-8) - 8*nq and hi = 64*T(8) + 8*nq
+        # for T(d) = e1 + d*(e2 + d*e3), both positive where 8*T(-+8) > |nq|.
+        # e3 = a*g*n*n >= 0 and e2 = (4*a4 - c3) / n with |n| >= 2**52, so
+        # 8*T(-+8) >= 8*e1 - 64*|e2| >= 8*e1 - (4*a4 + |c3|) * 2**-46, and
+        # (4*a4 + |c3|) >> 44, plus 1, exceeds that last term (by 4 times): the
+        # test settles that b beats both ends, as lo and hi would, in integers
+        if not (in_binade and abs(nq) + ((4 * a4 + abs(c3)) >> 44) + 1 < 8 * e1):
+            e2 = gnn * (4 * a * n - c)
+            d = m_below - n
+            lo = d * (nq + d * (e1 + d * (e2 + d * e3)))
+            d = m_above - n
+            hi = d * (nq + d * (e1 + d * (e2 + d * e3)))
+            if not h:  # t = 0 at gamma = 1, where P = V * gamma: n*n*(P(0) - P(b)) is c3 - a4
+                lo, hi = lo if m_below else c3 - a4, hi if m_above else c3 - a4
+            if lo < 0:  # below beats b, so above must beat below; an m of 0 divides by 1,
+                # as c3 - a4 is, or leaves n*n*h*y >= 0, which loses either way
+                ll, hh = m_below * m_below or 1, m_above * m_above or 1
+                best = above if hi * ll < lo * hh else below
+            elif hi < 0:
+                best = above
 
     # Q(b) = b**3 * P'(b) / 2 over its terms' magnitudes: a4, y0 >= 0, c3 and c1 have c*n's sign
     gradient = abs(q) / (2 * (a4 + y0) + abs(c3 + c1))
