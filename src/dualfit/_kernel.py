@@ -368,12 +368,20 @@ def intercept(stats, beta1: float) -> float:
 
 def _bounds(s_xx: float, s_yy: float, rho: float) -> tuple[float, float]:
     """:func:`dualfit.slope_bounds` of the figures, at the correlation its caller solves at."""
+    ratio = math.sqrt(_bounds_ratio(s_xx, s_yy, rho))
+    return rho * ratio, ratio / rho
+
+
+def _bounds_ratio(s_xx: float, s_yy: float, rho: float) -> float:
+    """``s_yy / s_xx``, after the checks of :func:`_bounds`, which raise its errors in its order.
+
+    The certificate calls this for the errors alone, building no bounds.
+    """
     if s_xx <= 0.0 or s_yy <= 0.0:
         raise DegenerateData("slope bounds need positive spread in x and y")
     if rho <= 0.0:
         raise NonPositiveCorrelation(f"slope bounds need rho > 0, got {rho:.6g}")
-    ratio = math.sqrt(_ratio(s_xx, s_yy))
-    return rho * ratio, ratio / rho
+    return _ratio(s_xx, s_yy)
 
 
 def _ratio(s_xx: float, s_yy: float) -> float:

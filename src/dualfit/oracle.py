@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from ._kernel import _bounds, _check_gamma
+from ._kernel import _bounds_ratio, _check_gamma
 from .errors import InvalidInput, OutOfRange
 
 # certify compares the profile at the fitted slope with the profile this
@@ -45,7 +45,7 @@ def certify(stats, b: float, gamma: float, policy: str) -> tuple:
     outcome is the exact one either way.
     """
     reflect = stats.rho < 0.0 and policy == "reflect"
-    _bounds(stats.s_xx, stats.s_yy, -stats.rho if reflect else stats.rho)  # for its errors
+    _bounds_ratio(stats.s_xx, stats.s_yy, -stats.rho if reflect else stats.rho)  # for its errors
     if not (math.isfinite(b) and b != 0.0):
         raise InvalidInput(f"a fitted slope is finite and nonzero, got {b!r}")
     _check_gamma(gamma)
