@@ -98,10 +98,10 @@ def _check_stats(stats) -> None:
     ------
     InvalidInput
         If the figures cannot be those of any data: fewer than 2 points, a
-        count that is not a whole number, a figure not finite, a negative
-        sum of squares, ``|s_xy|`` above ``sqrt(s_xx*s_yy)``, or ``rho`` off
-        ``s_xy/sqrt(s_xx*s_yy)`` (clamped to [-1, 1]) by more than 1e-9 of
-        itself.
+        count that is not a whole number or lies beyond float64, a figure
+        not finite, a negative sum of squares, ``|s_xy|`` above
+        ``sqrt(s_xx*s_yy)``, or ``rho`` off ``s_xy/sqrt(s_xx*s_yy)``
+        (clamped to [-1, 1]) by more than 1e-9 of itself.
     TypeError
         If a figure is not a real number.  The figures worked out from data
         are floats; a record types this error.
@@ -109,7 +109,11 @@ def _check_stats(stats) -> None:
     s_xx, s_yy, s_xy, rho = stats.s_xx, stats.s_yy, stats.s_xy, stats.rho
     if stats.n < 2:
         raise InvalidInput(f"need at least 2 points, got {stats.n}")
-    if not math.isfinite(stats.n) or stats.n % 1:  # nan and inf pass the test above
+    try:
+        finite = math.isfinite(stats.n)
+    except OverflowError:  # an integer beyond float64, the count of no data
+        raise InvalidInput("n must be a whole number within float64's range") from None
+    if not finite or stats.n % 1:  # nan and inf pass the test above
         raise InvalidInput(f"n must be a whole number, got {stats.n}")
     if not all(math.isfinite(v) for v in (stats.x_bar, stats.y_bar, s_xx, s_yy, s_xy, rho)):
         raise InvalidInput("statistics must be finite")
