@@ -150,6 +150,22 @@ def test_a_numpy_scalar_or_0d_array_is_a_weight(reference_stats, gamma):
     assert verify_fit(reference_stats, line, config).certified
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+@pytest.mark.parametrize("value", [0.3, 0.0, 1.0])
+def test_a_float32_or_float16_weight_is_worked_in_float64(dtype, value):
+    # NumPy 2 keeps a float32 or float16 scalar's dtype in its products with
+    # Python floats; the objective is that of float(gamma) all the same
+    stats = compute_stats(random_dataset(np.random.default_rng(50)))
+    gamma = dtype(value)
+    line = fit_stats(stats, FitConfig(gamma=gamma))
+    want = fit_stats(stats, FitConfig(gamma=float(gamma)))
+    assert repr((line.beta0, line.beta1, line.sse)) == repr((want.beta0, want.beta1, want.sse))
+    assert type(line.sse) is float and line.gamma is gamma
+    for beta0, beta1 in ((want.beta0, want.beta1), (0.1, 1.0)):
+        got = sse(stats, beta0, beta1, gamma)
+        assert type(got) is float and got == sse(stats, beta0, beta1, float(gamma))
+
+
 def test_fit_random_records_diagnostics():
     rng = np.random.default_rng(11)
     stats = compute_stats(random_dataset(rng))
