@@ -5,9 +5,10 @@ of argparse's namespace and the input's sufficient statistics, looked up in
 ``_RUNNERS``; argparse checks the arguments.  The commands run on the
 kernel's plain floats and tuples (:mod:`dualfit._kernel`, and for verify
 :mod:`dualfit.oracle`) and build none of the library's records, so a command
-imports neither ``dataclasses`` nor ``typing``.  All numeric output is printed
-with 10 significant digits so json and csv output is byte-stable for
-identical inputs.  Exit codes: 0 ok, 2 input error or an output that cannot
+imports neither ``dataclasses`` nor ``typing``; json output is written by
+hand, the text ``json.dumps(..., indent=2)`` gives, so no command imports
+``json``.  All numeric output is printed with 10 significant digits so json
+and csv output is byte-stable for identical inputs.  Exit codes: 0 ok, 2 input error or an output that cannot
 be written, 3 fit error, 4 verification failure; a reader that closes the
 output pipe early ends the command quietly with 0.
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import os
 import re
@@ -437,8 +437,11 @@ def _jnum(value: float):
 
 def _emit_record(pairs: list[tuple[str, object]], fmt: str) -> None:
     if fmt == "json":
-        obj = {key: _jnum(value) if isinstance(value, float) else value for key, value in pairs}
-        print(json.dumps(obj, indent=2))
+        # the text of json.dumps(dict(...), indent=2), floats as _jnum makes
+        # them, without importing json: keys and strings are plain ASCII,
+        # with no quote, backslash or control character to escape
+        items = ",\n".join(f'  "{key}": {_json_value(value)}' for key, value in pairs)
+        print(f"{{\n{items}\n}}")
         return
 
     def cell(value) -> str:
@@ -453,14 +456,25 @@ def _emit_record(pairs: list[tuple[str, object]], fmt: str) -> None:
         print(f"{key:<{width}}  {cell(value)}")
 
 
+def _json_value(value: float | int | str) -> str:
+    if isinstance(value, float):
+        return _json_number(value)
+    return f'"{value}"' if isinstance(value, str) else str(value)
+
+
 def _json_number(value: float) -> str:
-    # json.dumps's text for _jnum(value): a finite float is written as its repr
+    # json.dumps's text for _jnum(value): a finite float is written as its
+    # repr, the others as JavaScript names them
     value = _jnum(value)
-    return repr(value) if math.isfinite(value) else json.dumps(value)
+    if math.isfinite(value):
+        return repr(value)
+    if math.isnan(value):
+        return "NaN"
+    return "Infinity" if value > 0.0 else "-Infinity"
 
 
 _SWEEP_COLUMNS = ("gamma", "beta1", "beta0", "sse", "root_residual")
-_SWEEP_JSON_KEYS = tuple(f"      {json.dumps(name)}: " for name in _SWEEP_COLUMNS)
+_SWEEP_JSON_KEYS = tuple(f'      "{name}": ' for name in _SWEEP_COLUMNS)
 # a csv row, each value as _fmt writes it
 _SWEEP_CSV_ROW = "%.10g,%.10g,%.10g,%.10g,%.10g\n"
 

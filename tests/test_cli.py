@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dualfit import Dataset, FitConfig, OracleReport, SufficientStats, compute_stats, fit
 from dualfit import cli
@@ -217,6 +222,29 @@ def test_run_fit_missing_file_exits_2(tmp_path, capsys):
 def test_run_fit_malformed_exits_2(tmp_path, capsys):
     assert main(["fit", "--input", _write(tmp_path, "x,y\n0,0\n1,abc\n")]) == EXIT_INPUT
     assert "ParseError" in capsys.readouterr().err
+
+
+# the keys and the strings a command writes are plain ASCII, with no quote,
+# backslash or control character, which json would escape
+_PLAIN = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters='"\\'))
+_RECORD_VALUES = st.one_of(st.floats(), st.floats(max_value=1e-300), st.integers(), _PLAIN)
+
+
+@given(st.lists(st.tuples(_PLAIN, _RECORD_VALUES), min_size=1, unique_by=lambda pair: pair[0]))
+@example([("n", 4), ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf), ("status", "ok")])
+@example([("least", 5e-324), ("subnormal", -2.2e-308), ("max", 1.7976931348623157e308)])
+@example([("zero", 0.0), ("negative zero", -0.0), ("", "")])
+def test_a_json_record_is_the_text_of_json_dumps(pairs):
+    # floats go out at 10 significant digits, as _jnum rounds them; the
+    # largest float rounds up to inf, which json writes as Infinity
+    want = json.dumps(
+        {key: cli._jnum(value) if isinstance(value, float) else value for key, value in pairs},
+        indent=2,
+    )
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_record(pairs, "json")
+    assert out.getvalue() == want + "\n"
 
 
 def test_output_is_deterministic(capsys):
@@ -555,6 +583,29 @@ def test_every_command_runs_without_dataclasses(tmp_path, capsys, command, sourc
     result = subprocess.run(argv, input=stdin, capture_output=True, env=src_env(), timeout=120)
     assert (result.returncode, result.stderr) == (0, b"")
     assert result.stdout.decode() == printed
+
+
+# runs dualfit in a fresh process, then reports whether json was imported;
+# under python -S, which imports no site module: a .pth file may import json
+_MAIN_REPORTING_JSON = """
+import sys
+from dualfit.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write(f"json imported: {'json' in sys.modules}\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", _COMMANDS, ids=lambda command: command[0])
+def test_no_command_imports_json(tmp_path, command):
+    path = _write(tmp_path, _table(2))
+    argv = [sys.executable, "-S", "-c", _MAIN_REPORTING_JSON, *command, "--input", path]
+    result = subprocess.run(
+        [*argv, "--format", "json"], capture_output=True, env=src_env(), timeout=120
+    )
+    assert (result.returncode, result.stderr) == (0, b"json imported: False\n")
+    assert json.loads(result.stdout)
 
 
 # imports dualfit in a fresh process, reports which of these modules that
