@@ -368,6 +368,39 @@ def test_overflowing_ratio_matches_reference(gamma):
                 assert got == want == refused
 
 
+# every offset across the edge of the 8-ulp bracket, and two past it
+_EDGE_OFFSETS = (*range(-12, 13), -16, 16, -40, 40)
+
+
+@pytest.mark.parametrize("gamma", [1e-6, 0.3, 1.0 - 1e-6])
+def test_slopes_around_the_bracket_edge_match_reference(gamma):
+    # the fitted slope, and the power of two nearest it, moved across the
+    # edge of the bracket, where certify's test on Q(b) stops settling the
+    # comparison and, next to the power of two, the bracket is walked ulp by
+    # ulp; on the seeded data and its mirror image, under both policies
+    rng = np.random.default_rng(20261022)
+    fitted = FitConfig(gamma=gamma, negative_correlation_policy="reflect")
+    for _ in range(8):
+        stats = _seeded_stats(rng)
+        for data in (stats, reflected(stats)):
+            line = fit_stats(data, fitted)
+            power = math.copysign(2.0 ** round(math.log2(abs(line.beta1))), line.beta1)
+            for base in (line.beta1, power):
+                for policy in ("error", "reflect"):
+                    config = FitConfig(gamma=gamma, negative_correlation_policy=policy)
+                    for ulps in _EDGE_OFFSETS:
+                        moved = base
+                        for _ in range(abs(ulps)):
+                            moved = math.nextafter(moved, math.copysign(math.inf, ulps))
+                        moved_line = dataclasses.replace(line, beta1=moved)
+                        kind, report = _assert_same(
+                            verify_fit, _ref_verify, data, moved_line, config
+                        )
+                        if kind == "ok" and base == line.beta1 and ulps in (0, -40, 40):
+                            # the fit is certified, and a slope 40 ulps off never is
+                            assert report.certified == (ulps == 0), (data, gamma, ulps)
+
+
 @st.composite
 def _drawn_stats(draw):
     n = draw(st.integers(2, 10**6))
