@@ -8,9 +8,10 @@ kernel's plain floats and tuples (:mod:`dualfit._kernel`, and for verify
 imports neither ``dataclasses`` nor ``typing``; json output is written by
 hand, the text ``json.dumps(..., indent=2)`` gives, so no command imports
 ``json``.  All numeric output is printed with 10 significant digits so json
-and csv output is byte-stable for identical inputs.  Exit codes: 0 ok, 2 input error or an output that cannot
-be written, 3 fit error, 4 verification failure; a reader that closes the
-output pipe early ends the command quietly with 0.
+and csv output is byte-stable for identical inputs.  Exit codes: 0 ok, 2
+input error or an output that cannot be written, 3 fit error, 4
+verification failure; a reader that closes the output pipe early ends the
+command quietly with 0.
 
 Every input, a pipe included, is read once and forward by :func:`_blocks`,
 a bounded block at a time: split into cells, each column read by one

@@ -101,12 +101,13 @@ def certify(stats, b: float, gamma: float, policy: str) -> tuple:
         # times a power of two, lo / (m*m) at the lower end and hi / (m*m) above
         best, evals = b, 3
         e1, nq = 5 * a4 - 2 * c3 + c1 - y0, n * q
-        # in the binade d = -+8, so lo = 64*T(-8) - 8*nq and hi = 64*T(8) + 8*nq
-        # for T(d) = e1 + d*(e2 + d*e3), both positive where 8*T(-+8) > |nq|.
-        # e3 = a*g*n*n >= 0 and e2 = (4*a4 - c3) / n with |n| >= 2**52, so
-        # 8*T(-+8) >= 8*e1 - 64*|e2| >= 8*e1 - (4*a4 + |c3|) * 2**-46, and
-        # (4*a4 + |c3|) >> 44, plus 1, exceeds that last term (by 4 times): the
-        # test settles that b beats both ends, as lo and hi would, in integers
+        # Both ends are decided without the cubic where the bracket is read
+        # off the mantissa: there d = -+8 and no m is 0, so lo = 64*T(-8) - 8*nq
+        # and hi = 64*T(8) + 8*nq for T(d) = e1 + d*(e2 + d*e3), both positive
+        # where 8*T(-+8) > |nq|.  As e3 = a*g*n*n >= 0 and e2 = (4*a4 - c3) / n
+        # with |n| >= 2**52, 8*T(-+8) >= 8*e1 - 64*|e2| >= 8*e1 - X * 2**-46 for
+        # X = 4*a4 + |c3|, and X * 2**-46 < (X >> 44) + 1; so the integer test
+        # below implies lo > 0 and hi > 0: b beats both ends, as they would say
         if not (in_binade and abs(nq) + ((4 * a4 + abs(c3)) >> 44) + 1 < 8 * e1):
             e2 = gnn * (4 * a * n - c)
             d = m_below - n
